@@ -93,16 +93,14 @@ pub struct GateViolation {
 /// `probes_deferred` and `deadline_degradations` at 0 — an unbounded
 /// scheduler that starts deferring work is a determinism bug, not a
 /// tuning choice.
-/// `warm_state_shared_hits` / `sessions_evicted` /
-/// `parse_overlap_batches` are the serve loop's warm-state-sharing,
-/// LRU-eviction, and pipelined-admission counters: the one-shot sweep
-/// path opens no shared sessions, evicts nothing, and admits nothing
-/// through the pipelined loop, so the sweep baseline pins all three at
-/// 0 — a change that starts sharing or evicting on the *static* path
-/// fails the gate — while the serve artifact gates their real,
-/// deterministic values (the co-tenant join, the capped-service
-/// evictions, and one stamped overlap batch per multi-request flush).
-pub const GATED_COUNTERS: [&str; 16] = [
+/// `warm_state_shared_hits` / `sessions_evicted` are the service's
+/// warm-state-sharing and LRU-eviction counters: the one-shot sweep
+/// path opens no shared sessions and evicts nothing, so the sweep
+/// baseline pins both at 0 — a change that starts sharing or evicting
+/// on the *static* path fails the gate — while the serve artifact gates
+/// their real, deterministic values (the co-tenant join and the
+/// capped-service evictions).
+pub const GATED_COUNTERS: [&str; 15] = [
     "certify_calls_cached",
     "subsumption_pruned",
     "split_memo_hits",
@@ -118,7 +116,6 @@ pub const GATED_COUNTERS: [&str; 16] = [
     "deadline_degradations",
     "warm_state_shared_hits",
     "sessions_evicted",
-    "parse_overlap_batches",
 ];
 
 /// The `totals` counters `check_matrix_gate` holds to exact equality.
@@ -214,32 +211,6 @@ fn check_true_flag(candidate: &str, field: &'static str, violations: &mut Vec<Ga
     }
 }
 
-/// A boolean that must be `true` *when present as a value*: `null` is
-/// the host-dependent sentinel (a 1-core runner skipped the phase, the
-/// sweep artifact's `speedup` pattern) and passes, but the field itself
-/// must exist in the document, and `false` always fails.
-fn check_true_when_present(
-    candidate: &str,
-    field: &'static str,
-    violations: &mut Vec<GateViolation>,
-) {
-    match json_raw(candidate, field) {
-        Some("true") | Some("null") => {}
-        Some("false") => violations.push(GateViolation {
-            field,
-            detail: format!("candidate reports {field} = false"),
-        }),
-        Some(other) => violations.push(GateViolation {
-            field,
-            detail: format!("candidate reports {field} = {other}, expected true or null"),
-        }),
-        None => violations.push(GateViolation {
-            field,
-            detail: "field missing from candidate".to_string(),
-        }),
-    }
-}
-
 /// Checks a freshly generated `BENCH_serve.json` (`candidate`) against
 /// the committed baseline document.
 ///
@@ -251,11 +222,6 @@ fn check_true_when_present(
 ///   cache hit rate beat the single-sweep baseline rate (0.475);
 /// * each of [`GATED_COUNTERS`] must be exactly equal across the two
 ///   documents;
-/// * `pipeline_dominates` must be `true` or `null` — the pipelined
-///   serve loop was no slower than the sequential loop on this host, or
-///   the host had a single core and the throughput phase was skipped
-///   (its `null` sentinel, like the sweep artifact's `speedup`); a
-///   pipelined loop that *loses* to the sequential one fails;
 /// * `pool_reuse_count` must be exactly equal as a *number*. The sweep
 ///   gate exempts this counter because the sweep bench only touches the
 ///   pool on multi-core hosts; the serve bench pins an explicit thread
@@ -266,7 +232,6 @@ pub fn check_serve_gate(baseline: &str, candidate: &str) -> Vec<GateViolation> {
     let mut violations = Vec::new();
     check_true_flag(candidate, "identical_responses", &mut violations);
     check_true_flag(candidate, "hit_rate_dominates_sweep", &mut violations);
-    check_true_when_present(candidate, "pipeline_dominates", &mut violations);
     check_counters(baseline, candidate, &GATED_COUNTERS, &mut violations);
     check_counters(baseline, candidate, &["pool_reuse_count"], &mut violations);
     violations
@@ -387,7 +352,6 @@ mod tests {
   "deadline_degradations": 0,
   "warm_state_shared_hits": 0,
   "sessions_evicted": 0,
-  "parse_overlap_batches": 0,
   "pool_reuse_count": null,
   "ladder": [
     {"n": 1, "attempted": 32, "verified": 30}
@@ -397,10 +361,6 @@ mod tests {
 
     const SERVE_DOC: &str = r#"{
   "bench": "serve",
-  "serve_seq_ms": null,
-  "serve_pipelined_ms": null,
-  "serve_speedup": null,
-  "pipeline_dominates": null,
   "identical_responses": true,
   "hit_rate_dominates_sweep": true,
   "cross_request_hit_rate": 0.62,
@@ -408,7 +368,6 @@ mod tests {
   "cross_request_cache_hits": 18,
   "warm_state_shared_hits": 1,
   "sessions_evicted": 3,
-  "parse_overlap_batches": 3,
   "certify_calls_cached": 11,
   "cache_transfers": 2,
   "cache_invalidations": 0,
@@ -565,13 +524,11 @@ mod tests {
 
     #[test]
     fn gate_catches_warm_state_counters_on_the_static_path() {
-        // The one-shot sweep opens no shared sessions, evicts nothing,
-        // and admits nothing through the pipelined loop: any of the
-        // three going non-zero there fails the sweep gate.
+        // The one-shot sweep opens no shared sessions and evicts
+        // nothing: either going non-zero there fails the sweep gate.
         for (field, from, to) in [
             ("warm_state_shared_hits", 0u64, 2u64),
             ("sessions_evicted", 0, 1),
-            ("parse_overlap_batches", 0, 4),
         ] {
             let drifted = DOC.replace(
                 &format!("\"{field}\": {from}"),
@@ -586,13 +543,9 @@ mod tests {
     #[test]
     fn serve_gate_catches_sharing_and_eviction_drift() {
         // A change that silently disarms warm-state sharing (the
-        // co-tenant stops joining), stops evicting at the cap, or stops
-        // stamping overlap batches drifts the serve baseline and fails.
-        for (field, from) in [
-            ("warm_state_shared_hits", 1u64),
-            ("sessions_evicted", 3),
-            ("parse_overlap_batches", 3),
-        ] {
+        // co-tenant stops joining) or stops evicting at the cap drifts
+        // the serve baseline and fails.
+        for (field, from) in [("warm_state_shared_hits", 1u64), ("sessions_evicted", 3)] {
             let drifted =
                 SERVE_DOC.replace(&format!("\"{field}\": {from}"), &format!("\"{field}\": 0"));
             let v = check_serve_gate(SERVE_DOC, &drifted);
@@ -602,40 +555,6 @@ mod tests {
                 .detail
                 .contains(&format!("baseline {from} != candidate 0")));
         }
-    }
-
-    #[test]
-    fn serve_gate_holds_pipeline_dominates_true_when_present() {
-        // `null` (single-core host, phase skipped) passes...
-        assert!(check_serve_gate(SERVE_DOC, SERVE_DOC).is_empty());
-        // ...a measured `true` passes...
-        let measured = SERVE_DOC
-            .replace("\"serve_seq_ms\": null", "\"serve_seq_ms\": 41.020")
-            .replace(
-                "\"serve_pipelined_ms\": null",
-                "\"serve_pipelined_ms\": 22.515",
-            )
-            .replace("\"serve_speedup\": null", "\"serve_speedup\": 1.82")
-            .replace(
-                "\"pipeline_dominates\": null",
-                "\"pipeline_dominates\": true",
-            );
-        assert!(check_serve_gate(SERVE_DOC, &measured).is_empty());
-        // ...a pipelined loop that loses to the sequential one fails...
-        let losing = SERVE_DOC.replace(
-            "\"pipeline_dominates\": null",
-            "\"pipeline_dominates\": false",
-        );
-        let v = check_serve_gate(SERVE_DOC, &losing);
-        assert_eq!(v.len(), 1);
-        assert_eq!(v[0].field, "pipeline_dominates");
-        assert!(v[0].detail.contains("false"));
-        // ...and the field must at least exist in the candidate.
-        let gutted = SERVE_DOC.replace("  \"pipeline_dominates\": null,\n", "");
-        let v = check_serve_gate(SERVE_DOC, &gutted);
-        assert_eq!(v.len(), 1);
-        assert_eq!(v[0].field, "pipeline_dominates");
-        assert!(v[0].detail.contains("missing from candidate"));
     }
 
     #[test]

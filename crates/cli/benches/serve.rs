@@ -4,7 +4,8 @@
 //! interleaved, and a two-epoch pure-removal drift delta mid-stream —
 //! with a machine-readable `BENCH_serve.json` snapshot for the
 //! performance trajectory. Lives in `antidote-cli` (not
-//! `antidote-bench`) because it also drives the serve loops end to end.
+//! `antidote-bench`) because its bounded-memory phase drives the
+//! JSONL [`Service`] directly.
 //!
 //! Run with:
 //!
@@ -20,19 +21,14 @@
 //! cross-request cache hit rate beats both the single-sweep cache's
 //! 47.5% (`BENCH_sweep.json`'s `cache_hit_rate`) and the pre-sharing
 //! service's 64.7%, that the warm batch runs zero abstract derivations,
-//! and that three replays — reversed admission order, private
-//! (unshared) sessions, and both serve-loop modes over a scripted
-//! transcript — reproduce byte-identical responses. Thread count is
-//! pinned to 2 explicitly — `ExecContext` honors explicit counts on any
-//! host — so every counter, including `pool_reuse_count`, is
-//! host-independent and `perfgate` holds all of them to exact equality.
-//! The serve-loop throughput comparison is the one host-dependent
-//! phase: on hosts with fewer than two cores its four fields are `null`
-//! (the same sentinel pattern as the sweep artifact's `speedup`), and
-//! it runs *after* `pool_reuse_count` is read so the gated counters
-//! never see it.
+//! and that two replays — reversed admission order and private
+//! (unshared) sessions — reproduce byte-identical responses. Thread
+//! count is pinned to 2 explicitly — `ExecContext` honors explicit
+//! counts on any host — so every counter, including
+//! `pool_reuse_count`, is host-independent and `perfgate` holds all of
+//! them to exact equality.
 
-use antidote_cli::service::{serve_loop, serve_loop_pipelined, Service};
+use antidote_cli::service::Service;
 use antidote_core::engine::ExecContext;
 use antidote_core::{
     pool_stats, DomainKind, Request, RequestEngine, Response, Session, SessionConfig, Verdict,
@@ -223,14 +219,6 @@ fn replay(
             requests.reverse();
         }
         let ctx = ExecContext::new().threads(2);
-        // Stamp the counter the pipelined serve loop records when it
-        // admits a multi-request flush: every batch here is one, and
-        // counting it deterministically (rather than reading the live
-        // loop's timing-dependent read-ahead) keeps the artifact
-        // gate-stable.
-        if requests.len() >= 2 {
-            ctx.metrics().add_parse_overlap_batch();
-        }
         let mut out = engine.submit(&requests, &ctx);
         if reverse {
             out.reverse();
@@ -249,56 +237,6 @@ fn replay(
         served,
         hits,
         warm_abstract_runs,
-    }
-}
-
-/// The scripted transcript both serve loops must reproduce
-/// byte-identically: two tenants, repeats, an inline parse error, a
-/// barrier delta mid-stream, an evict, and a final metrics line.
-fn serve_script() -> String {
-    let mut lines = vec![
-        r#"{"op":"load","handle":"s1","dataset":"iris","depth":1,"domain":"disjuncts"}"#
-            .to_string(),
-        r#"{"op":"load","handle":"s2","dataset":"iris","depth":1,"domain":"disjuncts"}"#
-            .to_string(),
-    ];
-    for rep in 0..4 {
-        for (i, x) in [5.0, 6.1, 4.9, 6.4, 5.8, 5.5].iter().enumerate() {
-            let handle = if i % 2 == 0 { "s1" } else { "s2" };
-            let n = 1 + (i + rep) % 3;
-            lines.push(format!(
-                r#"{{"op":"certify","handle":"{handle}","x":[{x},3.4,1.5,0.2],"n":{n}}}"#
-            ));
-        }
-    }
-    lines.push("not json".to_string());
-    lines.push(r#"{"op":"delta","handle":"s2","deltas":[{"remove":[0]}]}"#.to_string());
-    lines.push(r#"{"op":"certify","handle":"s2","x":[5.5,3.4,1.5,0.2],"n":1}"#.to_string());
-    lines.push(r#"{"op":"evict","handle":"s2"}"#.to_string());
-    lines.push(r#"{"op":"metrics"}"#.to_string());
-    lines.push(r#"{"op":"shutdown"}"#.to_string());
-    lines.join("\n") + "\n"
-}
-
-/// Wall-clock for one serve-loop run over `script`, discarding output.
-fn time_loop(script: &str, threads: usize, pipelined: bool) -> f64 {
-    let mut service = Service::new(threads);
-    let mut sink = Vec::new();
-    let t0 = Instant::now();
-    if pipelined {
-        serve_loop_pipelined(&mut service, script.as_bytes(), &mut sink)
-    } else {
-        serve_loop(&mut service, script.as_bytes(), &mut sink)
-    }
-    .expect("in-memory serve run");
-    t0.elapsed().as_secs_f64() * 1e3
-}
-
-/// `Some(x)` as a 3-decimal JSON number, `None` as `null`.
-fn fmt_ms(v: Option<f64>) -> String {
-    match v {
-        Some(x) => format!("{x:.3}"),
-        None => "null".to_string(),
     }
 }
 
@@ -375,6 +313,7 @@ fn main() {
         sharing_identical,
         "warm-state sharing must not change a single response byte"
     );
+    let identical_responses = order_identical && sharing_identical;
 
     let hit_rate = forward.hits as f64 / forward.served as f64;
     // The single-sweep cache hit rate from BENCH_sweep.json, and the
@@ -402,10 +341,8 @@ fn main() {
 
     // Every batch after the first reuses persistent pool workers; with
     // threads pinned, the count is the same on every host and the gate
-    // holds it exactly. Read it *before* the host-dependent phases
-    // below touch the pool.
+    // holds it exactly.
     let pool_reuse_count = pool_stats().batches_reusing_workers;
-    let parse_overlap_batches = grand.metrics().parse_overlap_batches();
 
     // Bounded-memory phase: a capped service must evict LRU sessions as
     // tenants pile in, and the explicit op must count alongside.
@@ -424,42 +361,6 @@ fn main() {
         "two LRU evictions at the cap plus one explicit evict"
     );
 
-    // Serve-loop differential: the pipelined loop must reproduce the
-    // sequential loop's transcript byte-for-byte (threads pinned to 1
-    // so the final metrics line is deterministic too).
-    let script = serve_script();
-    let mut seq_out = Vec::new();
-    serve_loop(&mut Service::new(1), script.as_bytes(), &mut seq_out).expect("sequential serve");
-    let mut pipe_out = Vec::new();
-    serve_loop_pipelined(&mut Service::new(1), script.as_bytes(), &mut pipe_out)
-        .expect("pipelined serve");
-    let transcripts_identical = seq_out == pipe_out;
-    assert!(
-        transcripts_identical,
-        "serve loops must be observationally identical"
-    );
-    let identical_responses = order_identical && sharing_identical && transcripts_identical;
-
-    // Serve-loop throughput: host-dependent (the pipelined loop can
-    // only overlap stages when a second core exists), so hosts with
-    // fewer than two cores report `null` — the sweep artifact's
-    // `speedup` sentinel pattern.
-    let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
-    let (serve_seq_ms, serve_pipelined_ms, serve_speedup, pipeline_dominates) = if cores >= 2 {
-        let seq = (0..3)
-            .map(|_| time_loop(&script, 2, false))
-            .fold(f64::INFINITY, f64::min);
-        let pipe = (0..3)
-            .map(|_| time_loop(&script, 2, true))
-            .fold(f64::INFINITY, f64::min);
-        let speedup = seq / pipe;
-        println!("serve loop: sequential {seq:.1} ms, pipelined {pipe:.1} ms ({speedup:.2}x)");
-        (Some(seq), Some(pipe), Some(speedup), Some(speedup >= 1.0))
-    } else {
-        println!("serve loop: single-core host, skipping the throughput comparison");
-        (None, None, None, None)
-    };
-
     let m = grand.metrics();
     let json = format!(
         r#"{{
@@ -470,10 +371,6 @@ fn main() {
   "domain": "disjuncts",
   "threads": 2,
   "trace_ms": {trace_ms:.3},
-  "serve_seq_ms": {},
-  "serve_pipelined_ms": {},
-  "serve_speedup": {},
-  "pipeline_dominates": {},
   "identical_responses": {identical_responses},
   "hit_rate_dominates_sweep": {dominates},
   "cross_request_hit_rate": {hit_rate:.3},
@@ -482,7 +379,6 @@ fn main() {
   "warm_batch_abstract_runs": {},
   "warm_state_shared_hits": {warm_state_shared_hits},
   "sessions_evicted": {sessions_evicted},
-  "parse_overlap_batches": {parse_overlap_batches},
   "certify_calls_cached": {},
   "cache_hits": {},
   "cache_shortcircuits": {},
@@ -501,16 +397,6 @@ fn main() {
 "#,
         ds_a.len(),
         ds_b.len(),
-        fmt_ms(serve_seq_ms),
-        fmt_ms(serve_pipelined_ms),
-        match serve_speedup {
-            Some(s) => format!("{s:.2}"),
-            None => "null".to_string(),
-        },
-        match pipeline_dominates {
-            Some(d) => d.to_string(),
-            None => "null".to_string(),
-        },
         forward.served,
         forward.hits,
         forward.warm_abstract_runs,

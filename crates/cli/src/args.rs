@@ -36,7 +36,6 @@ impl Args {
         "no-schedule",
         "no-transfer",
         "no-share",
-        "no-pipeline",
         "list",
     ];
 
@@ -222,15 +221,6 @@ impl Args {
     /// mirroring `--no-cache`).
     pub fn no_share(&self) -> bool {
         self.options.contains_key("no-share")
-    }
-
-    /// Whether `--no-pipeline` was given: runs `antidote serve` with
-    /// the strictly sequential parse→execute→write loop instead of the
-    /// pipelined loop that parses ahead and overlaps response writing
-    /// (transcripts are byte-identical either way; the escape hatch
-    /// mirroring `--no-cache`).
-    pub fn no_pipeline(&self) -> bool {
-        self.options.contains_key("no-pipeline")
     }
 }
 
@@ -457,23 +447,12 @@ mod tests {
         assert!(!a.no_share(), "warm-state sharing is on by default");
         let a = Args::parse(argv("serve --no-share")).unwrap();
         assert!(a.no_share());
-        // Composes with the service's sibling flags and value options.
-        let a = Args::parse(argv("serve --no-share --no-pipeline --threads 2")).unwrap();
-        assert!(a.no_share() && a.no_pipeline());
+        // Composes with the service's value options.
+        let a = Args::parse(argv("serve --no-share --max-sessions 4 --threads 2")).unwrap();
+        assert!(a.no_share());
+        assert_eq!(a.get_num("max-sessions", 0usize).unwrap(), 4);
         assert_eq!(a.threads().unwrap(), 2);
         assert!(Args::parse(argv("serve --no-share true")).is_err());
-    }
-
-    #[test]
-    fn no_pipeline_flag_takes_no_value() {
-        let a = Args::parse(argv("serve")).unwrap();
-        assert!(!a.no_pipeline(), "the pipelined loop is on by default");
-        let a = Args::parse(argv("serve --no-pipeline")).unwrap();
-        assert!(a.no_pipeline());
-        let a = Args::parse(argv("serve --no-pipeline --max-sessions 4")).unwrap();
-        assert!(a.no_pipeline());
-        assert_eq!(a.get_num("max-sessions", 0usize).unwrap(), 4);
-        assert!(Args::parse(argv("serve --no-pipeline true")).is_err());
     }
 
     #[test]

@@ -64,7 +64,7 @@ const USAGE: &str = "usage:
   antidote attack   --dataset <id> --depth <d> --budget <n> [--index i]
   antidote stats    --dataset <id>
   antidote headline [--scale small|paper]
-  antidote serve    [--threads k] [--no-pipeline] [--no-share] [--max-sessions n] [--max-session-bytes b]
+  antidote serve    [--threads k] [--no-share] [--max-sessions n] [--max-session-bytes b]
   antidote client   --script <path> [--threads k]
 certify/flip/forest/sweep/attack/matrix also accept --threads <k>, k >= 1
 (default: all cores; 1 = sequential); sweep reuses certificates across
@@ -89,11 +89,10 @@ mnist17-binary, mnist17-real (or --csv <path>);
 serve runs the certification service: line-delimited JSON requests on
 stdin, one response per line on stdout (ops: load, certify, sweep,
 batch, delta, evict, metrics, shutdown; see DESIGN.md sections 12 and
-14); the serve loop parses requests ahead of execution and overlaps
-response writing unless --no-pipeline (byte-identical transcripts
-either way); tenants loading the same dataset snapshot under the same
-config share one warm unit unless --no-share (byte-identical responses
-either way); --max-sessions / --max-session-bytes evict the
+14), answered one line at a time in admission order; tenants loading
+the same dataset snapshot under the same config share one warm unit
+unless --no-share (byte-identical responses either way);
+--max-sessions / --max-session-bytes evict the
 least-recently-used session when the count/byte watermark is crossed;
 client replays a request script against an in-process service and
 prints the transcript";

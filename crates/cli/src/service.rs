@@ -13,7 +13,10 @@
 //! (apply a chain of mutations, carrying certificates in one batched
 //! transfer), `evict` (drop a handle's session and warm state),
 //! `metrics` (deterministic counter subset), `shutdown`. Errors answer
-//! `{"ok":false,"error":"..."}` and never kill the loop.
+//! `{"ok":false,"error":"..."}` and never kill the loop: malformed
+//! JSON, non-finite numbers, nesting deeper than `MAX_DEPTH` levels,
+//! and points whose arity differs from the session dataset's feature
+//! count are all rejected before any certification runs.
 //!
 //! Sessions opened by `load` share warm state through a process-wide
 //! [`WarmStateIndex`] (two handles on the same snapshot and config
@@ -22,20 +25,10 @@
 //! least-recently-used session at load time, counted in
 //! `sessions_evicted`.
 //!
-//! Two serve loops produce byte-identical transcripts:
-//! [`serve_loop`] parses, executes, and writes strictly one line at a
-//! time, while [`serve_loop_pipelined`] (the default) overlaps stdin
-//! parsing (a reader thread parses ahead), request execution
-//! (consecutive certify/sweep lines run as one non-coalescing engine
-//! batch), and response writing (a writer thread drains an ordered
-//! queue). Responses are emitted strictly in admission order, and
-//! coalescing is disabled in pipelined batches so every counter is
-//! independent of how far the reader happened to parse ahead —
-//! `--no-pipeline` is the escape hatch, pinned by CI running the smoke
-//! script through both loops against one golden.
-//!
-//! Responses carry no timings, so a canned script's transcript is
-//! byte-stable — CI diffs one against a committed golden file.
+//! [`serve_loop`] reads, executes, and writes strictly one line at a
+//! time, so responses come out in admission order. Responses carry no
+//! timings, so a canned script's transcript is byte-stable — CI diffs
+//! one against a committed golden file.
 
 use crate::args::{parse_domain, Args, CliError};
 use antidote_core::{
@@ -43,9 +36,9 @@ use antidote_core::{
     WarmStateIndex,
 };
 use antidote_data::{Benchmark, ClassId, DatasetDelta, DatasetRegistry, RowId, Scale};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::io::{BufRead, Write};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::Arc;
 use std::time::Duration;
 
 // ---------------------------------------------------------------------
@@ -91,9 +84,16 @@ impl Json {
     }
 }
 
+/// Deepest array/object nesting the parser accepts. The deepest valid
+/// request (a `delta` append row) nests six levels; the cap keeps the
+/// recursive-descent parser's stack bounded on hostile input.
+const MAX_DEPTH: usize = 64;
+
 struct Parser<'a> {
     s: &'a [u8],
     i: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 /// Parses one JSON document; trailing non-whitespace is an error.
@@ -101,6 +101,7 @@ pub(crate) fn parse_json(s: &str) -> Result<Json, String> {
     let mut p = Parser {
         s: s.as_bytes(),
         i: 0,
+        depth: 0,
     };
     let v = p.value()?;
     p.skip_ws();
@@ -149,8 +150,8 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Json, String> {
         match self.peek()? {
-            b'{' => self.object(),
-            b'[' => self.array(),
+            b'{' => self.nested(Self::object),
+            b'[' => self.nested(Self::array),
             b'"' => Ok(Json::Str(self.string()?)),
             b't' => self.literal("true", Json::Bool(true)),
             b'f' => self.literal("false", Json::Bool(false)),
@@ -162,6 +163,21 @@ impl Parser<'_> {
                 self.i
             )),
         }
+    }
+
+    /// Parses one object or array a level deeper, refusing to open more
+    /// than `MAX_DEPTH` levels.
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Json, String>) -> Result<Json, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!(
+                "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                self.i
+            ));
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn object(&mut self) -> Result<Json, String> {
@@ -294,9 +310,13 @@ impl Parser<'_> {
             self.i += 1;
         }
         let text = std::str::from_utf8(&self.s[start..self.i]).expect("ascii");
-        text.parse::<f64>()
-            .map(Json::Num)
-            .map_err(|_| format!("invalid number '{text}'"))
+        // `parse::<f64>` overflows to ±∞ (`1e400`) instead of failing;
+        // the service accepts only finite numbers, like CSV ingestion.
+        match text.parse::<f64>() {
+            Ok(v) if v.is_finite() => Ok(Json::Num(v)),
+            Ok(_) => Err(format!("number '{text}' is not finite")),
+            Err(_) => Err(format!("invalid number '{text}'")),
+        }
     }
 }
 
@@ -507,9 +527,7 @@ impl Service {
         match str_field(obj, "op")? {
             "load" => self.op_load(obj).map(|r| (r, false)),
             "certify" | "sweep" => {
-                let (handle, request) = self.parse_request(obj)?;
-                let session = self.session(&handle)?;
-                self.touch(&handle);
+                let (handle, session, request) = self.admit(obj)?;
                 let responses = self.engine.submit(&[(session, request)], &self.ctx);
                 Ok((response_json(&handle, &responses[0]), false))
             }
@@ -527,6 +545,31 @@ impl Service {
             .get(handle)
             .cloned()
             .ok_or_else(|| format!("no dataset loaded under handle '{handle}'"))
+    }
+
+    /// Admits one certify/sweep request object: parses it, resolves its
+    /// session, checks that every point has exactly the session
+    /// dataset's feature count, and stamps the handle as most recently
+    /// used. Single requests and `batch` entries both come through here.
+    fn admit(
+        &mut self,
+        obj: &BTreeMap<String, Json>,
+    ) -> Result<(String, Arc<Session>, Request), String> {
+        let (handle, request) = parse_request(obj)?;
+        let session = self.session(&handle)?;
+        let points = match &request {
+            Request::Certify { x, .. } => std::slice::from_ref(x),
+            Request::Sweep { points, .. } => points.as_slice(),
+        };
+        let features = session.dataset().n_features();
+        if let Some(p) = points.iter().find(|p| p.len() != features) {
+            return Err(format!(
+                "point has {} features, dataset '{handle}' has {features}",
+                p.len()
+            ));
+        }
+        self.touch(&handle);
+        Ok((handle, session, request))
     }
 
     /// Stamps `handle` as most recently used.
@@ -638,51 +681,6 @@ impl Service {
         ))
     }
 
-    /// Parses one certify/sweep request object into `(handle, Request)`.
-    fn parse_request(&self, obj: &BTreeMap<String, Json>) -> Result<(String, Request), String> {
-        parse_request(obj)
-    }
-
-    /// Executes one pipelined batch: consecutive certify/sweep lines,
-    /// already parsed by the reader thread, submitted through the
-    /// engine with coalescing disabled — so batch boundaries (a timing
-    /// artifact of how far the reader parsed ahead) leave every counter
-    /// identical to the sequential loop's one-line-at-a-time submits.
-    /// Returns one response line per item, in admission order.
-    fn run_pipelined_batch(&mut self, items: Vec<BatchItem>) -> Vec<String> {
-        let mut out: Vec<Option<String>> = vec![None; items.len()];
-        let mut batch = Vec::new();
-        let mut slots = Vec::new();
-        let mut handles = Vec::new();
-        for (i, item) in items.into_iter().enumerate() {
-            match item {
-                BatchItem::Work { handle, request } => match self.session(&handle) {
-                    Ok(session) => {
-                        self.touch(&handle);
-                        batch.push((session, request));
-                        slots.push(i);
-                        handles.push(handle);
-                    }
-                    Err(e) => out[i] = Some(error_line(&e)),
-                },
-                BatchItem::Broken(line) => out[i] = Some(line),
-            }
-        }
-        if !batch.is_empty() {
-            if batch.len() >= 2 {
-                self.ctx.metrics().add_parse_overlap_batch();
-            }
-            let engine = self.engine.clone().no_coalesce();
-            let responses = engine.submit(&batch, &self.ctx);
-            for ((&i, handle), response) in slots.iter().zip(&handles).zip(&responses) {
-                out[i] = Some(response_json(handle, response));
-            }
-        }
-        out.into_iter()
-            .map(|r| r.expect("every batch item produced a line"))
-            .collect()
-    }
-
     /// `batch`: admits several certify/sweep requests at once through
     /// the request engine — identical in-flight questions coalesce,
     /// distinct ones fan out. Responses come back in admission order.
@@ -699,9 +697,7 @@ impl Service {
         let mut batch = Vec::with_capacity(entries.len());
         let mut handles = Vec::with_capacity(entries.len());
         for entry in entries {
-            let (handle, request) = self.parse_request(entry.as_obj()?)?;
-            let session = self.session(&handle)?;
-            self.touch(&handle);
+            let (handle, session, request) = self.admit(entry.as_obj()?)?;
             batch.push((session, request));
             handles.push(handle);
         }
@@ -772,11 +768,9 @@ impl Service {
 
     /// `metrics`: the deterministic counter subset — no watermarks, no
     /// timings, no host-dependent counts, so transcripts stay
-    /// golden-file stable. `parse_overlap_batches` is deliberately
-    /// absent: how far the pipelined reader parsed ahead is a timing
-    /// artifact, and this line must be byte-identical under both serve
-    /// loops. `cross_request_hit_rate` is the derived warm-path share
-    /// of all served requests (0 before the first request).
+    /// golden-file stable. `cross_request_hit_rate` is the derived
+    /// warm-path share of all served requests (0 before the first
+    /// request).
     fn op_metrics(&self) -> String {
         let m = self.ctx.metrics();
         let served = m.requests_served();
@@ -880,8 +874,6 @@ fn parse_delta(obj: &BTreeMap<String, Json>) -> Result<DatasetDelta, String> {
 }
 
 /// Parses one certify/sweep request object into `(handle, Request)`.
-/// A free function (not a `Service` method) so the pipelined reader
-/// thread can parse ahead without touching service state.
 fn parse_request(obj: &BTreeMap<String, Json>) -> Result<(String, Request), String> {
     let handle = str_field(obj, "handle")?.to_string();
     let request = match str_field(obj, "op")? {
@@ -927,285 +919,13 @@ fn parse_request(obj: &BTreeMap<String, Json>) -> Result<(String, Request), Stri
 }
 
 // ---------------------------------------------------------------------
-// The pipelined serve loop.
-// ---------------------------------------------------------------------
-
-/// A certify/sweep line the reader already parsed: either ready to
-/// batch through the engine, or a fixed error emitted at its position.
-enum BatchItem {
-    /// A well-formed request bound for the engine.
-    Work {
-        /// Dataset handle the request names (resolved at flush time).
-        handle: String,
-        /// The parsed request.
-        request: Request,
-    },
-    /// A malformed line whose error response is already known. It stays
-    /// in the pending queue (instead of short-circuiting) so responses
-    /// come out strictly in admission order.
-    Broken(String),
-}
-
-/// What the reader hands the executor for one input line.
-enum Admitted {
-    /// Certify/sweep: parsed ahead, batchable.
-    Batchable(BatchItem),
-    /// Any other line (load, delta, batch, evict, metrics, shutdown,
-    /// unknown ops, non-object JSON): mutates service state or reads
-    /// counters, so it must see every earlier response flushed first.
-    Barrier(String),
-}
-
-/// Classifies one trimmed input line for the pipelined loop. Lines that
-/// aren't certify/sweep objects fall through to [`Service::handle_line`]
-/// as barriers, which reproduces the sequential loop's responses (and
-/// error messages) byte-for-byte.
-fn classify(line: &str) -> Admitted {
-    let parsed = match parse_json(line) {
-        Ok(v) => v,
-        Err(e) => return Admitted::Batchable(BatchItem::Broken(error_line(&e))),
-    };
-    let obj = match parsed.as_obj() {
-        Ok(o) => o,
-        Err(e) => return Admitted::Batchable(BatchItem::Broken(error_line(&e))),
-    };
-    match obj.get("op") {
-        Some(Json::Str(op)) if op == "certify" || op == "sweep" => match parse_request(obj) {
-            Ok((handle, request)) => Admitted::Batchable(BatchItem::Work { handle, request }),
-            Err(e) => Admitted::Batchable(BatchItem::Broken(error_line(&e))),
-        },
-        _ => Admitted::Barrier(line.to_string()),
-    }
-}
-
-/// A small bounded MPSC queue (hand-rolled: the service layer takes no
-/// dependencies). `finish` marks the producer done; `close` tears the
-/// queue down so a blocked producer unsticks and gives up.
-struct Pipe<T> {
-    state: Mutex<PipeState<T>>,
-    not_empty: Condvar,
-    not_full: Condvar,
-    cap: usize,
-}
-
-struct PipeState<T> {
-    items: VecDeque<T>,
-    done: bool,
-    closed: bool,
-}
-
-/// Result of a non-blocking pop: an item, a momentarily empty queue
-/// (producer still running), or a drained-and-done queue.
-enum TryPop<T> {
-    Item(T),
-    Empty,
-    Done,
-}
-
-impl<T> Pipe<T> {
-    fn new(cap: usize) -> Pipe<T> {
-        Pipe {
-            state: Mutex::new(PipeState {
-                items: VecDeque::new(),
-                done: false,
-                closed: false,
-            }),
-            not_empty: Condvar::new(),
-            not_full: Condvar::new(),
-            cap,
-        }
-    }
-
-    /// Blocks until there is room; returns false if the queue closed.
-    fn push(&self, item: T) -> bool {
-        let mut st = self.state.lock().unwrap();
-        while st.items.len() >= self.cap && !st.closed {
-            st = self.not_full.wait(st).unwrap();
-        }
-        if st.closed {
-            return false;
-        }
-        st.items.push_back(item);
-        self.not_empty.notify_one();
-        true
-    }
-
-    /// Producer is done: consumers drain what's left, then see `None`.
-    fn finish(&self) {
-        self.state.lock().unwrap().done = true;
-        self.not_empty.notify_all();
-    }
-
-    /// Tears the queue down (pending items dropped, producers unstuck).
-    fn close(&self) {
-        let mut st = self.state.lock().unwrap();
-        st.closed = true;
-        st.done = true;
-        st.items.clear();
-        self.not_full.notify_all();
-        self.not_empty.notify_all();
-    }
-
-    /// Blocks for the next item; `None` once finished and drained.
-    fn pop(&self) -> Option<T> {
-        let mut st = self.state.lock().unwrap();
-        while st.items.is_empty() && !st.done {
-            st = self.not_empty.wait(st).unwrap();
-        }
-        let item = st.items.pop_front();
-        if item.is_some() {
-            self.not_full.notify_one();
-        }
-        item
-    }
-
-    /// Non-blocking pop, distinguishing "empty for now" from "done".
-    fn try_pop(&self) -> TryPop<T> {
-        let mut st = self.state.lock().unwrap();
-        match st.items.pop_front() {
-            Some(item) => {
-                self.not_full.notify_one();
-                TryPop::Item(item)
-            }
-            None if st.done => TryPop::Done,
-            None => TryPop::Empty,
-        }
-    }
-}
-
-/// Runs the pipelined serve loop: a reader thread parses requests ahead
-/// of execution, the calling thread executes, and a writer thread
-/// serializes responses — all three stages overlap, responses emitted
-/// strictly in admission order. Consecutive certify/sweep lines are
-/// submitted to the engine as one batch (with coalescing disabled, so
-/// counters match the sequential loop exactly); every other op is a
-/// barrier that waits for earlier responses to flush. Produces a
-/// byte-identical transcript to [`serve_loop`] for any input.
-pub fn serve_loop_pipelined(
-    service: &mut Service,
-    input: impl BufRead + Send,
-    mut output: impl Write + Send,
-) -> std::io::Result<()> {
-    /// How far the reader may parse ahead of execution.
-    const LINE_CAP: usize = 64;
-    /// Largest engine submission one flush will make.
-    const BATCH_CAP: usize = 32;
-    let lines: Pipe<std::io::Result<Admitted>> = Pipe::new(LINE_CAP);
-    let responses: Pipe<String> = Pipe::new(LINE_CAP);
-    let mut result: std::io::Result<()> = Ok(());
-    std::thread::scope(|scope| {
-        let lines = &lines;
-        let responses = &responses;
-        // Reader: trim, skip comments, parse ahead. Stops at EOF, on an
-        // I/O error (forwarded to the executor), or when the executor
-        // closes the queue after `shutdown`.
-        scope.spawn(move || {
-            for line in input.lines() {
-                let item = match line {
-                    Ok(raw) => {
-                        let trimmed = raw.trim();
-                        if trimmed.is_empty() || trimmed.starts_with('#') {
-                            continue;
-                        }
-                        Ok(classify(trimmed))
-                    }
-                    Err(e) => Err(e),
-                };
-                let was_err = item.is_err();
-                if !lines.push(item) || was_err {
-                    break;
-                }
-            }
-            lines.finish();
-        });
-        // Writer: drain responses in admission order.
-        let writer = scope.spawn(move || -> std::io::Result<()> {
-            while let Some(line) = responses.pop() {
-                writeln!(output, "{line}")?;
-                output.flush()?;
-            }
-            Ok(())
-        });
-        // Executor (this thread): accumulate batchable items, flush
-        // when the reader has nothing ready (keeps latency bounded),
-        // when the batch is full, at a barrier, or at end of input.
-        let mut pending: Vec<BatchItem> = Vec::new();
-        let flush = |service: &mut Service, pending: &mut Vec<BatchItem>| -> bool {
-            if pending.is_empty() {
-                return true;
-            }
-            for line in service.run_pipelined_batch(std::mem::take(pending)) {
-                if !responses.push(line) {
-                    return false;
-                }
-            }
-            true
-        };
-        loop {
-            let next = if pending.is_empty() {
-                match lines.pop() {
-                    Some(item) => item,
-                    None => break,
-                }
-            } else {
-                match lines.try_pop() {
-                    TryPop::Item(item) => item,
-                    TryPop::Empty => {
-                        if !flush(service, &mut pending) {
-                            break;
-                        }
-                        continue;
-                    }
-                    TryPop::Done => {
-                        flush(service, &mut pending);
-                        break;
-                    }
-                }
-            };
-            match next {
-                Ok(Admitted::Batchable(item)) => {
-                    pending.push(item);
-                    if pending.len() >= BATCH_CAP && !flush(service, &mut pending) {
-                        break;
-                    }
-                }
-                Ok(Admitted::Barrier(line)) => {
-                    if !flush(service, &mut pending) {
-                        break;
-                    }
-                    let (response, stop) = service.handle_line(&line);
-                    if !responses.push(response) || stop {
-                        break;
-                    }
-                }
-                Err(e) => {
-                    flush(service, &mut pending);
-                    result = Err(e);
-                    break;
-                }
-            }
-        }
-        // Unstick the reader if we stopped early (shutdown / I/O error);
-        // with piped input it exits at its next push or at EOF.
-        lines.close();
-        responses.finish();
-        let wrote = writer.join().expect("writer thread never panics");
-        if result.is_ok() {
-            result = wrote;
-        }
-    });
-    result
-}
-
-// ---------------------------------------------------------------------
 // Subcommands.
 // ---------------------------------------------------------------------
 
-/// Runs the sequential serve loop: requests from `input`, responses to
-/// `output`, one line each, until `shutdown` or EOF. Blank lines and
-/// `#` comment lines are skipped (so canned scripts can be annotated).
-/// This is the `--no-pipeline` fallback; [`serve_loop_pipelined`]
-/// produces byte-identical transcripts while overlapping the stages.
+/// Runs the serve loop: requests from `input`, responses to `output`,
+/// one line each and in admission order, until `shutdown` or EOF.
+/// Blank lines and `#` comment lines are skipped (so canned scripts can
+/// be annotated).
 pub fn serve_loop(
     service: &mut Service,
     input: impl BufRead,
@@ -1227,9 +947,8 @@ pub fn serve_loop(
     Ok(())
 }
 
-/// `antidote serve [--threads k] [--no-pipeline] [--no-share]
-/// [--max-sessions n] [--max-session-bytes b]` — JSONL over
-/// stdin/stdout.
+/// `antidote serve [--threads k] [--no-share] [--max-sessions n]
+/// [--max-session-bytes b]` — JSONL over stdin/stdout.
 pub(crate) fn cmd_serve(args: &Args) -> Result<(), CliError> {
     let mut service = Service::new(args.threads()?);
     if args.no_share() {
@@ -1249,17 +968,9 @@ pub(crate) fn cmd_serve(args: &Args) -> Result<(), CliError> {
         }
         service = service.max_session_bytes(bytes);
     }
-    let outcome = if args.no_pipeline() {
-        let stdin = std::io::stdin();
-        let stdout = std::io::stdout();
-        serve_loop(&mut service, stdin.lock(), stdout.lock())
-    } else {
-        // The pipelined loop's reader thread needs `Send` endpoints, so
-        // it takes the handles rather than the locks.
-        let input = std::io::BufReader::new(std::io::stdin());
-        serve_loop_pipelined(&mut service, input, std::io::stdout())
-    };
-    outcome.map_err(|e| CliError(format!("serve io: {e}")))
+    let (stdin, stdout) = (std::io::stdin(), std::io::stdout());
+    serve_loop(&mut service, stdin.lock(), stdout.lock())
+        .map_err(|e| CliError(format!("serve io: {e}")))
 }
 
 /// `antidote client --script <path> [--threads k]` — replays a request
@@ -1322,9 +1033,19 @@ mod tests {
             "\"unterminated",
             "nul",
             "1.2.3",
+            "1e400",
+            "[-1e400]",
         ] {
             assert!(parse_json(bad).is_err(), "accepted {bad:?}");
         }
+    }
+
+    #[test]
+    fn json_parser_caps_nesting_depth() {
+        let nest = |d: usize| "[".repeat(d) + &"]".repeat(d);
+        assert!(parse_json(&nest(MAX_DEPTH)).is_ok());
+        let err = parse_json(&nest(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.contains("nesting deeper than 64 levels"), "{err}");
     }
 
     #[test]
@@ -1425,25 +1146,60 @@ mod tests {
         assert!(lines[1].contains("\"op\":\"shutdown\""));
     }
 
-    /// A script touching every op plus the pipelined loop's tricky
-    /// spots: malformed lines between batchable requests (ordered
-    /// inline errors), barriers mid-stream, duplicate requests (warm
-    /// hits), and a trailing metrics line after shutdown that must not
-    /// be answered.
+    /// Lines the service must refuse with one error each before any
+    /// certification runs, with a needle from each error: a short
+    /// certify point (it used to panic in `dtrace`), a short sweep
+    /// point, a long point inside a batch, an overflowing number, and
+    /// nesting deep enough to overflow an unbounded recursive parser.
+    fn malformed_lines() -> [(String, &'static str); 5] {
+        [
+            (
+                r#"{"op":"certify","handle":"a","x":[5.0,3.4],"n":2}"#.to_string(),
+                "point has 2 features, dataset 'a' has 4",
+            ),
+            (
+                r#"{"op":"sweep","handle":"a","points":[[5.0,3.4,1.5,0.2],[6.1,2.8]],"max_n":4}"#
+                    .to_string(),
+                "point has 2 features",
+            ),
+            (
+                r#"{"op":"batch","requests":[{"op":"certify","handle":"a","x":[5.0,3.4,1.5,0.2,9.9],"n":1}]}"#
+                    .to_string(),
+                "point has 5 features",
+            ),
+            (
+                r#"{"op":"certify","handle":"a","x":[1e400,3.4,1.5,0.2],"n":2}"#.to_string(),
+                "number '1e400' is not finite",
+            ),
+            ("[".repeat(200_000), "nesting deeper than 64 levels"),
+        ]
+    }
+
+    /// A script touching every op plus the tricky spots: malformed lines
+    /// between valid requests (ordered inline errors), state-changing
+    /// ops mid-stream, duplicate requests (warm hits), and a trailing
+    /// metrics line after shutdown that must not be answered.
     fn full_protocol_script() -> String {
+        let [short_certify, short_sweep, long_batch, huge, deep] =
+            malformed_lines().map(|(l, _)| l);
         [
             "# annotated script",
             r#"{"op":"load","handle":"a","dataset":"iris","depth":1,"domain":"disjuncts"}"#,
             r#"{"op":"load","handle":"b","dataset":"iris","depth":1,"domain":"disjuncts"}"#,
             r#"{"op":"certify","handle":"a","x":[5.0,3.4,1.5,0.2],"n":2}"#,
+            short_certify.as_str(),
             "not json",
             r#"{"op":"certify","handle":"a","x":[5.0,3.4,1.5,0.2],"n":2}"#,
             r#"{"op":"certify","handle":"ghost","x":[1],"n":1}"#,
             r#"{"op":"certify","handle":"b","x":[5.0,3.4,1.5,0.2],"n":2}"#,
+            short_sweep.as_str(),
             r#"{"op":"sweep","handle":"a","points":[[5.0,3.4,1.5,0.2]],"max_n":4}"#,
+            long_batch.as_str(),
             r#"{"op":"batch","requests":[{"op":"certify","handle":"a","x":[6.1,2.8,4.7,1.2],"n":1},{"op":"certify","handle":"b","x":[6.1,2.8,4.7,1.2],"n":1}]}"#,
+            huge.as_str(),
             r#"{"op":"delta","handle":"b","deltas":[{"remove":[0]}]}"#,
             r#"{"op":"certify","handle":"b","x":[5.0,3.4,1.5,0.2],"n":2}"#,
+            deep.as_str(),
             r#"{"op":"nope"}"#,
             r#"{"op":"evict","handle":"b"}"#,
             r#"{"op":"certify","handle":"b","x":[5.0,3.4,1.5,0.2],"n":2}"#,
@@ -1455,34 +1211,58 @@ mod tests {
             + "\n"
     }
 
-    #[test]
-    fn pipelined_loop_matches_the_sequential_transcript_byte_for_byte() {
-        let script = full_protocol_script();
-        let mut seq_out = Vec::new();
-        serve_loop(&mut Service::new(1), script.as_bytes(), &mut seq_out).unwrap();
-        let mut pipe_out = Vec::new();
-        serve_loop_pipelined(&mut Service::new(1), script.as_bytes(), &mut pipe_out).unwrap();
-        assert_eq!(
-            String::from_utf8(seq_out).unwrap(),
-            String::from_utf8(pipe_out).unwrap(),
-            "loop modes must be observationally identical"
-        );
+    fn serve(script: &str) -> String {
+        let mut out = Vec::new();
+        serve_loop(&mut Service::new(1), script.as_bytes(), &mut out).unwrap();
+        String::from_utf8(out).unwrap()
     }
 
     #[test]
-    fn pipelined_loop_preserves_admission_order_under_inline_errors() {
-        let script = full_protocol_script();
-        let mut out = Vec::new();
-        serve_loop_pipelined(&mut Service::new(1), script.as_bytes(), &mut out).unwrap();
-        let text = String::from_utf8(out).unwrap();
+    fn serve_loop_preserves_admission_order_under_inline_errors() {
+        let text = serve(&full_protocol_script());
         let lines: Vec<&str> = text.lines().collect();
         // One response per non-comment line up to and including
         // shutdown; the trailing metrics line goes unanswered.
-        assert_eq!(lines.len(), 16, "{text}");
-        assert!(lines[3].contains("invalid literal"), "{}", lines[3]);
-        assert!(lines[5].contains("no dataset loaded"), "{}", lines[5]);
-        assert!(lines[13].contains("no dataset loaded"), "{}", lines[13]);
-        assert!(lines[15].contains("\"op\":\"shutdown\""), "{}", lines[15]);
+        assert_eq!(lines.len(), 21, "{text}");
+        assert!(lines[4].contains("invalid literal"), "{}", lines[4]);
+        assert!(lines[6].contains("no dataset loaded"), "{}", lines[6]);
+        assert!(lines[18].contains("no dataset loaded"), "{}", lines[18]);
+        assert!(lines[20].contains("\"op\":\"shutdown\""), "{}", lines[20]);
+    }
+
+    #[test]
+    fn malformed_lines_get_one_error_each_and_leave_valid_answers_unchanged() {
+        let malformed = malformed_lines();
+        let script = full_protocol_script();
+        let requests: Vec<&str> = script
+            .lines()
+            .filter(|l| !l.is_empty() && !l.starts_with('#'))
+            .collect();
+        let dirty = serve(&script);
+        let mut kept = Vec::new();
+        let mut refused = 0;
+        for (request, response) in requests.iter().zip(dirty.lines()) {
+            match malformed.iter().find(|(line, _)| line == request) {
+                Some((_, needle)) => {
+                    assert!(
+                        response.starts_with("{\"ok\":false,\"error\":"),
+                        "{response}"
+                    );
+                    assert!(response.contains(needle), "{response} missing {needle}");
+                    refused += 1;
+                }
+                None => kept.push(response),
+            }
+        }
+        assert_eq!(refused, malformed.len());
+        // Every valid line is answered exactly as in a run without the
+        // malformed lines: refusing them touched no counter or session.
+        let clean: String = requests
+            .iter()
+            .filter(|l| !malformed.iter().any(|(line, _)| line == *l))
+            .map(|l| format!("{l}\n"))
+            .collect();
+        assert_eq!(kept, serve(&clean).lines().collect::<Vec<_>>());
     }
 
     #[test]

@@ -629,21 +629,10 @@ pub enum Response {
 /// persistent worker pool. See the module docs; stateless apart from
 /// its admission limits, so one engine can front any number of
 /// sessions.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct RequestEngine {
     timeout: Option<Duration>,
     disjunct_budget: Option<usize>,
-    coalesce: bool,
-}
-
-impl Default for RequestEngine {
-    fn default() -> Self {
-        RequestEngine {
-            timeout: None,
-            disjunct_budget: None,
-            coalesce: true,
-        }
-    }
 }
 
 /// A work unit: all same-point certifies of one batch (computed
@@ -682,17 +671,6 @@ impl RequestEngine {
     /// integer shares, minimum 1) across its disjoint work units.
     pub fn disjunct_budget(mut self, budget: usize) -> Self {
         self.disjunct_budget = Some(budget);
-        self
-    }
-
-    /// Disables in-flight twin coalescing: exact duplicates in one
-    /// batch each run through the session cache individually, exactly
-    /// as they would when submitted one line at a time. The pipelined
-    /// serve loop submits with this so its batch boundaries (a timing
-    /// artifact of how far the reader parsed ahead) leave every
-    /// counter identical to the sequential loop's.
-    pub fn no_coalesce(mut self) -> Self {
-        self.coalesce = false;
         self
     }
 
@@ -771,9 +749,7 @@ impl RequestEngine {
                                 n,
                                 epoch,
                             };
-                            if self.coalesce {
-                                computed.insert(n, r.clone());
-                            }
+                            computed.insert(n, r.clone());
                             responses.push((index, r));
                         }
                         responses
@@ -1081,42 +1057,6 @@ mod tests {
         let c = Session::open_shared(&index, next, cfg, ctx.metrics());
         assert_eq!(ctx.metrics().warm_state_shared_hits(), 2, "B and C joined");
         assert_eq!(c.tracked_points(), 1, "C sees A's carried slots");
-    }
-
-    #[test]
-    fn no_coalesce_twins_match_one_at_a_time_counters() {
-        let ds = blobs();
-        let batch_of = |s: &Arc<Session>| {
-            let rq = Request::Certify {
-                x: vec![0.5],
-                n: 16,
-            };
-            vec![
-                (Arc::clone(s), rq.clone()),
-                (Arc::clone(s), rq.clone()),
-                (Arc::clone(s), rq),
-            ]
-        };
-        // Batched with coalescing off…
-        let s = session(&ds, DomainKind::Disjuncts);
-        let ctx = ExecContext::sequential();
-        let batched = RequestEngine::new()
-            .no_coalesce()
-            .submit(&batch_of(&s), &ctx);
-        // …versus the same requests one at a time on a fresh session.
-        let s2 = session(&ds, DomainKind::Disjuncts);
-        let ctx2 = ExecContext::sequential();
-        let engine = RequestEngine::new();
-        let single: Vec<Response> = batch_of(&s2)
-            .iter()
-            .flat_map(|(sess, r)| engine.submit(&[(Arc::clone(sess), r.clone())], &ctx2))
-            .collect();
-        assert_eq!(batched, single);
-        let (a, b) = (ctx.metrics().snapshot(), ctx2.metrics().snapshot());
-        assert_eq!(a.requests_served, b.requests_served);
-        assert_eq!(a.cross_request_cache_hits, b.cross_request_cache_hits);
-        assert_eq!(a.certify_calls, b.certify_calls);
-        assert_eq!(a.cache_hits, b.cache_hits);
     }
 
     #[test]

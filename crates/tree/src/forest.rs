@@ -6,7 +6,7 @@
 //! (Ranzato & Zanella). This module provides the ensemble substrate:
 //! a forest whose trees are trained with the same deterministic
 //! `bestSplit` learner on random feature subsets (the *random subspace
-//! method*), classifying by majority vote.
+//! method*), predicting by majority vote.
 //!
 //! Random subspaces — rather than bootstrap bagging — keep every tree
 //! trained on the *full* row set, which is what makes ensemble poisoning
