@@ -13,10 +13,11 @@
 //! (apply a chain of mutations, carrying certificates in one batched
 //! transfer), `evict` (drop a handle's session and warm state),
 //! `metrics` (deterministic counter subset), `shutdown`. Errors answer
-//! `{"ok":false,"error":"..."}` and never kill the loop: malformed
-//! JSON, non-finite numbers, nesting deeper than `MAX_DEPTH` levels,
-//! and points whose arity differs from the session dataset's feature
-//! count are all rejected before any certification runs.
+//! `{"ok":false,"error":"..."}` and never kill the loop: lines that are
+//! not valid UTF-8, malformed JSON, non-finite numbers, nesting deeper
+//! than `MAX_DEPTH` levels, and points whose arity differs from the
+//! session dataset's feature count are all rejected before any
+//! certification runs.
 //!
 //! Sessions opened by `load` share warm state through a process-wide
 //! [`WarmStateIndex`] (two handles on the same snapshot and config
@@ -925,19 +926,25 @@ fn parse_request(obj: &BTreeMap<String, Json>) -> Result<(String, Request), Stri
 /// Runs the serve loop: requests from `input`, responses to `output`,
 /// one line each and in admission order, until `shutdown` or EOF.
 /// Blank lines and `#` comment lines are skipped (so canned scripts can
-/// be annotated).
+/// be annotated). Lines are read as bytes, so a line that is not valid
+/// UTF-8 gets one error response like any other malformed line.
 pub fn serve_loop(
     service: &mut Service,
     input: impl BufRead,
     mut output: impl Write,
 ) -> std::io::Result<()> {
-    for line in input.lines() {
+    for line in input.split(b'\n') {
         let line = line?;
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let (response, stop) = service.handle_line(line);
+        let (response, stop) = match std::str::from_utf8(&line) {
+            Ok(line) => {
+                let line = line.trim();
+                if line.is_empty() || line.starts_with('#') {
+                    continue;
+                }
+                service.handle_line(line)
+            }
+            Err(e) => (error_line(&format!("line is not valid UTF-8: {e}")), false),
+        };
         writeln!(output, "{response}")?;
         output.flush()?;
         if stop {
@@ -1144,6 +1151,24 @@ mod tests {
         assert_eq!(lines.len(), 2, "stopped at shutdown: {text}");
         assert!(lines[0].contains("\"op\":\"metrics\""));
         assert!(lines[1].contains("\"op\":\"shutdown\""));
+    }
+
+    #[test]
+    fn serve_loop_answers_a_line_that_is_not_utf8_and_goes_on() {
+        let mut svc = Service::new(1);
+        let mut out = Vec::new();
+        serve_loop(&mut svc, &b"\xff\xfe\n{\"op\":\"metrics\"}\n"[..], &mut out).unwrap();
+        let text = String::from_utf8(out).unwrap();
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(lines.len(), 2, "{text}");
+        assert!(
+            lines[0].starts_with("{\"ok\":false,\"error\":\"line is not valid UTF-8"),
+            "{}",
+            lines[0]
+        );
+        assert!(lines[1].contains("\"op\":\"metrics\""), "{}", lines[1]);
+        // Refusing the line touched no counter.
+        assert!(lines[1].contains("\"requests_served\":0"), "{}", lines[1]);
     }
 
     /// Lines the service must refuse with one error each before any

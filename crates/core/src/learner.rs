@@ -225,6 +225,10 @@ thread_local! {
 /// Pruning is sound for every domain (see `prune_subsumed`) and is a
 /// no-op for `Box` (a single state cannot dominate itself); `false` is
 /// the `--no-subsume` escape hatch restoring the unpruned frontier.
+/// Only a strictly larger budget can dominate, so a frontier whose
+/// disjuncts share one budget — every frontier until some branch is
+/// clamped to fewer than `n` rows — skips the pass and its scratch
+/// entirely (DESIGN.md §7.2).
 ///
 /// `memo` arms the per-call `bestSplit#` memo (DESIGN.md §9.2): recurring
 /// `(base, n)` frontier states across depth iterations reuse the stored
@@ -567,6 +571,17 @@ fn intern_frontier(
 /// the elements dominated by *some* other is well-defined. Returns the
 /// number pruned.
 ///
+/// **Budget stratification.** Distinct `a ⊑ b` force `n_a < n_b`: equal
+/// bases leave `n_a ≤ n_b` with the pair distinct, and a strict
+/// containment costs at least one unit of `b`'s budget
+/// (`n_a ≤ n_b − |T_b \ T_a|`). So a frontier with one budget — every
+/// frontier of a run from `⟨T, n⟩` until some branch is clamped to
+/// fewer than `n` rows — returns at once without touching the arena, a disjunct
+/// at the top budget is never dominated (it is kept unqueried), and one
+/// at the bottom budget never dominates (it is never indexed). Both
+/// skips remove only pairs the order already rules out, so the kept set
+/// and the prune count are those of the unstratified pass.
+///
 /// The dominated-by predicate is evaluated through an **inverted row
 /// bitset** instead of an all-pairs `⊑` scan (the previous quadratic
 /// pass dominated whole-sweep wall time on wide frontiers, pruning a
@@ -586,12 +601,19 @@ fn intern_frontier(
 /// AND of the bitsets of `a`'s rows (seeded at `a`'s rarest row, early
 /// exit once empty — usually after two or three rows), and a non-empty
 /// AND after all rows means *dominated*, no per-candidate arithmetic at
-/// all. The kept set is exactly the all-pairs one (the order is a
-/// linearisation of ⊑, see the proof notes inline), so ladders,
-/// verdicts, and prune counts stay bit-identical (pinned by the
-/// `--no-subsume` differential in `tests/determinism.rs`).
+/// all. The pass stops after the last disjunct below the top budget:
+/// everything after it is kept and nothing after it is queried, so the
+/// row bitsets only span that prefix. The kept set is exactly the
+/// all-pairs one (the order is a linearisation of ⊑, see the proof notes
+/// inline), so ladders, verdicts, and prune counts stay bit-identical
+/// (pinned by the `--no-subsume` differential in `tests/determinism.rs`
+/// and the all-pairs differential below).
 fn prune_subsumed(disjuncts: &mut Vec<AbstractSet>, arena: &mut WordArena) -> usize {
-    if disjuncts.len() < 2 {
+    let budgets = disjuncts.iter().map(AbstractSet::n);
+    let (Some(bottom), Some(top)) = (budgets.clone().min(), budgets.max()) else {
+        return 0;
+    };
+    if bottom == top {
         return 0;
     }
     let before = disjuncts.len();
@@ -606,12 +628,20 @@ fn prune_subsumed(disjuncts: &mut Vec<AbstractSet>, arena: &mut WordArena) -> us
         let d = &disjuncts[i as usize];
         (d.len() - d.n(), std::cmp::Reverse(d.len()))
     });
-    // row_bits[row * stride ..][..]: bitset over processing positions,
-    // bit p set iff the (kept) element at position p contains `row`.
-    let stride = before.div_ceil(64);
-    let n_rows = disjuncts
+    // Only disjuncts below the top budget are queried; the pass ends at
+    // the last of them (one exists, since bottom < top).
+    let prefix = ranked
         .iter()
-        .map(|d| d.base().words().len() * 64)
+        .rposition(|&i| disjuncts[i as usize].n() < top)
+        .map_or(0, |p| p + 1);
+    let ranked = &ranked[..prefix];
+    // row_bits[row * stride ..][..]: bitset over processing positions,
+    // bit p set iff the (kept, indexed) element at position p contains
+    // `row`.
+    let stride = prefix.div_ceil(64);
+    let n_rows = ranked
+        .iter()
+        .map(|&i| disjuncts[i as usize].base().words().len() * 64)
         .max()
         .unwrap_or(0);
     // The scratch (tens of kilobytes at peak frontiers) comes from the
@@ -627,13 +657,13 @@ fn prune_subsumed(disjuncts: &mut Vec<AbstractSet>, arena: &mut WordArena) -> us
     let mut keep = vec![true; before];
     for (pos, &i) in ranked.iter().enumerate() {
         let d = &disjuncts[i as usize];
-        // An empty base has no rows (filter# never emits one) and is
-        // conservatively kept; a base whose rarest row is in no indexed
-        // element cannot be contained in one.
-        let rarest = d
-            .base()
-            .iter()
-            .min_by_key(|&r| row_freq[r as usize])
+        // A top-budget disjunct cannot be dominated, an empty base has no
+        // rows (filter# never emits one) and is conservatively kept, and
+        // a base whose rarest row is in no indexed element cannot be
+        // contained in one.
+        let rarest = (d.n() < top)
+            .then(|| d.base().iter().min_by_key(|&r| row_freq[r as usize]))
+            .flatten()
             .filter(|&r| row_freq[r as usize] > 0);
         if let Some(first) = rarest {
             let first_bits = &row_bits[first as usize * stride..][..stride];
@@ -671,12 +701,13 @@ fn prune_subsumed(disjuncts: &mut Vec<AbstractSet>, arena: &mut WordArena) -> us
             // contains T_d, and processing order makes it a dominator.
             keep[i as usize] = live_words.is_empty();
         }
-        if keep[i as usize] {
+        if keep[i as usize] && d.n() > bottom {
             // Only kept elements enter the index: a dominated element's
             // dominators include a kept ⊑-maximal one by transitivity
             // (chains ascend the processing order), so
-            // transitively-dominated elements are still caught.
-            for row in disjuncts[i as usize].base().iter() {
+            // transitively-dominated elements are still caught. A
+            // bottom-budget element dominates nothing, so it is left out.
+            for row in d.base().iter() {
                 row_bits[row as usize * stride + pos / 64] |= 1u64 << (pos % 64);
                 row_freq[row as usize] += 1;
             }
@@ -706,6 +737,9 @@ fn merge_down_to(ds: &Dataset, disjuncts: &mut Vec<AbstractSet>, k: usize) {
 mod tests {
     use super::*;
     use antidote_data::{synth, Subset};
+    use rand::rngs::StdRng;
+    use rand::seq::SliceRandom;
+    use rand::{Rng, SeedableRng};
 
     fn run_fig2(n: usize, depth: usize, domain: DomainKind) -> RunOutput {
         let ds = synth::figure2();
@@ -906,6 +940,94 @@ mod tests {
         let mut chain = vec![dominated, dominator, top.clone(), unrelated.clone()];
         assert_eq!(prune_subsumed(&mut chain, &mut arena), 2);
         assert_eq!(chain, vec![top, unrelated]);
+    }
+
+    /// The all-pairs definition `prune_subsumed` must reproduce: keep `a`
+    /// unless some other frontier element dominates it.
+    fn prune_reference(frontier: &[AbstractSet]) -> Vec<AbstractSet> {
+        frontier
+            .iter()
+            .enumerate()
+            .filter(|&(i, a)| !frontier.iter().enumerate().any(|(j, b)| i != j && a.le(b)))
+            .map(|(_, a)| a.clone())
+            .collect()
+    }
+
+    /// A random frontier of one of four shapes over `ds`'s rows: one
+    /// budget, mixed budgets, clamped fragments (`|T|` below the
+    /// requested budget), or interleaved ⊑-chains.
+    fn random_frontier(ds: &Dataset, rng: &mut StdRng, shape: usize) -> Vec<AbstractSet> {
+        // Draws from a narrow row window so containment is common.
+        let rows = ds.len() as u32;
+        let subset = |rng: &mut StdRng, max_len: usize| {
+            let start = rng.random_range(0..rows - 24);
+            let len = rng.random_range(1..=max_len);
+            let idx = (0..len)
+                .map(|_| start + rng.random_range(0..24u32))
+                .collect();
+            Subset::from_indices(ds, idx)
+        };
+        let size = rng.random_range(2..40usize);
+        match shape {
+            0 => {
+                let n = rng.random_range(0..4usize);
+                (0..size)
+                    .map(|_| AbstractSet::new(subset(rng, 24), n))
+                    .collect()
+            }
+            1 => (0..size)
+                .map(|_| AbstractSet::new(subset(rng, 24), rng.random_range(0..5)))
+                .collect(),
+            2 => (0..size)
+                .map(|_| AbstractSet::new(subset(rng, 4), rng.random_range(0..8)))
+                .collect(),
+            _ => {
+                let mut frontier = Vec::new();
+                while frontier.len() < size {
+                    // Each link drops one row and one unit of budget, so
+                    // it sits ⊑ the previous one.
+                    let mut top = AbstractSet::new(subset(rng, 24), rng.random_range(2..6));
+                    frontier.push(top.clone());
+                    while top.n() > 0 && top.len() > 1 {
+                        let mut idx = top.base().indices();
+                        idx.remove(rng.random_range(0..idx.len()));
+                        top = AbstractSet::new(Subset::from_indices(ds, idx), top.n() - 1);
+                        frontier.push(top.clone());
+                    }
+                }
+                frontier.shuffle(rng);
+                frontier
+            }
+        }
+    }
+
+    #[test]
+    fn prune_matches_the_all_pairs_reference() {
+        let ds = synth::iris_like(0);
+        let mut rng = StdRng::seed_from_u64(0x5EB5);
+        let mut pruned_total = 0;
+        for case in 0..800 {
+            let shape = case % 4;
+            let mut frontier = random_frontier(&ds, &mut rng, shape);
+            dedup_disjuncts(&mut frontier);
+            let expected = prune_reference(&frontier);
+            let one_budget = frontier.iter().all(|d| d.n() == frontier[0].n());
+            let mut arena = WordArena::new();
+            let before = frontier.len();
+            let pruned = prune_subsumed(&mut frontier, &mut arena);
+            assert_eq!(frontier, expected, "case {case}, shape {shape}");
+            assert_eq!(pruned, before - expected.len());
+            if one_budget {
+                assert_eq!(pruned, 0);
+                assert_eq!(
+                    arena.peak_bytes(),
+                    0,
+                    "a one-budget frontier allocates nothing"
+                );
+            }
+            pruned_total += pruned;
+        }
+        assert!(pruned_total > 0, "the frontiers must exercise pruning");
     }
 
     #[test]

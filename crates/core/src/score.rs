@@ -24,6 +24,30 @@
 //! Because the gap `(a, b)` contains no value of the *current* base set,
 //! `⟨T,n⟩↓#ρ` at scoring time coincides with the prefix restriction, so one
 //! sorted sweep per feature scores every candidate in O(k) each.
+//!
+//! ## One sweep, two consumers
+//!
+//! The sweep hands each candidate to a `CandidateSink`.
+//! [`scored_candidates`] collects all of them (the two-pass reference:
+//! collect, then [`select_from_candidates`]). [`best_split_abs`] streams
+//! them instead: it tracks the running `lubΦ∀` and buffers only
+//! candidates with `lb ≤ lub + SCORE_EPS`, then runs the same selection
+//! rule on the buffer. The running lub never falls below the final one,
+//! so nothing dropped early could have been kept, and the candidate that
+//! sets the final lub is always buffered (`lb ≤ ub`), so the buffer's
+//! lub is the final one.
+//!
+//! Under the Optimal transformer the sweep also skips *scoring* a
+//! candidate whose exact lower end exceeds the running lub by more than
+//! `SCORE_EPS + 1e-12·k·|T|`. Per side that lower end is the rational
+//! `N/m` with `m = len − n'` and the integer
+//! `N = Σᵢ sat(cᵢ − n')·(m − min(cᵢ, m))` — what the fused f64 score
+//! computes up to rounding. Every Optimal score endpoint is at most
+//! `k·|T|`, and the rounding of either form stays within a few ulps of
+//! that bound, far inside the `1e-12` margin, so a skipped candidate's
+//! f64 `lb` exceeds `lub + SCORE_EPS`: it can be neither kept nor lower
+//! the lub (its f64 `ub ≥ lb`). The result is bit-identical to the
+//! two-pass reference (pinned by the proptest differential below).
 
 use antidote_data::{Dataset, FeatureKind};
 use antidote_domains::trainset::side_score_from_counts;
@@ -34,6 +58,10 @@ use antidote_tree::Predicate;
 /// Slack used when comparing score-interval bounds: including a borderline
 /// predicate is sound, excluding one is not, so comparisons lean inclusive.
 const SCORE_EPS: f64 = 1e-9;
+
+/// The Optimal prefilter's rounding margin per unit of the score bound
+/// `k·|T|` (see the module docs).
+const PREFILTER_MARGIN: f64 = 1e-12;
 
 /// The result of `bestSplit#`: the kept candidate predicates and whether ⋄
 /// is possible.
@@ -58,7 +86,7 @@ pub struct ScoredCandidate {
 }
 
 /// Reusable per-thread scratch for the candidate sweep: the class-count
-/// accumulators and the sparse-path row gather buffer. `scored_candidates`
+/// accumulators and the sparse-path row gather buffer. The sweep
 /// runs once per feature per live disjunct — the hottest loop of the
 /// abstract learner — so these buffers are hoisted out of the call
 /// entirely instead of being reallocated per disjunct.
@@ -79,31 +107,88 @@ thread_local! {
         };
 }
 
+/// Where the candidate sweep sends its candidates, in generation order.
+trait CandidateSink {
+    /// Under the Optimal transformer the sweep does not score a candidate
+    /// whose exact lower score bound exceeds this value;
+    /// `f64::INFINITY` has every candidate scored.
+    fn cutoff(&self) -> f64;
+    /// Takes one scored candidate.
+    fn push(&mut self, cand: ScoredCandidate);
+}
+
+/// The two-pass reference consumer: every candidate, scored.
+impl CandidateSink for Vec<ScoredCandidate> {
+    fn cutoff(&self) -> f64 {
+        f64::INFINITY
+    }
+    fn push(&mut self, cand: ScoredCandidate) {
+        Vec::push(self, cand);
+    }
+}
+
+/// `bestSplit#`'s streaming consumer: the running `lubΦ∀` and the
+/// candidates that can still overlap it.
+struct Selection {
+    /// Lowest upper bound over the Φ∀ candidates seen so far.
+    lub: f64,
+    /// `SCORE_EPS` plus the prefilter's rounding margin.
+    margin: f64,
+    kept: Vec<ScoredCandidate>,
+}
+
+impl CandidateSink for Selection {
+    fn cutoff(&self) -> f64 {
+        self.lub + self.margin
+    }
+    fn push(&mut self, cand: ScoredCandidate) {
+        if cand.forall {
+            self.lub = self.lub.min(cand.score.ub());
+        }
+        if cand.score.lb() <= self.lub + SCORE_EPS {
+            self.kept.push(cand);
+        }
+    }
+}
+
 /// Scores every candidate predicate of `a` (all features), in deterministic
-/// order.
+/// order. This is the two-pass reference behind [`best_split_abs`]'s
+/// streaming selection.
 pub fn scored_candidates(
     ds: &Dataset,
     a: &AbstractSet,
     transformer: CprobTransformer,
 ) -> Vec<ScoredCandidate> {
-    SWEEP_SCRATCH
-        .with(|scratch| scored_candidates_with(ds, a, transformer, &mut scratch.borrow_mut()))
+    // Pre-size for the common shape: one candidate per adjacent value
+    // pair of the first feature, amortised growth for the rest.
+    let mut out = Vec::with_capacity(a.len().max(8));
+    sweep(ds, a, transformer, &mut out);
+    out
 }
 
-fn scored_candidates_with(
+/// Runs the candidate sweep of `a` into `sink` on this thread's scratch.
+fn sweep(
     ds: &Dataset,
     a: &AbstractSet,
     transformer: CprobTransformer,
+    sink: &mut impl CandidateSink,
+) {
+    SWEEP_SCRATCH.with(|scratch| sweep_with(ds, a, transformer, sink, &mut scratch.borrow_mut()))
+}
+
+fn sweep_with(
+    ds: &Dataset,
+    a: &AbstractSet,
+    transformer: CprobTransformer,
+    sink: &mut impl CandidateSink,
     scratch: &mut SweepScratch,
-) -> Vec<ScoredCandidate> {
+) {
     let n = a.n();
     let base = a.base();
     let total_counts = base.class_counts();
     let total_len = a.len();
     let k = total_counts.len();
-    // Pre-size for the common shape: one candidate per adjacent value
-    // pair of the first feature, amortised growth for the rest.
-    let mut out = Vec::with_capacity(base.len().max(8));
+    let prefilter = transformer == CprobTransformer::Optimal;
     let SweepScratch {
         left,
         right,
@@ -125,7 +210,7 @@ fn scored_candidates_with(
         left.iter_mut().for_each(|c| *c = 0);
         let mut left_len = 0usize;
         let mut prev = f64::NAN;
-        let mut step = |row: u32, out: &mut Vec<ScoredCandidate>| {
+        let mut step = |row: u32| {
             let v = ds.value(row, feature);
             // `left_len` rows strictly precede the threshold candidate.
             if left_len > 0 && v > prev {
@@ -133,27 +218,32 @@ fn scored_candidates_with(
                 for (r, (&t, &l)) in right.iter_mut().zip(total_counts.iter().zip(left.iter())) {
                     *r = t - l;
                 }
-                let score = score_interval_from_sides(
-                    left.as_slice(),
-                    left_len,
-                    right.as_slice(),
-                    right_len,
-                    n,
-                    transformer,
-                );
-                let pred = match feat.kind {
-                    FeatureKind::Bool => AbsPredicate::Concrete(Predicate::boolean(feature)),
-                    FeatureKind::Real => AbsPredicate::Symbolic {
-                        feature,
-                        lo: prev,
-                        hi: v,
-                    },
-                };
-                out.push(ScoredCandidate {
-                    pred,
-                    score,
-                    forall: left_len > n && right_len > n,
-                });
+                let skip = prefilter
+                    && optimal_side_lb(left, left_len, n) + optimal_side_lb(right, right_len, n)
+                        > sink.cutoff();
+                if !skip {
+                    let score = score_interval_from_sides(
+                        left.as_slice(),
+                        left_len,
+                        right.as_slice(),
+                        right_len,
+                        n,
+                        transformer,
+                    );
+                    let pred = match feat.kind {
+                        FeatureKind::Bool => AbsPredicate::Concrete(Predicate::boolean(feature)),
+                        FeatureKind::Real => AbsPredicate::Symbolic {
+                            feature,
+                            lo: prev,
+                            hi: v,
+                        },
+                    };
+                    sink.push(ScoredCandidate {
+                        pred,
+                        score,
+                        forall: left_len > n && right_len > n,
+                    });
+                }
             }
             left[ds.label(row) as usize] += 1;
             prev = v;
@@ -162,7 +252,7 @@ fn scored_candidates_with(
         if dense {
             for &row in ds.feature_order(feature) {
                 if base.contains(row) {
-                    step(row, &mut out);
+                    step(row);
                 }
             }
         } else {
@@ -170,11 +260,27 @@ fn scored_candidates_with(
             sparse_rows.extend(base.iter());
             sparse_rows.sort_by(|&a, &b| ds.value(a, feature).total_cmp(&ds.value(b, feature)));
             for &row in sparse_rows.iter() {
-                step(row, &mut out);
+                step(row);
             }
         }
     }
-    out
+}
+
+/// The exact lower end of one side's Optimal `score#` term
+/// ([`side_score_from_counts`]), `N/m` with `n' = min(n, len)`,
+/// `m = len − n'` and the integer `N = Σᵢ sat(cᵢ − n')·(m − min(cᵢ, m))`;
+/// 0 when `m = 0`. Only two roundings separate the result from `N/m`.
+fn optimal_side_lb(counts: &[u32], len: usize, n: usize) -> f64 {
+    let n = n.min(len) as u64;
+    let m = len as u64 - n;
+    if m == 0 {
+        return 0.0;
+    }
+    let num: u64 = counts
+        .iter()
+        .map(|&c| (c as u64).saturating_sub(n) * (m - (c as u64).min(m)))
+        .sum();
+    num as f64 / m as f64
 }
 
 /// `score#` from the two sides' class counts: each side contributes
@@ -226,13 +332,26 @@ pub fn score_interval(
 /// *base set* non-trivially by construction (boolean candidates only appear
 /// when both bit values occur; symbolic candidates sit between two observed
 /// values), which is exactly `⟨T,n⟩↓#φ ≠ ⟨∅,·⟩ ∧ ⟨T,n⟩↓#¬φ ≠ ⟨∅,·⟩`.
+///
+/// One streaming pass over the sweep: candidates that provably cannot
+/// overlap the final minimal interval are dropped as they arrive, or,
+/// under the Optimal transformer, not scored at all (module docs). The
+/// result equals `select_from_candidates(&scored_candidates(..))` bit for
+/// bit.
 pub fn best_split_abs(
     ds: &Dataset,
     a: &AbstractSet,
     transformer: CprobTransformer,
 ) -> AbsSplitResult {
-    let cands = scored_candidates(ds, a, transformer);
-    select_from_candidates(&cands)
+    // k·|T| bounds every Optimal score endpoint.
+    let bound = (a.base().n_classes() * a.len()) as f64;
+    let mut selection = Selection {
+        lub: f64::INFINITY,
+        margin: SCORE_EPS + PREFILTER_MARGIN * bound,
+        kept: Vec::new(),
+    };
+    sweep(ds, a, transformer, &mut selection);
+    select_from_candidates(&selection.kept)
 }
 
 /// The selection rule of `bestSplit#`, separated so tests can drive it with
@@ -262,7 +381,8 @@ pub fn select_from_candidates(cands: &[ScoredCandidate]) -> AbsSplitResult {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use antidote_data::{synth, Schema, Subset};
+    use antidote_data::dataset::Feature;
+    use antidote_data::{synth, ClassId, Schema, Subset};
     use antidote_tree::split::{best_split, score_split};
     use proptest::prelude::*;
     use rand::rngs::StdRng;
@@ -420,8 +540,129 @@ mod tests {
         (ds, abs, t_prime)
     }
 
+    /// A random `rows`-row dataset with k ∈ {2, 3, 4} classes and a mix of
+    /// real and boolean features, abstracted over every row, about a third
+    /// of them (dense sweep), or about a sixteenth (sparse sweep), with `n`
+    /// anywhere in `0..=|T|`. Half the datasets end with a twin of their
+    /// first feature: every twin candidate ties its original exactly, so
+    /// whether a tie at the running lub is still scored rests on the
+    /// prefilter's rounding margin.
+    fn random_split_instance(seed: u64, rows: usize) -> (Dataset, AbstractSet) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let k = rng.random_range(2..=4usize);
+        let mut kinds: Vec<FeatureKind> = (0..rng.random_range(1..5usize))
+            .map(|_| match rng.random_range(0..2) {
+                0 => FeatureKind::Bool,
+                _ => FeatureKind::Real,
+            })
+            .collect();
+        let independent = kinds.len();
+        if rng.random_range(0..2) == 0 {
+            kinds.push(kinds[0]);
+        }
+        let schema = Schema::new(
+            kinds
+                .iter()
+                .enumerate()
+                .map(|(i, &kind)| Feature {
+                    name: format!("x{i}"),
+                    kind,
+                })
+                .collect(),
+            (0..k).map(|c| format!("c{c}")).collect(),
+        )
+        .unwrap();
+        let distinct = rng.random_range(2..=rows.clamp(2, 200));
+        let data: Vec<(Vec<f64>, ClassId)> = (0..rows)
+            .map(|_| {
+                let mut x: Vec<f64> = kinds[..independent]
+                    .iter()
+                    .map(|kind| match kind {
+                        FeatureKind::Bool => rng.random_range(0..2) as f64,
+                        FeatureKind::Real => rng.random_range(0..distinct) as f64,
+                    })
+                    .collect();
+                x.resize(kinds.len(), x[0]);
+                (x, rng.random_range(0..k) as ClassId)
+            })
+            .collect();
+        let ds = Dataset::from_rows(schema, &data).unwrap();
+        let keep_one_in = [1u32, 3, 16][rng.random_range(0..3usize)];
+        let base = Subset::from_indices(
+            &ds,
+            (0..rows as u32)
+                .filter(|_| rng.random_range(0..keep_one_in) == 0)
+                .collect(),
+        );
+        let n = rng.random_range(0..=base.len());
+        (ds, AbstractSet::new(base, n))
+    }
+
+    /// The streaming `bestSplit#` against the two-pass reference, bit for
+    /// bit (`Debug` spells out every float, signed zeros included).
+    fn assert_streaming_matches_reference(ds: &Dataset, a: &AbstractSet) {
+        for t in [CprobTransformer::Optimal, CprobTransformer::Natural] {
+            let streamed = best_split_abs(ds, a, t);
+            let reference = select_from_candidates(&scored_candidates(ds, a, t));
+            assert_eq!(
+                format!("{streamed:?}"),
+                format!("{reference:?}"),
+                "{t:?}, {a}"
+            );
+        }
+    }
+
+    #[test]
+    fn streaming_selection_matches_reference_at_scale() {
+        // Ten thousand rows put scores in the thousands, where the
+        // prefilter's rounding margin is a real fraction of an ulp-scale
+        // gap; budgets span the whole range up to |T|.
+        let mut kept_some = false;
+        for seed in 0..6 {
+            let (ds, _) = random_split_instance(seed, 10_000);
+            for n in [0, 1, 7, 100, 2_500, ds.len() - 1, ds.len()] {
+                let a = AbstractSet::full(&ds, n);
+                assert_streaming_matches_reference(&ds, &a);
+                kept_some |= !best_split_abs(&ds, &a, CprobTransformer::Optimal)
+                    .preds
+                    .is_empty();
+            }
+        }
+        assert!(kept_some);
+    }
+
+    #[test]
+    fn optimal_side_lb_is_the_fused_lower_end() {
+        let mut rng = StdRng::seed_from_u64(0x51DE);
+        for _ in 0..2000 {
+            let k = rng.random_range(1..5usize);
+            let counts: Vec<u32> = (0..k).map(|_| rng.random_range(0..3000)).collect();
+            let len: usize = counts.iter().map(|&c| c as usize).sum();
+            let n = rng.random_range(0..=len + 3);
+            let fused = side_score_from_counts(&counts, len, n, CprobTransformer::Optimal);
+            let exact = optimal_side_lb(&counts, len, n);
+            let slack = 1e-12 * (k * len.max(1)) as f64;
+            assert!(
+                (fused.lb() - exact).abs() <= slack,
+                "{counts:?} n={n}: fused {} vs exact {exact}",
+                fused.lb()
+            );
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// `best_split_abs` streams the sweep, drops candidates early and
+        /// skips scoring some; none of it may change a bit of the result.
+        #[test]
+        fn streaming_best_split_matches_two_pass_reference(
+            seed in 0u64..1_000_000,
+            rows in 2usize..120,
+        ) {
+            let (ds, a) = random_split_instance(seed, rows);
+            assert_streaming_matches_reference(&ds, &a);
+        }
 
         /// Lemma 4.10 / B.5: bestSplit(T') ∈ γ(bestSplit#(⟨T,n⟩)).
         #[test]
