@@ -15,11 +15,10 @@
 //! probed `n`); the benchmark asserts this before reporting the speedup
 //! and the cache hit rate. On a 1-core host the multi-thread rep is
 //! skipped outright — it cannot exhibit a speedup, so timing it only
-//! burned a third of the bench budget — and `threadsN_ms`/`speedup`/
-//! `pool_reuse_count` are reported as `null` (the pool is never touched
-//! by the strictly sequential reps, so a literal 0 would be a
-//! measurement that never happened). The JSON snapshot is written to
-//! the repository root (next to `Cargo.toml`'s workspace).
+//! burned a third of the bench budget — and `threadsN_ms`/`speedup` are
+//! reported as `null` (a literal 0 would be a measurement that never
+//! happened). The JSON snapshot is written to the repository root (next
+//! to `Cargo.toml`'s workspace).
 
 use antidote_core::engine::ExecContext;
 use antidote_core::{sweep_in, DomainKind, SweepConfig, SweepPoint};
@@ -239,16 +238,6 @@ fn main() {
         "static path serves no requests"
     );
     assert_eq!(cached_stats.cross_request_cache_hits, 0);
-    // Thread-churn visibility: batches the persistent pool served without
-    // spawning a worker. Strictly sequential reps never touch the pool, so
-    // on a 1-core host (where the multi-thread rep is skipped) there is no
-    // measurement to report — the JSON says `null`, matching
-    // `threadsN_ms`/`speedup`, rather than a misleading literal 0.
-    let pool_reuse_count = antidote_core::pool_stats().batches_reusing_workers;
-    let pool_reuse_json = match tn {
-        None => "null".to_string(),
-        Some(_) => pool_reuse_count.to_string(),
-    };
     let (threads_n_json, speedup_json) = match tn {
         None => ("null".to_string(), "null".to_string()),
         Some(tn) => {
@@ -327,7 +316,6 @@ fn main() {
   "warm_state_shared_hits": {},
   "sessions_evicted": {},
   "frontier_peak_disjuncts": {},
-  "pool_reuse_count": {},
   "ladder": [
 {}
   ]
@@ -365,7 +353,6 @@ fn main() {
         cached_stats.warm_state_shared_hits,
         cached_stats.sessions_evicted,
         cached_stats.frontier_peak_disjuncts,
-        pool_reuse_json,
         ladder_json.join(",\n")
     );
     let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_sweep.json");

@@ -15,8 +15,8 @@
 //! * `--sweep` — `BENCH_sweep.json`: `identical_ladders` must hold and
 //!   every [`GATED_COUNTERS`] entry must match exactly;
 //! * `--serve` — `BENCH_serve.json`: `identical_responses` /
-//!   `hit_rate_dominates_sweep` must hold, the gated counters plus
-//!   `pool_reuse_count` must match exactly;
+//!   `hit_rate_dominates_sweep` must hold, the gated counters must match
+//!   exactly;
 //! * `--matrix` — `BENCH_matrix.json`: the totals counters
 //!   ([`MATRIX_GATED_TOTALS`], including the scheduler's
 //!   `probes_scheduled` / `probes_deferred` / `deadline_degradations`)
@@ -101,7 +101,6 @@ fn main() {
             }
             "serve" => {
                 report(&label, &GATED_COUNTERS, &baseline, &candidate);
-                report(&label, &["pool_reuse_count"], &baseline, &candidate);
                 check_serve_gate(&baseline, &candidate)
             }
             "matrix" => {

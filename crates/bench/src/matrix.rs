@@ -88,11 +88,10 @@ impl MatrixCell {
     /// The verdict-relevant projection of this cell: identity, ladder
     /// rungs, and the thread-invariant counters — everything that must
     /// be bit-identical across `--threads` and registration order.
-    /// (`parallel_tasks` and wall-clock are deliberately excluded: the
-    /// frontier only routes through `par_map` on multi-threaded runs.
-    /// The scheduler counters are included: the cells run under a
-    /// count-based probe budget, so scheduled/deferred/degraded counts
-    /// are as thread-invariant as the ladder itself.)
+    /// (Wall-clock is deliberately excluded. The scheduler counters are
+    /// included: the cells run under a count-based probe budget, so
+    /// scheduled/deferred/degraded counts are as thread-invariant as the
+    /// ladder itself.)
     #[allow(clippy::type_complexity)]
     pub fn verdict_key(&self) -> (String, Vec<(usize, usize, usize, usize, usize)>, [u64; 7]) {
         (

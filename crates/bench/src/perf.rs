@@ -64,12 +64,7 @@ pub struct GateViolation {
 /// through the word-scratch arena (one reset per `run_abstract`), so a
 /// change that routes the learner around the arena — losing its
 /// allocation reuse — fails the gate the same way a disabled cache
-/// would. `pool_reuse_count` is deliberately *not* gated here: it is
-/// `null` on 1-core hosts (the multi-thread rep is skipped there), so
-/// exact equality would make the sweep gate host-dependent. The *serve*
-/// gate closes that hole — its bench pins an explicit thread count, so
-/// pool reuse is the same number on every host and
-/// [`check_serve_gate`] holds it to exact equality.
+/// would.
 /// `requests_served` / `cross_request_cache_hits` are the service
 /// layer's counters: the one-shot sweep path never routes through a
 /// `Session`, so the baseline pins both at 0 — a change that starts
@@ -221,19 +216,12 @@ fn check_true_flag(candidate: &str, field: &'static str, violations: &mut Vec<Ga
 /// * `hit_rate_dominates_sweep` must be `true` — the cross-request
 ///   cache hit rate beat the single-sweep baseline rate (0.475);
 /// * each of [`GATED_COUNTERS`] must be exactly equal across the two
-///   documents;
-/// * `pool_reuse_count` must be exactly equal as a *number*. The sweep
-///   gate exempts this counter because the sweep bench only touches the
-///   pool on multi-core hosts; the serve bench pins an explicit thread
-///   count instead, so every batch after the first reuses pool workers
-///   on any host and the count is deterministic — a scheduler change
-///   that silently starts respawning workers per batch fails here.
+///   documents.
 pub fn check_serve_gate(baseline: &str, candidate: &str) -> Vec<GateViolation> {
     let mut violations = Vec::new();
     check_true_flag(candidate, "identical_responses", &mut violations);
     check_true_flag(candidate, "hit_rate_dominates_sweep", &mut violations);
     check_counters(baseline, candidate, &GATED_COUNTERS, &mut violations);
-    check_counters(baseline, candidate, &["pool_reuse_count"], &mut violations);
     violations
 }
 
@@ -352,7 +340,6 @@ mod tests {
   "deadline_degradations": 0,
   "warm_state_shared_hits": 0,
   "sessions_evicted": 0,
-  "pool_reuse_count": null,
   "ladder": [
     {"n": 1, "attempted": 32, "verified": 30}
   ]
@@ -378,8 +365,7 @@ mod tests {
   "arena_resets": 11,
   "probes_scheduled": 44,
   "probes_deferred": 0,
-  "deadline_degradations": 0,
-  "pool_reuse_count": 8
+  "deadline_degradations": 0
 }
 "#;
 
@@ -445,7 +431,7 @@ mod tests {
     }
 
     #[test]
-    fn gate_catches_arena_drift_but_not_pool_reuse() {
+    fn gate_catches_arena_drift() {
         // A learner that stops routing word scratch through the arena
         // drops its reset count and fails the gate.
         let no_arena = DOC.replace("\"arena_resets\": 93", "\"arena_resets\": 0");
@@ -453,14 +439,6 @@ mod tests {
         assert_eq!(v.len(), 1);
         assert_eq!(v[0].field, "arena_resets");
         assert!(v[0].detail.contains("baseline 93 != candidate 0"));
-        // `pool_reuse_count` is host-dependent (`null` on a 1-core
-        // runner, a count elsewhere): it parses as a raw token, not a
-        // number, and is not part of the gate.
-        assert_eq!(json_raw(DOC, "pool_reuse_count"), Some("null"));
-        assert_eq!(json_u64(DOC, "pool_reuse_count"), None);
-        let with_count = DOC.replace("\"pool_reuse_count\": null", "\"pool_reuse_count\": 12");
-        assert!(check_sweep_gate(DOC, &with_count).is_empty());
-        assert!(check_sweep_gate(&with_count, DOC).is_empty());
     }
 
     #[test]
@@ -483,25 +461,6 @@ mod tests {
     #[test]
     fn serve_gate_passes_on_identical_counters() {
         assert!(check_serve_gate(SERVE_DOC, SERVE_DOC).is_empty());
-    }
-
-    #[test]
-    fn serve_gate_gates_pool_reuse_exactly() {
-        // Unlike the sweep gate (previous test), the serve gate holds
-        // pool reuse to exact numeric equality: the serve bench pins an
-        // explicit thread count, so the count is host-independent.
-        let respawning = SERVE_DOC.replace("\"pool_reuse_count\": 8", "\"pool_reuse_count\": 0");
-        let v = check_serve_gate(SERVE_DOC, &respawning);
-        assert_eq!(v.len(), 1);
-        assert_eq!(v[0].field, "pool_reuse_count");
-        assert!(v[0].detail.contains("baseline 8 != candidate 0"));
-        // A null token (the sweep bench's 1-core sentinel) is a missing
-        // number here, not an exemption.
-        let gone_null = SERVE_DOC.replace("\"pool_reuse_count\": 8", "\"pool_reuse_count\": null");
-        let v = check_serve_gate(SERVE_DOC, &gone_null);
-        assert_eq!(v.len(), 1);
-        assert_eq!(v[0].field, "pool_reuse_count");
-        assert!(v[0].detail.contains("missing from candidate"));
     }
 
     #[test]

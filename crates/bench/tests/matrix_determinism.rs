@@ -5,11 +5,10 @@
 //!
 //! Cells run without per-instance timeouts, so the ladder protocol and
 //! every counter the verdict key includes are deterministic; only
-//! wall-clock (and `parallel_tasks`, which counts engine fan-outs) may
-//! differ between runs. The default suite pins a three-scenario slice of
-//! the grid so `cargo test` stays fast; CI's release step runs the same
-//! binary where the full grid is cheap, and `antidote matrix` exercises
-//! all six families end-to-end.
+//! wall-clock may differ between runs. The default suite pins a
+//! three-scenario slice of the grid so `cargo test` stays fast; CI's
+//! release step runs the same binary where the full grid is cheap, and
+//! `antidote matrix` exercises all six families end-to-end.
 
 use antidote_bench::matrix::{run_matrix, MatrixConfig};
 use antidote_scenarios::{builtin_scenarios, ScenarioRegistry};

@@ -24,15 +24,13 @@
 //! and that two replays — reversed admission order and private
 //! (unshared) sessions — reproduce byte-identical responses. Thread
 //! count is pinned to 2 explicitly — `ExecContext` honors explicit
-//! counts on any host — so every counter, including
-//! `pool_reuse_count`, is host-independent and `perfgate` holds all of
-//! them to exact equality.
+//! counts on any host — so every counter is host-independent and
+//! `perfgate` holds the gated ones to exact equality.
 
 use antidote_cli::service::Service;
 use antidote_core::engine::ExecContext;
 use antidote_core::{
-    pool_stats, DomainKind, Request, RequestEngine, Response, Session, SessionConfig, Verdict,
-    WarmStateIndex,
+    DomainKind, Request, RequestEngine, Response, Session, SessionConfig, Verdict, WarmStateIndex,
 };
 use antidote_data::synth::{gaussian_blobs, BlobSpec};
 use antidote_data::{Dataset, DatasetDelta, DatasetRegistry, DeltaSummary};
@@ -339,11 +337,6 @@ fn main() {
     );
     println!("identical responses under reversed admission and private sessions: yes; trace: {trace_ms:.1} ms");
 
-    // Every batch after the first reuses persistent pool workers; with
-    // threads pinned, the count is the same on every host and the gate
-    // holds it exactly.
-    let pool_reuse_count = pool_stats().batches_reusing_workers;
-
     // Bounded-memory phase: a capped service must evict LRU sessions as
     // tenants pile in, and the explicit op must count alongside.
     let mut capped = Service::new(1).max_sessions(2);
@@ -391,8 +384,7 @@ fn main() {
   "probes_deferred": {},
   "deadline_degradations": {},
   "interner_hits": {},
-  "arena_resets": {},
-  "pool_reuse_count": {pool_reuse_count}
+  "arena_resets": {}
 }}
 "#,
         ds_a.len(),

@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 //! `antidote` — command-line front-end for the poisoning-robustness

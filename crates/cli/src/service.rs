@@ -1097,6 +1097,28 @@ mod tests {
     }
 
     #[test]
+    fn a_delta_that_empties_the_dataset_is_refused() {
+        let mut svc = Service::new(1);
+        svc.handle_line(r#"{"op":"load","handle":"i","dataset":"iris","depth":1,"domain":"box"}"#);
+        let (r, _) = svc.handle_line(r#"{"op":"delta","handle":"i","deltas":[{"remove":[0]}]}"#);
+        assert!(r.contains("\"epoch\":1"), "{r}");
+        let all: Vec<String> = (1..120).map(|row| row.to_string()).collect();
+        let (r, stop) = svc.handle_line(&format!(
+            r#"{{"op":"delta","handle":"i","deltas":[{{"remove":[{}]}}]}}"#,
+            all.join(",")
+        ));
+        assert!(!stop);
+        assert!(r.starts_with("{\"ok\":false"), "{r}");
+        assert!(r.contains("every row"), "{r}");
+        // The handle stays at its previous epoch, where `dtrace` still
+        // has rows to train on.
+        let (r, _) =
+            svc.handle_line(r#"{"op":"certify","handle":"i","x":[5.1,3.5,1.4,0.2],"n":1}"#);
+        assert!(r.starts_with("{\"ok\":true"), "{r}");
+        assert!(r.contains("\"epoch\":1"), "{r}");
+    }
+
+    #[test]
     fn service_errors_are_clean_lines() {
         let mut svc = Service::new(1);
         for (line, needle) in [

@@ -13,18 +13,15 @@
 //! * shared [`RunMetrics`], and
 //! * the **thread count** used by [`ExecContext::par_map`].
 //!
-//! Parallelism is built on a **persistent worker pool** (the [`pool`]
-//! module, DESIGN.md §9.3) — the build environment vendors no external
-//! crates (see `shims/README.md`), so the engine provides the rayon-like
-//! primitive itself: an order-preserving, chunked, work-stealing
-//! `par_map` whose batches are drained by long-lived pool workers plus
-//! the calling thread (no per-call thread spawning). `threads(1)` is the
-//! escape hatch that restores the exact sequential behavior: `par_map`
-//! then runs inline, in index order, on the calling thread, and
-//! single-item calls take the same inline fast path without touching the
-//! pool.
-//!
-//! [`pool`]: crate::pool
+//! Parallelism is an order-preserving, chunked `par_map` on
+//! `std::thread::scope` (DESIGN.md §5.1) — the build environment vendors
+//! no external crates (see `shims/README.md`), so the engine provides
+//! the rayon-like primitive itself. A call that fans out spawns up to
+//! `threads − 1` scoped helpers, which drain a shared chunk cursor
+//! beside the calling thread and are joined before the call returns.
+//! `threads(1)` is the escape hatch that restores the exact sequential
+//! behavior: `par_map` then runs inline, in index order, on the calling
+//! thread, and single-item calls take the same inline fast path.
 //!
 //! # Determinism contract
 //!
@@ -35,11 +32,38 @@
 //! `baselines::enumerate`) rely on this: parallel and sequential runs
 //! return identical verdicts (timings aside).
 
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-pub use crate::pool::{pool_stats, PoolStats};
+/// Most executors one [`ExecContext::par_map`] call runs on: the calling
+/// thread plus at most 255 helpers. Bounds a runaway `threads` value
+/// without limiting any realistic configuration.
+const MAX_WORKERS: usize = 256;
+
+/// [`ExecContext::par_map`] calls that fanned out, process-wide.
+static FAN_OUTS: AtomicU64 = AtomicU64::new(0);
+
+/// Process-wide fan-out statistics of [`ExecContext::par_map`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PoolStats {
+    /// `par_map` calls that fanned out onto helper threads (inline calls
+    /// excluded).
+    pub batches_dispatched: u64,
+    /// Always 0: every fan-out spawns its helpers in a fresh thread scope
+    /// and joins them before it returns, so no helper outlives its call
+    /// to be reused by a later one.
+    pub batches_reusing_workers: u64,
+}
+
+/// Fan-out statistics of [`ExecContext::par_map`] since process start.
+pub fn pool_stats() -> PoolStats {
+    PoolStats {
+        batches_dispatched: FAN_OUTS.load(Ordering::Relaxed),
+        batches_reusing_workers: 0,
+    }
+}
 
 /// Live metrics of one engine run; shared with child contexts' parents
 /// and updated atomically from worker threads.
@@ -49,7 +73,6 @@ pub struct RunMetrics {
     peak_bytes: AtomicUsize,
     disjuncts_processed: AtomicU64,
     disjuncts_subsumed: AtomicU64,
-    parallel_tasks: AtomicU64,
     certify_calls: AtomicU64,
     cache_hits: AtomicU64,
     cache_shortcircuits: AtomicU64,
@@ -69,7 +92,6 @@ pub struct RunMetrics {
     deadline_degradations: AtomicU64,
     warm_state_shared_hits: AtomicU64,
     sessions_evicted: AtomicU64,
-    pool_batches: AtomicU64,
 }
 
 impl RunMetrics {
@@ -113,11 +135,6 @@ impl RunMetrics {
     /// Total disjuncts dropped by frontier subsumption pruning.
     pub fn disjuncts_subsumed(&self) -> u64 {
         self.disjuncts_subsumed.load(Ordering::Relaxed)
-    }
-
-    /// Total items executed through [`ExecContext::par_map`].
-    pub fn parallel_tasks(&self) -> u64 {
-        self.parallel_tasks.load(Ordering::Relaxed)
     }
 
     /// Counts one *full* certifier invocation: a from-scratch derivation
@@ -216,14 +233,6 @@ impl RunMetrics {
     /// was rewired to the canonical allocation (DESIGN.md §9.1).
     pub fn add_interner_hits(&self, v: u64) {
         self.interner_hits.fetch_add(v, Ordering::Relaxed);
-    }
-
-    /// Counts one `par_map` batch dispatched to the persistent worker
-    /// pool (inline/sequential calls are deliberately not counted — the
-    /// fast-path regression test relies on this staying zero for
-    /// `threads(1)` and single-item calls).
-    fn add_pool_batch(&self) {
-        self.pool_batches.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Total `bestSplit#` memo hits.
@@ -372,15 +381,6 @@ impl RunMetrics {
         self.sessions_evicted.load(Ordering::Relaxed)
     }
 
-    /// Total `par_map` batches this context's runs dispatched to the
-    /// persistent pool (not part of [`MetricsSnapshot`]: whether a call
-    /// takes the pool path can depend on the host's core count via
-    /// `threads(0)`, unlike every snapshot counter, which is
-    /// thread-invariant).
-    pub fn pool_batches(&self) -> u64 {
-        self.pool_batches.load(Ordering::Relaxed)
-    }
-
     /// `hits / (hits + misses)`, or 0 when the cache saw no probes.
     pub fn cache_hit_rate(&self) -> f64 {
         let h = self.cache_hits() as f64;
@@ -405,7 +405,6 @@ impl RunMetrics {
             peak_bytes: self.peak_bytes(),
             disjuncts_processed: self.disjuncts_processed(),
             disjuncts_subsumed: self.disjuncts_subsumed(),
-            parallel_tasks: self.parallel_tasks(),
             certify_calls: self.certify_calls(),
             cache_hits: self.cache_hits(),
             cache_shortcircuits: self.cache_shortcircuits(),
@@ -440,8 +439,6 @@ impl RunMetrics {
             .fetch_add(s.disjuncts_processed, Ordering::Relaxed);
         self.disjuncts_subsumed
             .fetch_add(s.disjuncts_subsumed, Ordering::Relaxed);
-        self.parallel_tasks
-            .fetch_add(s.parallel_tasks, Ordering::Relaxed);
         self.certify_calls
             .fetch_add(s.certify_calls, Ordering::Relaxed);
         self.cache_hits.fetch_add(s.cache_hits, Ordering::Relaxed);
@@ -495,8 +492,6 @@ pub struct MetricsSnapshot {
     pub disjuncts_processed: u64,
     /// Disjuncts dropped by frontier subsumption pruning.
     pub disjuncts_subsumed: u64,
-    /// Items executed through [`ExecContext::par_map`].
-    pub parallel_tasks: u64,
     /// Full certifier invocations.
     pub certify_calls: u64,
     /// Cache hits (incremental + short-circuit).
@@ -787,16 +782,16 @@ impl ExecContext {
     /// Applies `f` to every item, in parallel across this context's
     /// workers, returning results in **input order**.
     ///
-    /// Work distribution is a chunked atomic cursor over the persistent
-    /// engine pool (idle workers steal the next chunk, the calling thread
-    /// participates), so imbalanced items do not serialize the tail and
-    /// no OS threads are spawned per call once the pool is warm. Results
-    /// are written into input-indexed slots — no post-hoc reordering.
+    /// Work distribution is a chunked atomic cursor (about four chunks per
+    /// executor): up to `threads − 1` scoped helpers and the calling
+    /// thread each claim the next chunk until none is left, so imbalanced
+    /// items do not serialize the tail. Every helper is joined before the
+    /// call returns; a helper that fails to spawn only means fewer
+    /// executors.
     ///
     /// With one effective thread **or one item** it runs inline on the
-    /// calling thread, in index order, without touching the pool — the
-    /// `threads(1)` escape hatch and the single-item fast path (pinned by
-    /// a regression test against [`RunMetrics::pool_batches`]).
+    /// calling thread, in index order, spawning nothing — the
+    /// `threads(1)` escape hatch and the single-item fast path.
     ///
     /// Cancellation is cooperative: `f` is still invoked for every index
     /// (the result length always equals `items.len()`), so `f` should
@@ -805,22 +800,63 @@ impl ExecContext {
     ///
     /// # Panics
     ///
-    /// Propagates panics from `f`.
+    /// Re-raises a panic from `f`, with its original payload, once every
+    /// executor has stopped; results computed so far are dropped.
     pub fn par_map<T, R, F>(&self, items: &[T], f: F) -> Vec<R>
     where
         T: Sync,
         R: Send,
         F: Fn(usize, &T) -> R + Sync,
     {
-        self.metrics
-            .parallel_tasks
-            .fetch_add(items.len() as u64, Ordering::Relaxed);
-        let threads = self.effective_threads().min(items.len());
-        if threads <= 1 || items.len() <= 1 {
+        let threads = self.effective_threads().min(items.len()).min(MAX_WORKERS);
+        if threads <= 1 {
             return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
         }
-        self.metrics.add_pool_batch();
-        crate::pool::run_batch(items, f, threads)
+        FAN_OUTS.fetch_add(1, Ordering::Relaxed);
+        let chunk = (items.len() / (threads * 4)).max(1);
+        // Relaxed suffices: the cursor only hands out disjoint index
+        // ranges, and each executor's results reach the caller through
+        // its join.
+        let cursor = AtomicUsize::new(0);
+        let drain = || {
+            let mut done = Vec::new();
+            loop {
+                let start = cursor.fetch_add(chunk, Ordering::Relaxed);
+                if start >= items.len() {
+                    return done;
+                }
+                let end = (start + chunk).min(items.len());
+                let results: Vec<R> = (start..end).map(|i| f(i, &items[i])).collect();
+                done.push((start, results));
+            }
+        };
+        let mut chunks = std::thread::scope(|s| {
+            let helpers: Vec<_> = (1..threads)
+                .map_while(|_| std::thread::Builder::new().spawn_scoped(s, drain).ok())
+                .collect();
+            let own = catch_unwind(AssertUnwindSafe(drain));
+            let mut chunks = Vec::new();
+            let mut panic = None;
+            for outcome in std::iter::once(own).chain(helpers.into_iter().map(|h| h.join())) {
+                match outcome {
+                    Ok(done) => chunks.extend(done),
+                    Err(payload) => {
+                        panic.get_or_insert(payload);
+                    }
+                }
+            }
+            // Re-raised by hand: a helper left unjoined would surface as
+            // the scope's generic "a scoped thread panicked" instead.
+            if let Some(payload) = panic {
+                resume_unwind(payload);
+            }
+            chunks
+        });
+        chunks.sort_unstable_by_key(|&(start, _)| start);
+        chunks
+            .into_iter()
+            .flat_map(|(_, results)| results)
+            .collect()
     }
 }
 
@@ -837,6 +873,17 @@ mod tests {
             v * 2
         });
         assert_eq!(out, (0..500).map(|v| v * 2).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn par_map_results_land_in_input_slots() {
+        // 1000 items at 4 executors: chunks of 62, the last one ragged.
+        let items: Vec<usize> = (0..1000).collect();
+        let out = ExecContext::new().threads(4).par_map(&items, |i, &v| {
+            assert_eq!(i, v);
+            v * 3
+        });
+        assert_eq!(out, (0..1000).map(|v| v * 3).collect::<Vec<_>>());
     }
 
     #[test]
@@ -871,19 +918,87 @@ mod tests {
     #[test]
     fn inline_fast_path_never_touches_the_pool() {
         // Regression: threads(1) calls, single-item calls, and empty
-        // calls must run inline — no pool dispatch, no batch accounting.
-        let ctx = ExecContext::sequential();
+        // calls must run inline, on the calling thread.
+        let caller = std::thread::current().id();
+        let on_caller = |_: usize, &v: &u32| {
+            assert_eq!(std::thread::current().id(), caller);
+            v
+        };
         let items: Vec<u32> = (0..64).collect();
-        let _ = ctx.par_map(&items, |_, &v| v);
-        assert_eq!(ctx.metrics().pool_batches(), 0, "threads(1) stays inline");
+        assert_eq!(ExecContext::sequential().par_map(&items, on_caller), items);
         let ctx = ExecContext::new().threads(4);
-        let _ = ctx.par_map(&[7u32], |_, &v| v);
+        assert_eq!(ctx.par_map(&[7u32], on_caller), vec![7]);
         let empty: Vec<u32> = Vec::new();
-        let _ = ctx.par_map(&empty, |_, &v| v);
-        assert_eq!(ctx.metrics().pool_batches(), 0, "tiny calls stay inline");
-        // A real fan-out does dispatch exactly one batch.
+        let _ = ctx.par_map(&empty, |_, _: &u32| -> u32 { unreachable!("no items") });
+        // A real fan-out is counted (process-wide, so other tests may add
+        // to the count concurrently).
+        let before = pool_stats().batches_dispatched;
         let _ = ctx.par_map(&items, |_, &v| v);
-        assert_eq!(ctx.metrics().pool_batches(), 1);
+        assert!(pool_stats().batches_dispatched > before);
+        assert_eq!(pool_stats().batches_reusing_workers, 0);
+    }
+
+    #[test]
+    fn panic_reaches_the_caller_with_its_message() {
+        // Two items on two executors, each item waiting at a barrier until
+        // the other has started: the caller and the helper each run
+        // exactly one. Either executor's panic must reach the caller
+        // with its own message.
+        let caller = std::thread::current().id();
+        for panic_on_caller in [true, false] {
+            let barrier = std::sync::Barrier::new(2);
+            let result = catch_unwind(AssertUnwindSafe(|| {
+                ExecContext::new().threads(2).par_map(&[0u8, 1], |_, _| {
+                    barrier.wait();
+                    let on_caller = std::thread::current().id() == caller;
+                    assert!(on_caller != panic_on_caller, "boom on caller={on_caller}");
+                })
+            }));
+            let payload = result.expect_err("the item's panic must reach the caller");
+            assert_eq!(
+                payload.downcast_ref::<String>(),
+                Some(&format!("boom on caller={panic_on_caller}"))
+            );
+        }
+    }
+
+    #[test]
+    fn panic_path_drops_completed_results() {
+        struct Tracked<'a>(&'a AtomicUsize);
+        impl Drop for Tracked<'_> {
+            fn drop(&mut self) {
+                self.0.fetch_add(1, Ordering::Relaxed);
+            }
+        }
+        let returned = AtomicUsize::new(0);
+        let dropped = AtomicUsize::new(0);
+        let items: Vec<u32> = (0..64).collect();
+        let result = catch_unwind(AssertUnwindSafe(|| {
+            ExecContext::new().threads(4).par_map(&items, |_, &v| {
+                assert!(v != 17, "engineered failure");
+                returned.fetch_add(1, Ordering::Relaxed);
+                Tracked(&dropped)
+            })
+        }));
+        assert!(result.is_err());
+        assert!(returned.load(Ordering::Relaxed) > 0);
+        assert_eq!(
+            dropped.load(Ordering::Relaxed),
+            returned.load(Ordering::Relaxed),
+            "every result computed before the panic must be dropped, not leaked"
+        );
+    }
+
+    #[test]
+    fn nested_par_map_completes() {
+        let ctx = ExecContext::new().threads(4);
+        let outer: Vec<usize> = (0..16).collect();
+        let inner: Vec<usize> = (0..32).collect();
+        let out = ctx.par_map(&outer, |_, &v| {
+            ctx.par_map(&inner, |_, &w| w + v).iter().sum::<usize>()
+        });
+        let base = (0..32).sum::<usize>();
+        assert_eq!(out, outer.iter().map(|v| base + 32 * v).collect::<Vec<_>>());
     }
 
     #[test]
@@ -1021,9 +1136,6 @@ mod tests {
         assert_eq!(ctx.metrics().peak_disjuncts(), 5);
         assert_eq!(ctx.metrics().peak_bytes(), 100);
         assert_eq!(ctx.metrics().disjuncts_processed(), 17);
-        let items = vec![(); 12];
-        ctx.par_map(&items, |_, _| ());
-        assert_eq!(ctx.metrics().parallel_tasks(), 12);
     }
 
     #[test]

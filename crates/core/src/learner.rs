@@ -193,10 +193,9 @@ fn step_disjunct(
     }
 }
 
-/// Frontiers below this size are stepped inline: even with the
-/// persistent pool, dispatching a batch (injector lock, worker wake-up,
-/// completion wait) costs more than a couple of `bestSplit#` calls on
-/// small sets.
+/// Frontiers below this size are stepped inline: a fan-out (spawning
+/// and joining its helper threads) costs more than a couple of
+/// `bestSplit#` calls on small sets.
 pub(crate) const MIN_PARALLEL_FRONTIER: usize = 4;
 
 thread_local! {

@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 //! Antidote's abstract learner `DTrace#` and the certification front-end.
@@ -13,7 +14,8 @@
 //!
 //! * [`engine`] — the parallel, cancellation-aware execution engine:
 //!   [`ExecContext`] owns each run's deadline, disjunct budget,
-//!   cooperative cancellation flag, metrics, and thread pool;
+//!   cooperative cancellation flag, metrics, and thread count, and its
+//!   order-preserving `par_map` fans work out on scoped threads;
 //! * [`cache`](mod@cache) — the incremental certification cache:
 //!   memoized concrete traces, monotone verdict intervals, and validated
 //!   counterexample witnesses reused across sweep rungs;
@@ -75,7 +77,6 @@ pub mod ensemble;
 pub mod flip;
 pub mod learner;
 pub mod memo;
-pub mod pool;
 pub mod report;
 pub mod sched;
 pub mod score;
@@ -86,7 +87,7 @@ pub mod verdict;
 pub use cache::{CachedTrace, CertCache, EpochMismatch};
 pub use certify::{Certifier, Outcome, RunStats, Verdict};
 pub use drift::{drift_sweep, drift_sweep_in, drift_sweep_with, DriftConfig, EpochReport};
-pub use engine::{pool_stats, ExecContext, MetricsSnapshot, PoolStats, RunMetrics};
+pub use engine::{ExecContext, MetricsSnapshot, RunMetrics};
 pub use ensemble::{certify_forest, certify_forest_in, EnsembleConfig, EnsembleOutcome};
 pub use flip::certify_label_flips;
 pub use learner::DomainKind;

@@ -14,9 +14,9 @@
 //! The [`RequestEngine`] sits in front: it admits a batch of
 //! certify/sweep requests (possibly across several sessions),
 //! deduplicates identical in-flight questions so each is computed once,
-//! and fans the distinct work units out across the persistent worker
-//! pool — each under its own child [`ExecContext`] deadline and a
-//! fair share of the engine's disjunct budget.
+//! and fans the distinct work units out through
+//! [`ExecContext::par_map`] — each under its own child [`ExecContext`]
+//! deadline and a fair share of the engine's disjunct budget.
 //!
 //! # Determinism
 //!
@@ -626,7 +626,7 @@ pub enum Response {
 }
 
 /// Admits, deduplicates, and batches concurrent requests onto the
-/// persistent worker pool. See the module docs; stateless apart from
+/// engine's `par_map`. See the module docs; stateless apart from
 /// its admission limits, so one engine can front any number of
 /// sessions.
 #[derive(Debug, Clone, Default)]

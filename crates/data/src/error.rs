@@ -59,6 +59,12 @@ pub enum DataError {
         /// The handle the caller asked for.
         handle: String,
     },
+    /// A delta chain would leave a registered dataset with no rows, on
+    /// which no tree can be trained.
+    EmptiedDataset {
+        /// The handle the chain targeted.
+        handle: String,
+    },
     /// A CSV parse failure.
     Csv {
         /// 1-based line number of the failure.
@@ -108,6 +114,9 @@ impl fmt::Display for DataError {
             }
             DataError::UnknownHandle { handle } => {
                 write!(f, "no dataset loaded under handle '{handle}'")
+            }
+            DataError::EmptiedDataset { handle } => {
+                write!(f, "delta would remove every row of '{handle}'")
             }
             DataError::Csv { line, message } => {
                 write!(f, "csv parse error at line {line}: {message}")
@@ -166,6 +175,9 @@ mod tests {
                 reason: "remove targets a row that is not live",
             },
             DataError::UnknownHandle {
+                handle: "prod".into(),
+            },
+            DataError::EmptiedDataset {
                 handle: "prod".into(),
             },
         ];

@@ -111,13 +111,15 @@ impl DatasetRegistry {
     /// single batched certificate transfer across the whole span.
     ///
     /// The swap is all-or-nothing: if any delta in the chain is invalid,
-    /// the registry entry is left at its current epoch.
+    /// or the chain would leave no rows, the registry entry is left at
+    /// its current epoch.
     ///
     /// # Errors
     ///
     /// [`DataError::UnknownHandle`] when nothing is loaded under
     /// `handle`, [`DataError::InvalidDelta`] (and friends) from the first
-    /// delta that fails to apply.
+    /// delta that fails to apply, [`DataError::EmptiedDataset`] when the
+    /// final dataset would have no rows.
     pub fn apply_delta_many(
         &self,
         handle: &str,
@@ -139,6 +141,11 @@ impl DatasetRegistry {
             let (next, summary) = ds.apply_summarized(delta)?;
             ds = next;
             summaries.push(summary);
+        }
+        if ds.is_empty() {
+            return Err(DataError::EmptiedDataset {
+                handle: handle.to_string(),
+            });
         }
         let ds = Arc::new(ds);
         map.insert(handle.to_string(), Arc::clone(&ds));
@@ -225,6 +232,32 @@ mod tests {
         let ds = reg.get("fig2").unwrap();
         assert_eq!(ds.epoch(), 0, "failed chains must not half-apply");
         assert_eq!(ds.len(), 13);
+    }
+
+    #[test]
+    fn a_chain_that_removes_every_row_is_refused() {
+        let reg = DatasetRegistry::new();
+        reg.load("fig2", synth::figure2());
+        let mut some = DatasetDelta::new();
+        some.remove(0).remove(1);
+        let mut rest = DatasetDelta::new();
+        for row in 2..13 {
+            rest.remove(row);
+        }
+        let err = reg.apply_delta_many("fig2", &[some, rest]).unwrap_err();
+        assert!(matches!(err, DataError::EmptiedDataset { .. }));
+        assert!(err.to_string().contains("fig2"));
+        let ds = reg.get("fig2").unwrap();
+        assert_eq!(ds.epoch(), 0, "nothing is published");
+        assert_eq!(ds.len(), 13);
+        // `apply_delta` goes through the same check.
+        let mut all = DatasetDelta::new();
+        for row in 0..13 {
+            all.remove(row);
+        }
+        let err = reg.apply_delta("fig2", &all).unwrap_err();
+        assert!(matches!(err, DataError::EmptiedDataset { .. }));
+        assert_eq!(reg.get("fig2").unwrap().epoch(), 0);
     }
 
     #[test]

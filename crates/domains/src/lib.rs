@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 //! Abstract domains for poisoning-robustness verification (§4–§5 of the

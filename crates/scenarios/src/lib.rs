@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 //! Named workload scenario families for the Antidote benchmark matrix.

@@ -1,3 +1,4 @@
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 //! Concrete decision-tree learning (§3 of the paper).
