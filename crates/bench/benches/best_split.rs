@@ -24,6 +24,7 @@
 //!   pins, via the asserted hit count — the memo actually firing. Both
 //!   runs must return the identical verdict.
 
+use antidote_bench::perf::counter_lines;
 use antidote_core::engine::ExecContext;
 use antidote_core::{best_split_abs, Certifier, DomainKind};
 use antidote_data::synth::{gaussian_blobs, BlobSpec};
@@ -125,32 +126,23 @@ fn main() {
         let t0 = Instant::now();
         let out = certifier.certify_in(&x, n, &ctx);
         let ms = t0.elapsed().as_secs_f64() * 1e3;
-        (
-            ms,
-            out,
-            ctx.metrics().split_memo_hits(),
-            ctx.metrics().split_memo_misses(),
-            ctx.metrics().interner_hits(),
-            ctx.metrics().arena_resets(),
-            ctx.metrics().arena_bytes(),
-            ctx.metrics().simd_lanes(),
-        )
+        (ms, out, ctx.metrics().snapshot())
     };
     let mut memo_ms = f64::MAX;
     let mut no_memo_ms = f64::MAX;
     let mut memo_last = None;
     let mut plain_last = None;
     for _ in 0..5 {
-        let (ms, out, hits, misses, interner, resets, bytes, lanes) = one_rep(true);
+        let (ms, out, counters) = one_rep(true);
         memo_ms = memo_ms.min(ms);
-        memo_last = Some((out, hits, misses, interner, resets, bytes, lanes));
-        let (ms, out, hits, ..) = one_rep(false);
+        memo_last = Some((out, counters));
+        let (ms, out, counters) = one_rep(false);
         no_memo_ms = no_memo_ms.min(ms);
-        plain_last = Some((out, hits));
+        plain_last = Some((out, counters.split_memo_hits));
     }
-    let (memo_out, hits, misses, interner_hits, arena_resets, arena_bytes, simd_lanes) =
-        memo_last.expect("five rep pairs ran");
+    let (memo_out, counters) = memo_last.expect("five rep pairs ran");
     let (plain_out, plain_hits) = plain_last.expect("five rep pairs ran");
+    let (hits, misses) = (counters.split_memo_hits, counters.split_memo_misses);
     assert_eq!(
         memo_out.verdict, plain_out.verdict,
         "memo on/off must agree on the verdict"
@@ -162,7 +154,8 @@ fn main() {
     // timing ratio fails at random on a shared host.
     println!(
         "certify depth={depth} n={n}: memo {memo_ms:.2}ms ({hits} hit(s) / {misses} miss(es), \
-         {interner_hits} interner hit(s)) vs no-memo {no_memo_ms:.2}ms"
+         {} interner hit(s)) vs no-memo {no_memo_ms:.2}ms",
+        counters.interner_hits
     );
 
     let json = format!(
@@ -178,12 +171,7 @@ fn main() {
   "certify_n": {n},
   "certify_memo_ms": {memo_ms:.3},
   "certify_no_memo_ms": {no_memo_ms:.3},
-  "split_memo_hits": {hits},
-  "split_memo_misses": {misses},
-  "interner_hits": {interner_hits},
-  "arena_resets": {arena_resets},
-  "arena_bytes": {arena_bytes},
-  "simd_lanes": {simd_lanes},
+{},
   "identical_verdicts": true
 }}
 "#,
@@ -191,6 +179,7 @@ fn main() {
         opts.iters,
         dense.len(),
         sparse.len(),
+        counter_lines(counters.counters(), "  "),
     );
     let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_split.json");
     match std::fs::write(&path, &json) {

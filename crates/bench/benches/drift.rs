@@ -21,7 +21,9 @@
 //! best-of-reps and stripped by CI's artifact diff.
 
 use antidote_core::engine::ExecContext;
-use antidote_core::{sweep_cached, CertCache, DomainKind, SweepConfig, SweepPoint};
+use antidote_core::{
+    sweep_cached, CertCache, DomainKind, MetricsSnapshot, SweepConfig, SweepPoint,
+};
 use antidote_data::synth::{gaussian_blobs, BlobSpec};
 use antidote_data::Dataset;
 use antidote_scenarios::MutationScript;
@@ -104,36 +106,6 @@ fn ladder_key(points: &[SweepPoint]) -> Vec<(usize, usize, usize)> {
         .collect()
 }
 
-/// Counters for one ladder run, read off its own child context.
-#[derive(Debug, Clone, Copy, Default)]
-struct PhaseStats {
-    certify_calls: u64,
-    cache_hits: u64,
-    cache_shortcircuits: u64,
-    cache_transfers: u64,
-    cache_invalidations: u64,
-}
-
-impl PhaseStats {
-    fn read(ctx: &ExecContext) -> PhaseStats {
-        let m = ctx.metrics();
-        PhaseStats {
-            certify_calls: m.certify_calls(),
-            cache_hits: m.cache_hits(),
-            cache_shortcircuits: m.cache_shortcircuits(),
-            cache_transfers: m.cache_transfers(),
-            cache_invalidations: m.cache_invalidations(),
-        }
-    }
-
-    /// Probes that executed the abstract learner — as a fresh derivation
-    /// or an incremental cache resume — rather than being answered by a
-    /// short-circuit. This is the cost transferred bounds save.
-    fn abstract_runs(&self) -> u64 {
-        self.certify_calls + self.cache_hits - self.cache_shortcircuits
-    }
-}
-
 fn main() {
     let opts = Options::parse();
     let ds0 = dataset(opts.per_class);
@@ -185,8 +157,8 @@ fn main() {
     let mut t_warm_no_transfer = Duration::MAX;
     let mut cold_ladder = Vec::new();
     let mut warm_ladder = Vec::new();
-    let mut cold = PhaseStats::default();
-    let mut warm = PhaseStats::default();
+    let mut cold = MetricsSnapshot::default();
+    let mut warm = MetricsSnapshot::default();
     for _ in 0..opts.reps {
         // Cold epoch-0 sweep from a fresh cache.
         let ctx = ExecContext::new().threads(1);
@@ -194,7 +166,7 @@ fn main() {
         let t = Instant::now();
         cold_ladder = sweep_cached(&ds0, &xs, &cold_cfg, &ctx, &cache0);
         t_cold = t_cold.min(t.elapsed());
-        cold = PhaseStats::read(&ctx);
+        cold = ctx.metrics().snapshot();
 
         // Warm epoch-1 sweep behind the certificate transfer.
         let ctx = ExecContext::new().threads(1);
@@ -202,7 +174,7 @@ fn main() {
         let t = Instant::now();
         warm_ladder = sweep_cached(&ds1, &xs, &warm_cfg, &ctx, &cache1);
         t_warm = t_warm.min(t.elapsed());
-        warm = PhaseStats::read(&ctx);
+        warm = ctx.metrics().snapshot();
 
         // The same epoch-1 sweep from a cold cache (--no-transfer).
         let ctx = ExecContext::new().threads(1);

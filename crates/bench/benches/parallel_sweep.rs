@@ -20,8 +20,9 @@
 //! happened). The JSON snapshot is written to the repository root (next
 //! to `Cargo.toml`'s workspace).
 
+use antidote_bench::perf::counter_lines;
 use antidote_core::engine::ExecContext;
-use antidote_core::{sweep_in, DomainKind, SweepConfig, SweepPoint};
+use antidote_core::{sweep_in, DomainKind, MetricsSnapshot, SweepConfig, SweepPoint};
 use antidote_data::synth::{gaussian_blobs, BlobSpec};
 use antidote_data::Dataset;
 use std::path::PathBuf;
@@ -96,33 +97,9 @@ fn ladder_key(points: &[SweepPoint]) -> Vec<(usize, usize, usize)> {
         .collect()
 }
 
-/// Per-mode cache/frontier counters, read from the last rep's engine
-/// metrics (every rep is deterministic, so the counts are rep-invariant).
-#[derive(Debug, Clone, Copy, Default)]
-struct ModeStats {
-    certify_calls: u64,
-    cache_hits: u64,
-    cache_shortcircuits: u64,
-    cache_transfers: u64,
-    cache_invalidations: u64,
-    cache_hit_rate: f64,
-    subsumption_pruned: u64,
-    frontier_peak_disjuncts: usize,
-    split_memo_hits: u64,
-    split_memo_misses: u64,
-    interner_hits: u64,
-    arena_resets: u64,
-    arena_bytes: usize,
-    simd_lanes: usize,
-    requests_served: u64,
-    cross_request_cache_hits: u64,
-    probes_scheduled: u64,
-    probes_deferred: u64,
-    deadline_degradations: u64,
-    warm_state_shared_hits: u64,
-    sessions_evicted: u64,
-}
-
+/// Runs one mode `reps` times; the counters come from the last rep's
+/// engine metrics (every rep is deterministic, so they are
+/// rep-invariant).
 fn run_mode(
     ds: &Dataset,
     xs: &[Vec<f64>],
@@ -130,7 +107,7 @@ fn run_mode(
     threads: usize,
     cache: bool,
     reps: usize,
-) -> (Vec<SweepPoint>, Duration, ModeStats) {
+) -> (Vec<SweepPoint>, Duration, MetricsSnapshot) {
     let cfg = SweepConfig {
         depth,
         domain: DomainKind::Disjuncts,
@@ -141,7 +118,7 @@ fn run_mode(
     };
     let mut best = Duration::MAX;
     let mut out = Vec::new();
-    let mut stats = ModeStats::default();
+    let mut stats = MetricsSnapshot::default();
     for _ in 0..reps {
         // A fresh parent context per rep: the cache (when enabled) lives
         // inside the sweep, so every rep starts cold.
@@ -149,30 +126,7 @@ fn run_mode(
         let t0 = Instant::now();
         out = sweep_in(ds, xs, &cfg, &parent);
         best = best.min(t0.elapsed());
-        let m = parent.metrics();
-        stats = ModeStats {
-            certify_calls: m.certify_calls(),
-            cache_hits: m.cache_hits(),
-            cache_shortcircuits: m.cache_shortcircuits(),
-            cache_transfers: m.cache_transfers(),
-            cache_invalidations: m.cache_invalidations(),
-            cache_hit_rate: m.cache_hit_rate(),
-            subsumption_pruned: m.disjuncts_subsumed(),
-            frontier_peak_disjuncts: m.peak_disjuncts(),
-            split_memo_hits: m.split_memo_hits(),
-            split_memo_misses: m.split_memo_misses(),
-            interner_hits: m.interner_hits(),
-            arena_resets: m.arena_resets(),
-            arena_bytes: m.arena_bytes(),
-            simd_lanes: m.simd_lanes(),
-            requests_served: m.requests_served(),
-            cross_request_cache_hits: m.cross_request_cache_hits(),
-            probes_scheduled: m.probes_scheduled(),
-            probes_deferred: m.probes_deferred(),
-            deadline_degradations: m.deadline_degradations(),
-            warm_state_shared_hits: m.warm_state_shared_hits(),
-            sessions_evicted: m.sessions_evicted(),
-        };
+        stats = parent.metrics().snapshot();
     }
     (out, best, stats)
 }
@@ -225,7 +179,7 @@ fn main() {
         cached_stats.certify_calls,
         fresh_stats.certify_calls
     );
-    assert!(cached_stats.cache_hit_rate > 0.0);
+    assert!(cached_stats.cache_hit_rate() > 0.0);
     assert!(
         cached_stats.interner_hits > 0,
         "frontier hash-consing must fire on the stock configuration"
@@ -253,20 +207,10 @@ fn main() {
         println!("speedup: n/a (single core; identical ladders: yes)");
     }
     println!(
-        "certify calls: {} fresh -> {} cached ({} hit(s), {} short-circuit, hit rate {:.1}%)",
+        "certify calls: {} fresh -> {} cached (hit rate {:.1}%); every counter is in the artifact",
         fresh_stats.certify_calls,
         cached_stats.certify_calls,
-        cached_stats.cache_hits,
-        cached_stats.cache_shortcircuits,
-        100.0 * cached_stats.cache_hit_rate
-    );
-    println!(
-        "frontier: {} disjunct(s) subsumption-pruned, peak {} live",
-        cached_stats.subsumption_pruned, cached_stats.frontier_peak_disjuncts
-    );
-    println!(
-        "bestSplit# memo: {} hit(s) / {} miss(es); interner: {} hit(s)",
-        cached_stats.split_memo_hits, cached_stats.split_memo_misses, cached_stats.interner_hits
+        100.0 * cached_stats.cache_hit_rate()
     );
 
     // Snapshot for the perf trajectory, at the workspace root.
@@ -295,27 +239,8 @@ fn main() {
   "speedup": {},
   "identical_ladders": true,
   "certify_calls_fresh": {},
-  "certify_calls_cached": {},
-  "cache_hits": {},
-  "cache_shortcircuits": {},
-  "cache_transfers": {},
-  "cache_invalidations": {},
   "cache_hit_rate": {:.3},
-  "subsumption_pruned": {},
-  "split_memo_hits": {},
-  "split_memo_misses": {},
-  "interner_hits": {},
-  "arena_resets": {},
-  "arena_bytes": {},
-  "simd_lanes": {},
-  "requests_served": {},
-  "cross_request_cache_hits": {},
-  "probes_scheduled": {},
-  "probes_deferred": {},
-  "deadline_degradations": {},
-  "warm_state_shared_hits": {},
-  "sessions_evicted": {},
-  "frontier_peak_disjuncts": {},
+{},
   "ladder": [
 {}
   ]
@@ -332,27 +257,8 @@ fn main() {
         t_fresh.as_secs_f64() * 1e3,
         speedup_json,
         fresh_stats.certify_calls,
-        cached_stats.certify_calls,
-        cached_stats.cache_hits,
-        cached_stats.cache_shortcircuits,
-        cached_stats.cache_transfers,
-        cached_stats.cache_invalidations,
-        cached_stats.cache_hit_rate,
-        cached_stats.subsumption_pruned,
-        cached_stats.split_memo_hits,
-        cached_stats.split_memo_misses,
-        cached_stats.interner_hits,
-        cached_stats.arena_resets,
-        cached_stats.arena_bytes,
-        cached_stats.simd_lanes,
-        cached_stats.requests_served,
-        cached_stats.cross_request_cache_hits,
-        cached_stats.probes_scheduled,
-        cached_stats.probes_deferred,
-        cached_stats.deadline_degradations,
-        cached_stats.warm_state_shared_hits,
-        cached_stats.sessions_evicted,
-        cached_stats.frontier_peak_disjuncts,
+        cached_stats.cache_hit_rate(),
+        counter_lines(cached_stats.counters(), "  "),
         ladder_json.join(",\n")
     );
     let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_sweep.json");

@@ -13,15 +13,14 @@
 //! passes `BENCH_split.json` and `BENCH_drift.json`):
 //!
 //! * `--sweep` — `BENCH_sweep.json`: `identical_ladders` must hold and
-//!   every [`GATED_COUNTERS`] entry must match exactly;
+//!   every [`gated_counters`] entry (each sum counter of the engine's
+//!   counter table) must match exactly;
 //! * `--serve` — `BENCH_serve.json`: `identical_responses` /
 //!   `hit_rate_dominates_sweep` must hold, the gated counters must match
 //!   exactly;
-//! * `--matrix` — `BENCH_matrix.json`: the totals counters
-//!   ([`MATRIX_GATED_TOTALS`], including the scheduler's
-//!   `probes_scheduled` / `probes_deferred` / `deadline_degradations`)
-//!   must match exactly, and the timings-stripped documents must be
-//!   line-identical — every per-cell verdict key is held to the
+//! * `--matrix` — `BENCH_matrix.json`: the gated counters of the totals
+//!   block must match exactly, and the timings-stripped documents must
+//!   be line-identical — every per-cell verdict key is held to the
 //!   baseline;
 //! * `--refs` — reference artifacts: timings-stripped structural
 //!   equality, replacing the old per-artifact `grep|diff` shell steps.
@@ -35,8 +34,8 @@
 //! 2 usage or I/O error.
 
 use antidote_bench::perf::{
-    check_matrix_gate, check_refs, check_serve_gate, check_sweep_gate, json_u64, GateViolation,
-    GATED_COUNTERS, MATRIX_GATED_TOTALS,
+    check_matrix_gate, check_refs, check_serve_gate, check_sweep_gate, gated_counters, json_u64,
+    GateViolation,
 };
 
 const USAGE: &str = "usage: perfgate [--sweep <baseline> <candidate>] \
@@ -52,8 +51,8 @@ fn read(path: &str) -> String {
 
 /// Prints the gated counters of one artifact pair, so a green run still
 /// documents what it held.
-fn report(label: &str, fields: &[&str], baseline: &str, candidate: &str) {
-    for &field in fields {
+fn report(label: &str, baseline: &str, candidate: &str) {
+    for field in gated_counters() {
         println!(
             "perfgate[{label}]: {field}: baseline {:?}, candidate {:?}",
             json_u64(baseline, field),
@@ -94,19 +93,13 @@ fn main() {
             "refs" => format!("refs:{baseline_path}"),
             m => m.to_string(),
         };
+        if mode != "refs" {
+            report(&label, &baseline, &candidate);
+        }
         let found = match mode.as_str() {
-            "sweep" => {
-                report(&label, &GATED_COUNTERS, &baseline, &candidate);
-                check_sweep_gate(&baseline, &candidate)
-            }
-            "serve" => {
-                report(&label, &GATED_COUNTERS, &baseline, &candidate);
-                check_serve_gate(&baseline, &candidate)
-            }
-            "matrix" => {
-                report(&label, &MATRIX_GATED_TOTALS, &baseline, &candidate);
-                check_matrix_gate(&baseline, &candidate)
-            }
+            "sweep" => check_sweep_gate(&baseline, &candidate),
+            "serve" => check_serve_gate(&baseline, &candidate),
+            "matrix" => check_matrix_gate(&baseline, &candidate),
             _ => check_refs(&baseline, &candidate),
         };
         violations.extend(found.into_iter().map(|v| (label.clone(), v)));

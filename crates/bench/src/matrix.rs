@@ -13,7 +13,8 @@
 //! `tests/matrix_determinism.rs`), and only wall-clock differs between
 //! `--threads 1` and `--threads N`.
 
-use antidote_core::engine::ExecContext;
+use crate::perf::counter_lines;
+use antidote_core::engine::{Aggregation, ExecContext};
 use antidote_core::{sweep_in, DomainKind, MetricsSnapshot, SweepConfig, SweepPoint};
 use antidote_data::Dataset;
 use antidote_scenarios::{flip_sweep, ScenarioRegistry, ThreatModel};
@@ -86,29 +87,25 @@ pub struct MatrixCell {
 
 impl MatrixCell {
     /// The verdict-relevant projection of this cell: identity, ladder
-    /// rungs, and the thread-invariant counters — everything that must
-    /// be bit-identical across `--threads` and registration order.
-    /// (Wall-clock is deliberately excluded. The scheduler counters are
-    /// included: the cells run under a count-based probe budget, so
-    /// scheduled/deferred/degraded counts are as thread-invariant as the
-    /// ladder itself.)
+    /// rungs, and every sum counter — everything that must be
+    /// bit-identical across `--threads` and registration order.
+    /// (Wall-clock and the watermarks are excluded. The scheduler
+    /// counters are included: the cells run under a count-based probe
+    /// budget, so scheduled/deferred/degraded counts are as
+    /// thread-invariant as the ladder itself.)
     #[allow(clippy::type_complexity)]
-    pub fn verdict_key(&self) -> (String, Vec<(usize, usize, usize, usize, usize)>, [u64; 7]) {
+    pub fn verdict_key(&self) -> (String, Vec<(usize, usize, usize, usize, usize)>, Vec<u64>) {
         (
             self.key(),
             self.ladder
                 .iter()
                 .map(|p| (p.n, p.attempted, p.verified, p.timeouts, p.budget_exhausted))
                 .collect(),
-            [
-                self.metrics.certify_calls,
-                self.metrics.cache_hits,
-                self.metrics.cache_shortcircuits,
-                self.metrics.disjuncts_subsumed,
-                self.metrics.probes_scheduled,
-                self.metrics.probes_deferred,
-                self.metrics.deadline_degradations,
-            ],
+            self.metrics
+                .counters()
+                .filter(|(c, _)| c.aggregation() == Aggregation::Sum)
+                .map(|(_, v)| v)
+                .collect(),
         )
     }
 
@@ -158,7 +155,7 @@ impl MatrixReport {
     /// value the determinism suite compares across thread counts and
     /// registration orders.
     #[allow(clippy::type_complexity)]
-    pub fn verdict_key(&self) -> Vec<(String, Vec<(usize, usize, usize, usize, usize)>, [u64; 7])> {
+    pub fn verdict_key(&self) -> Vec<(String, Vec<(usize, usize, usize, usize, usize)>, Vec<u64>)> {
         self.cells.iter().map(MatrixCell::verdict_key).collect()
     }
 
@@ -350,7 +347,6 @@ pub fn matrix_json(report: &MatrixReport) -> String {
         .map(|n| format!("\"{}\"", escape(n)))
         .collect();
     let cells: Vec<String> = report.cells.iter().map(|c| cell_json(c, "    ")).collect();
-    let t = &report.totals;
     format!(
         r#"{{
   "bench": "matrix",
@@ -364,22 +360,7 @@ pub fn matrix_json(report: &MatrixReport) -> String {
   "wall_ms_p90": {p90:.3},
   "wall_ms_max": {max:.3},
   "totals": {{
-    "certify_calls": {},
-    "cache_hits": {},
-    "cache_shortcircuits": {},
-    "cache_misses": {},
-    "cache_transfers": {},
-    "cache_invalidations": {},
-    "subsumption_pruned": {},
-    "split_memo_hits": {},
-    "split_memo_misses": {},
-    "probes_scheduled": {},
-    "probes_deferred": {},
-    "deadline_degradations": {},
-    "interner_hits": {},
-    "disjuncts_processed": {},
-    "peak_disjuncts": {},
-    "peak_bytes": {}
+{}
   }},
   "cells": [
 {}
@@ -392,24 +373,17 @@ pub fn matrix_json(report: &MatrixReport) -> String {
         report.cells.len(),
         names.join(", "),
         report.wall.as_secs_f64() * 1e3,
-        t.certify_calls,
-        t.cache_hits,
-        t.cache_shortcircuits,
-        t.cache_misses,
-        t.cache_transfers,
-        t.cache_invalidations,
-        t.disjuncts_subsumed,
-        t.split_memo_hits,
-        t.split_memo_misses,
-        t.probes_scheduled,
-        t.probes_deferred,
-        t.deadline_degradations,
-        t.interner_hits,
-        t.disjuncts_processed,
-        t.peak_disjuncts,
-        t.peak_bytes,
+        counter_block(&report.totals, "    "),
         cells.join(",\n"),
     )
+}
+
+/// The counter block of one snapshot, indented by `pad`. A
+/// [per-thread](antidote_core::engine::Counter::per_thread) watermark is
+/// left out: cells land on worker threads in no fixed order, and every
+/// other line must be identical across runs and worker counts.
+fn counter_block(m: &MetricsSnapshot, pad: &str) -> String {
+    counter_lines(m.counters().filter(|(c, _)| !c.per_thread()), pad)
 }
 
 /// The `BENCH_<scenario>.json` document for one scenario family.
@@ -454,7 +428,6 @@ fn cell_json(c: &MatrixCell, pad: &str) -> String {
             )
         })
         .collect();
-    let m = &c.metrics;
     format!(
         r#"{pad}{{
 {pad}  "scenario": "{}",
@@ -465,22 +438,7 @@ fn cell_json(c: &MatrixCell, pad: &str) -> String {
 {pad}  "train_rows": {},
 {pad}  "test_points": {},
 {pad}  "wall_ms": {:.3},
-{pad}  "certify_calls": {},
-{pad}  "cache_hits": {},
-{pad}  "cache_shortcircuits": {},
-{pad}  "cache_misses": {},
-{pad}  "cache_transfers": {},
-{pad}  "cache_invalidations": {},
-{pad}  "subsumption_pruned": {},
-{pad}  "split_memo_hits": {},
-{pad}  "split_memo_misses": {},
-{pad}  "probes_scheduled": {},
-{pad}  "probes_deferred": {},
-{pad}  "deadline_degradations": {},
-{pad}  "interner_hits": {},
-{pad}  "disjuncts_processed": {},
-{pad}  "peak_disjuncts": {},
-{pad}  "peak_bytes": {},
+{},
 {pad}  "ladder": [
 {}
 {pad}  ]
@@ -493,22 +451,7 @@ fn cell_json(c: &MatrixCell, pad: &str) -> String {
         c.train_rows,
         c.test_points,
         c.wall.as_secs_f64() * 1e3,
-        m.certify_calls,
-        m.cache_hits,
-        m.cache_shortcircuits,
-        m.cache_misses,
-        m.cache_transfers,
-        m.cache_invalidations,
-        m.disjuncts_subsumed,
-        m.split_memo_hits,
-        m.split_memo_misses,
-        m.probes_scheduled,
-        m.probes_deferred,
-        m.deadline_degradations,
-        m.interner_hits,
-        m.disjuncts_processed,
-        m.peak_disjuncts,
-        m.peak_bytes,
+        counter_block(&c.metrics, &format!("{pad}  ")),
         ladder.join(",\n"),
     )
 }
@@ -589,10 +532,10 @@ mod tests {
         // Regression: totals used to be read off the parent context's
         // metrics, so a caller reusing one parent across runs (or after
         // unrelated work) saw earlier counters folded into the report.
-        use antidote_core::ExecContext;
+        use antidote_core::engine::Counter;
         let reg = builtin_registry();
         let parent = ExecContext::new().threads(1);
-        parent.metrics().add_certify_call(); // pre-existing caller work
+        parent.metrics().record(Counter::CertifyCalls, 1); // pre-existing caller work
         let first = run_matrix_in(&reg, &small_cfg(), &parent).unwrap();
         let second = run_matrix_in(&reg, &small_cfg(), &parent).unwrap();
         assert_eq!(

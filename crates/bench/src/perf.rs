@@ -10,6 +10,8 @@
 //! place aggregate fields before any repeated per-cell fields, so
 //! first-match is the aggregate.
 
+use antidote_core::engine::{Aggregation, Counter};
+
 /// The raw scalar token following `"key":`, trimmed.
 ///
 /// Returns `None` when the key is absent or followed by a non-scalar
@@ -40,6 +42,18 @@ pub fn json_bool(doc: &str, key: &str) -> Option<bool> {
     }
 }
 
+/// One `"name": value` artifact line per counter, indented by `pad`, in
+/// the order given: the counter block every benchmark artifact writes
+/// from a [`MetricsSnapshot::counters`] walk, under the table's names.
+///
+/// [`MetricsSnapshot::counters`]: antidote_core::MetricsSnapshot::counters
+pub fn counter_lines(counters: impl Iterator<Item = (Counter, u64)>, pad: &str) -> String {
+    counters
+        .map(|(c, v)| format!("{pad}\"{c}\": {v}"))
+        .collect::<Vec<_>>()
+        .join(",\n")
+}
+
 /// One perf-gate violation: which field drifted, and how.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GateViolation {
@@ -49,91 +63,25 @@ pub struct GateViolation {
     pub detail: String,
 }
 
-/// The counters the gate holds to exact equality against the committed
-/// baseline. Deliberately *not* wall-clock: certifier-invocation,
-/// pruning, memo, and interner counts are host-independent (the bench
-/// reads them off strictly sequential runs, and the memo's hit/miss
-/// accounting is reconciled to be thread-invariant anyway), so the gate
-/// is stable on any CI runner while still catching a regression that
-/// silently disables the cache, the subsumption pass, the `bestSplit#`
-/// memo, or frontier hash-consing.
-/// `split_memo_misses` is gated alongside `split_memo_hits` because the
-/// stock depth-2 config legitimately pins hits at 0 (recurrence needs
-/// depth ≥ 3, see DESIGN.md §9.2) — misses are what prove the memo is
-/// still being consulted there. `arena_resets` counts learner runs
-/// through the word-scratch arena (one reset per `run_abstract`), so a
-/// change that routes the learner around the arena — losing its
-/// allocation reuse — fails the gate the same way a disabled cache
-/// would.
-/// `requests_served` / `cross_request_cache_hits` are the service
-/// layer's counters: the one-shot sweep path never routes through a
-/// `Session`, so the baseline pins both at 0 — a change that starts
-/// attributing service traffic to the static path fails the gate, and
-/// the serve artifact gates their real (non-zero) values.
-/// `cache_transfers` / `cache_invalidations` count certificates carried
-/// across (or dropped at) dataset-epoch boundaries: the stock sweep never
-/// mutates its dataset, so the baseline pins both at 0 — a change that
-/// starts transferring (or invalidating) state on the *static* path is
-/// exactly the kind of stale-cache bug the epoch stamps exist to catch,
-/// and fails the gate. The drift path's non-zero counts live in
-/// `BENCH_drift.json`, which perfgate's `--refs` mode holds to its
-/// committed reference (timings stripped) the same way it holds
-/// `BENCH_split.json`.
-/// `probes_scheduled` / `probes_deferred` / `deadline_degradations` are
-/// the probe scheduler's counters (DESIGN.md §13): neither the sweep nor
-/// the serve bench configures a ladder deadline or probe budget, so the
-/// scheduler issues every probe — `probes_scheduled` equals the ladder's
-/// total probe count (a change that disarms the scheduler, or starts
-/// double-counting, fails the gate) while the baselines pin
-/// `probes_deferred` and `deadline_degradations` at 0 — an unbounded
-/// scheduler that starts deferring work is a determinism bug, not a
-/// tuning choice.
-/// `warm_state_shared_hits` / `sessions_evicted` are the service's
-/// warm-state-sharing and LRU-eviction counters: the one-shot sweep
-/// path opens no shared sessions and evicts nothing, so the sweep
-/// baseline pins both at 0 — a change that starts sharing or evicting
-/// on the *static* path fails the gate — while the serve artifact gates
-/// their real, deterministic values (the co-tenant join and the
-/// capped-service evictions).
-pub const GATED_COUNTERS: [&str; 15] = [
-    "certify_calls_cached",
-    "subsumption_pruned",
-    "split_memo_hits",
-    "split_memo_misses",
-    "interner_hits",
-    "arena_resets",
-    "cache_transfers",
-    "cache_invalidations",
-    "requests_served",
-    "cross_request_cache_hits",
-    "probes_scheduled",
-    "probes_deferred",
-    "deadline_degradations",
-    "warm_state_shared_hits",
-    "sessions_evicted",
-];
-
-/// The `totals` counters `check_matrix_gate` holds to exact equality.
-/// First-match extraction reads the aggregate: `matrix_json` places the
-/// totals block before any per-cell fields. Wall-clock and `peak_bytes`
-/// are deliberately absent — the same host-dependent set
-/// `tests/matrix_determinism.rs` strips.
-pub const MATRIX_GATED_TOTALS: [&str; 14] = [
-    "certify_calls",
-    "cache_hits",
-    "cache_shortcircuits",
-    "cache_misses",
-    "cache_transfers",
-    "cache_invalidations",
-    "subsumption_pruned",
-    "split_memo_hits",
-    "split_memo_misses",
-    "probes_scheduled",
-    "probes_deferred",
-    "deadline_degradations",
-    "interner_hits",
-    "disjuncts_processed",
-];
+/// The counters every gate holds to exact equality against the committed
+/// baseline: each [sum](Aggregation::Sum) counter of the engine's counter
+/// table, under its table name. Deliberately *not* wall-clock: the
+/// benches read their counters off deterministic runs, so the gate is
+/// stable on any CI runner while still catching a change that silently
+/// disables the cache, the subsumption pass, the `bestSplit#` memo,
+/// frontier hash-consing, the word-scratch arena, or the probe
+/// scheduler. A counter a path never touches is pinned at 0 there: the
+/// one-shot sweep serves no requests, shares and evicts no sessions,
+/// and crosses no epoch boundary, so service or transfer traffic on the
+/// static path fails the gate. The watermarks (`peak_disjuncts`,
+/// `peak_bytes`, `arena_bytes`, `simd_lanes`) are recorded in the
+/// artifacts but not gated here.
+pub fn gated_counters() -> impl Iterator<Item = &'static str> {
+    Counter::ALL
+        .iter()
+        .filter(|c| c.aggregation() == Aggregation::Sum)
+        .map(|c| c.name())
+}
 
 /// Checks a freshly generated `BENCH_sweep.json` (`candidate`) against
 /// the committed baseline document. Violations are returned rather than
@@ -144,7 +92,7 @@ pub const MATRIX_GATED_TOTALS: [&str; 14] = [
 ///
 /// * `identical_ladders` must be `true` in the candidate (the bench
 ///   itself asserts this, but the gate re-checks the artifact);
-/// * each of [`GATED_COUNTERS`] must be present in both documents and
+/// * each of [`gated_counters`] must be present in both documents and
 ///   exactly equal.
 pub fn check_sweep_gate(baseline: &str, candidate: &str) -> Vec<GateViolation> {
     let mut violations = Vec::new();
@@ -159,19 +107,14 @@ pub fn check_sweep_gate(baseline: &str, candidate: &str) -> Vec<GateViolation> {
             detail: "field missing from candidate".to_string(),
         }),
     }
-    check_counters(baseline, candidate, &GATED_COUNTERS, &mut violations);
+    check_counters(baseline, candidate, &mut violations);
     violations
 }
 
-/// Exact-equality check of each named `u64` counter across the two
+/// Exact-equality check of each [`gated_counters`] entry across the two
 /// documents, appending a violation per mismatch or missing field.
-fn check_counters(
-    baseline: &str,
-    candidate: &str,
-    fields: &[&'static str],
-    violations: &mut Vec<GateViolation>,
-) {
-    for &field in fields {
+fn check_counters(baseline: &str, candidate: &str, violations: &mut Vec<GateViolation>) {
+    for field in gated_counters() {
         match (json_u64(baseline, field), json_u64(candidate, field)) {
             (Some(b), Some(c)) if b == c => {}
             (Some(b), Some(c)) => violations.push(GateViolation {
@@ -215,13 +158,13 @@ fn check_true_flag(candidate: &str, field: &'static str, violations: &mut Vec<Ga
 ///   batched-vs-reversed replay produced byte-identical responses;
 /// * `hit_rate_dominates_sweep` must be `true` — the cross-request
 ///   cache hit rate beat the single-sweep baseline rate (0.475);
-/// * each of [`GATED_COUNTERS`] must be exactly equal across the two
+/// * each of [`gated_counters`] must be exactly equal across the two
 ///   documents.
 pub fn check_serve_gate(baseline: &str, candidate: &str) -> Vec<GateViolation> {
     let mut violations = Vec::new();
     check_true_flag(candidate, "identical_responses", &mut violations);
     check_true_flag(candidate, "hit_rate_dominates_sweep", &mut violations);
-    check_counters(baseline, candidate, &GATED_COUNTERS, &mut violations);
+    check_counters(baseline, candidate, &mut violations);
     violations
 }
 
@@ -291,14 +234,15 @@ fn check_structure(
 ///
 /// Gated conditions:
 ///
-/// * each of [`MATRIX_GATED_TOTALS`] must be present in both documents
-///   and exactly equal (first match = the aggregate totals block);
+/// * each of [`gated_counters`] must be present in both documents and
+///   exactly equal (first match = the aggregate totals block, which
+///   `matrix_json` places before any per-cell fields);
 /// * the timings-stripped documents must be line-identical — this holds
 ///   every per-cell verdict key (identity, ladder rungs, cell counters)
 ///   to the baseline, not just the totals.
 pub fn check_matrix_gate(baseline: &str, candidate: &str) -> Vec<GateViolation> {
     let mut violations = Vec::new();
-    check_counters(baseline, candidate, &MATRIX_GATED_TOTALS, &mut violations);
+    check_counters(baseline, candidate, &mut violations);
     check_structure("cells", baseline, candidate, &mut violations);
     violations
 }
@@ -321,25 +265,31 @@ mod tests {
   "bench": "parallel_sweep",
   "identical_ladders": true,
   "certify_calls_fresh": 61,
-  "certify_calls_cached": 32,
   "speedup": null,
   "cache_hit_rate": 0.475,
-  "cache_transfers": 0,
-  "cache_invalidations": 0,
-  "subsumption_pruned": 1234,
-  "split_memo_hits": 17,
-  "split_memo_misses": 547,
-  "interner_hits": 870,
-  "arena_resets": 93,
-  "arena_bytes": 4096,
-  "simd_lanes": 4,
   "requests_served": 0,
   "cross_request_cache_hits": 0,
+  "certify_calls": 32,
+  "cache_hits": 29,
+  "cache_misses": 32,
+  "cache_shortcircuits": 3,
+  "cache_transfers": 0,
+  "cache_invalidations": 0,
+  "split_memo_hits": 17,
+  "split_memo_misses": 547,
   "probes_scheduled": 61,
   "probes_deferred": 0,
   "deadline_degradations": 0,
   "warm_state_shared_hits": 0,
   "sessions_evicted": 0,
+  "interner_hits": 870,
+  "disjuncts_processed": 5120,
+  "disjuncts_subsumed": 1234,
+  "arena_resets": 93,
+  "peak_disjuncts": 40,
+  "peak_bytes": 65536,
+  "arena_bytes": 4096,
+  "simd_lanes": 4,
   "ladder": [
     {"n": 1, "attempted": 32, "verified": 30}
   ]
@@ -351,32 +301,41 @@ mod tests {
   "identical_responses": true,
   "hit_rate_dominates_sweep": true,
   "cross_request_hit_rate": 0.62,
+  "warm_batch_abstract_runs": 0,
   "requests_served": 29,
   "cross_request_cache_hits": 18,
-  "warm_state_shared_hits": 1,
-  "sessions_evicted": 3,
-  "certify_calls_cached": 11,
+  "certify_calls": 11,
+  "cache_hits": 20,
+  "cache_misses": 11,
+  "cache_shortcircuits": 14,
   "cache_transfers": 2,
   "cache_invalidations": 0,
-  "subsumption_pruned": 640,
   "split_memo_hits": 0,
   "split_memo_misses": 310,
-  "interner_hits": 455,
-  "arena_resets": 11,
   "probes_scheduled": 44,
   "probes_deferred": 0,
-  "deadline_degradations": 0
+  "deadline_degradations": 0,
+  "warm_state_shared_hits": 1,
+  "sessions_evicted": 3,
+  "interner_hits": 455,
+  "disjuncts_processed": 2048,
+  "disjuncts_subsumed": 640,
+  "arena_resets": 11,
+  "peak_disjuncts": 12,
+  "peak_bytes": 8192,
+  "arena_bytes": 2048,
+  "simd_lanes": 4
 }
 "#;
 
     #[test]
     fn whole_key_matching() {
-        assert_eq!(json_u64(DOC, "certify_calls_cached"), Some(32));
         assert_eq!(json_u64(DOC, "certify_calls_fresh"), Some(61));
-        // "certify_calls" is not a key in this document at all: the
-        // closing quote keeps it from matching either long key.
-        assert_eq!(json_u64(DOC, "certify_calls"), None);
-        assert_eq!(json_u64(DOC, "subsumption_pruned"), Some(1234));
+        // "certify_calls" comes after "certify_calls_fresh", yet the
+        // closing quote keeps the longer key from matching first.
+        assert_eq!(json_u64(DOC, "certify_calls"), Some(32));
+        assert_eq!(json_u64(DOC, "certify_calls_f"), None);
+        assert_eq!(json_u64(DOC, "disjuncts_subsumed"), Some(1234));
         assert_eq!(json_u64(DOC, "split_memo_hits"), Some(17));
         // "split_memo_hits" must never match inside "split_memo_misses".
         assert_eq!(json_u64(DOC, "split_memo_misses"), Some(547));
@@ -399,13 +358,10 @@ mod tests {
 
     #[test]
     fn gate_catches_counter_drift() {
-        let drifted = DOC.replace(
-            "\"certify_calls_cached\": 32",
-            "\"certify_calls_cached\": 61",
-        );
+        let drifted = DOC.replace("\"certify_calls\": 32", "\"certify_calls\": 61");
         let v = check_sweep_gate(DOC, &drifted);
         assert_eq!(v.len(), 1);
-        assert_eq!(v[0].field, "certify_calls_cached");
+        assert_eq!(v[0].field, "certify_calls");
         assert!(v[0].detail.contains("baseline 32 != candidate 61"));
     }
 
@@ -540,22 +496,28 @@ mod tests {
   "wall_ms_p50": 2.584,
   "wall_ms_max": 218.448,
   "totals": {
+    "requests_served": 0,
+    "cross_request_cache_hits": 0,
     "certify_calls": 118,
     "cache_hits": 260,
-    "cache_shortcircuits": 44,
     "cache_misses": 118,
+    "cache_shortcircuits": 44,
     "cache_transfers": 0,
     "cache_invalidations": 0,
-    "subsumption_pruned": 900,
     "split_memo_hits": 12,
     "split_memo_misses": 340,
     "probes_scheduled": 310,
     "probes_deferred": 14,
     "deadline_degradations": 5,
+    "warm_state_shared_hits": 0,
+    "sessions_evicted": 0,
     "interner_hits": 777,
     "disjuncts_processed": 40100,
+    "disjuncts_subsumed": 900,
+    "arena_resets": 320,
     "peak_disjuncts": 96,
-    "peak_bytes": 1048576
+    "peak_bytes": 1048576,
+    "simd_lanes": 4
   },
   "cells": [
     {
@@ -570,6 +532,50 @@ mod tests {
   ]
 }
 "#;
+
+    #[test]
+    fn the_gated_list_is_every_sum_counter() {
+        // The union of the two hand-kept lists the table replaced (the
+        // sweep/serve list and the matrix totals list), under the table's
+        // names: no check was dropped.
+        let mut gated: Vec<&str> = gated_counters().collect();
+        gated.sort_unstable();
+        let mut expected = vec![
+            "certify_calls",
+            "cache_hits",
+            "cache_shortcircuits",
+            "cache_misses",
+            "cache_transfers",
+            "cache_invalidations",
+            "disjuncts_subsumed",
+            "disjuncts_processed",
+            "split_memo_hits",
+            "split_memo_misses",
+            "interner_hits",
+            "arena_resets",
+            "requests_served",
+            "cross_request_cache_hits",
+            "probes_scheduled",
+            "probes_deferred",
+            "deadline_degradations",
+            "warm_state_shared_hits",
+            "sessions_evicted",
+        ];
+        expected.sort_unstable();
+        assert_eq!(gated, expected);
+        // Watermarks are recorded, never gated: drifting every one of
+        // them passes all three counter gates.
+        let drift = |doc: &str| {
+            doc.replace("\"peak_disjuncts\": ", "\"peak_disjuncts\": 9")
+                .replace("\"arena_bytes\": ", "\"arena_bytes\": 9")
+                .replace("\"simd_lanes\": ", "\"simd_lanes\": 9")
+        };
+        assert!(check_sweep_gate(DOC, &drift(DOC)).is_empty());
+        assert!(check_serve_gate(SERVE_DOC, &drift(SERVE_DOC)).is_empty());
+        let mut totals = Vec::new();
+        check_counters(MATRIX_DOC, &drift(MATRIX_DOC), &mut totals);
+        assert!(totals.is_empty());
+    }
 
     #[test]
     fn gate_catches_scheduler_counter_drift() {
@@ -679,15 +685,15 @@ mod tests {
         assert_eq!(v.len(), 1);
         assert_eq!(v[0].field, "identical_ladders");
 
-        let gutted = DOC.replace("  \"subsumption_pruned\": 1234,\n", "");
+        let gutted = DOC.replace("  \"disjuncts_subsumed\": 1234,\n", "");
         let v = check_sweep_gate(DOC, &gutted);
         assert!(v.iter().any(
-            |x| x.field == "subsumption_pruned" && x.detail.contains("missing from candidate")
+            |x| x.field == "disjuncts_subsumed" && x.detail.contains("missing from candidate")
         ));
         let v = check_sweep_gate(&gutted, DOC);
         assert!(
             v.iter()
-                .any(|x| x.field == "subsumption_pruned"
+                .any(|x| x.field == "disjuncts_subsumed"
                     && x.detail.contains("missing from baseline"))
         );
     }

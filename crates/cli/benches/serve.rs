@@ -27,6 +27,7 @@
 //! counts on any host — so every counter is host-independent and
 //! `perfgate` holds the gated ones to exact equality.
 
+use antidote_bench::perf::counter_lines;
 use antidote_cli::service::Service;
 use antidote_core::engine::ExecContext;
 use antidote_core::{
@@ -150,8 +151,6 @@ fn batches() -> [Vec<(usize, Request)>; 3] {
 
 struct Replay {
     responses: Vec<Vec<Response>>,
-    served: u64,
-    hits: u64,
     warm_abstract_runs: u64,
 }
 
@@ -198,8 +197,6 @@ fn replay(
     };
     let engine = RequestEngine::new();
     let mut responses = Vec::new();
-    let mut served = 0;
-    let mut hits = 0;
     let mut warm_abstract_runs = 0;
     for (i, batch) in batches().into_iter().enumerate() {
         if i == 2 {
@@ -221,19 +218,15 @@ fn replay(
         if reverse {
             out.reverse();
         }
-        let m = ctx.metrics();
-        served += m.requests_served();
-        hits += m.cross_request_cache_hits();
+        let m = ctx.metrics().snapshot();
         if i == 1 {
-            warm_abstract_runs = m.certify_calls() + m.cache_hits() - m.cache_shortcircuits();
+            warm_abstract_runs = m.abstract_runs();
         }
-        grand.metrics().absorb(&m.snapshot());
+        grand.metrics().absorb(&m);
         responses.push(out);
     }
     Replay {
         responses,
-        served,
-        hits,
         warm_abstract_runs,
     }
 }
@@ -313,7 +306,9 @@ fn main() {
     );
     let identical_responses = order_identical && sharing_identical;
 
-    let hit_rate = forward.hits as f64 / forward.served as f64;
+    // Only the primary replay's batches land on `grand`.
+    let mut counters = grand.metrics().snapshot();
+    let hit_rate = counters.cross_request_hit_rate();
     // The single-sweep cache hit rate from BENCH_sweep.json, and the
     // pre-sharing service's own rate (11 hits / 17 served): the
     // co-tenant's shared warm unit must push past both, or sharing
@@ -331,8 +326,8 @@ fn main() {
     );
     println!(
         "served {} request(s), {} cross-request hit(s) ({:.1}% vs single-sweep 47.5%, unshared serve 64.7%)",
-        forward.served,
-        forward.hits,
+        counters.requests_served,
+        counters.cross_request_cache_hits,
         100.0 * hit_rate
     );
     println!("identical responses under reversed admission and private sessions: yes; trace: {trace_ms:.1} ms");
@@ -348,13 +343,14 @@ fn main() {
     }
     let (r, _) = capped.handle_line(r#"{"op":"evict","handle":"t4"}"#);
     assert!(r.contains("\"ok\":true"), "{r}");
-    let sessions_evicted = capped.metrics().sessions_evicted();
+    // The capped phase runs on a service of its own: its evictions are
+    // the artifact's `sessions_evicted`.
+    counters.sessions_evicted = capped.metrics().sessions_evicted();
     assert_eq!(
-        sessions_evicted, 3,
+        counters.sessions_evicted, 3,
         "two LRU evictions at the cap plus one explicit evict"
     );
 
-    let m = grand.metrics();
     let json = format!(
         r#"{{
   "bench": "serve",
@@ -367,44 +363,14 @@ fn main() {
   "identical_responses": {identical_responses},
   "hit_rate_dominates_sweep": {dominates},
   "cross_request_hit_rate": {hit_rate:.3},
-  "requests_served": {},
-  "cross_request_cache_hits": {},
   "warm_batch_abstract_runs": {},
-  "warm_state_shared_hits": {warm_state_shared_hits},
-  "sessions_evicted": {sessions_evicted},
-  "certify_calls_cached": {},
-  "cache_hits": {},
-  "cache_shortcircuits": {},
-  "cache_transfers": {},
-  "cache_invalidations": {},
-  "subsumption_pruned": {},
-  "split_memo_hits": {},
-  "split_memo_misses": {},
-  "probes_scheduled": {},
-  "probes_deferred": {},
-  "deadline_degradations": {},
-  "interner_hits": {},
-  "arena_resets": {}
+{}
 }}
 "#,
         ds_a.len(),
         ds_b.len(),
-        forward.served,
-        forward.hits,
         forward.warm_abstract_runs,
-        m.certify_calls(),
-        m.cache_hits(),
-        m.cache_shortcircuits(),
-        m.cache_transfers(),
-        m.cache_invalidations(),
-        m.disjuncts_subsumed(),
-        m.split_memo_hits(),
-        m.split_memo_misses(),
-        m.probes_scheduled(),
-        m.probes_deferred(),
-        m.deadline_degradations(),
-        m.interner_hits(),
-        m.arena_resets(),
+        counter_lines(counters.counters(), "  "),
     );
     let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_serve.json");
     match std::fs::write(&path, &json) {

@@ -437,7 +437,7 @@ fn cmd_drift(args: &Args) -> Result<(), CliError> {
             .unwrap_or(0);
         // Probes answered by running the abstract learner rather than a
         // cache short-circuit — the cost the transferred bounds save.
-        let runs = r.metrics.certify_calls + r.metrics.cache_hits - r.metrics.cache_shortcircuits;
+        let runs = r.metrics.abstract_runs();
         println!(
             "{:>6} {:>6} {:>14} {:>8} {:>10} {:>13} {:>13}",
             r.epoch,

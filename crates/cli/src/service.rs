@@ -15,9 +15,9 @@
 //! `metrics` (deterministic counter subset), `shutdown`. Errors answer
 //! `{"ok":false,"error":"..."}` and never kill the loop: lines that are
 //! not valid UTF-8, malformed JSON, non-finite numbers, nesting deeper
-//! than `MAX_DEPTH` levels, and points whose arity differs from the
-//! session dataset's feature count are all rejected before any
-//! certification runs.
+//! than `MAX_DEPTH` levels, a `load` deeper than `MAX_TREE_DEPTH`, and
+//! points whose arity differs from the session dataset's feature count
+//! are all rejected before any certification runs.
 //!
 //! Sessions opened by `load` share warm state through a process-wide
 //! [`WarmStateIndex`] (two handles on the same snapshot and config
@@ -32,6 +32,7 @@
 //! one against a committed golden file.
 
 use crate::args::{parse_domain, Args, CliError};
+use antidote_core::engine::Counter;
 use antidote_core::{
     ExecContext, LadderRung, Request, RequestEngine, Response, Session, SessionConfig, Verdict,
     WarmStateIndex,
@@ -89,6 +90,13 @@ impl Json {
 /// request (a `delta` append row) nests six levels; the cap keeps the
 /// recursive-descent parser's stack bounded on hostile input.
 const MAX_DEPTH: usize = 64;
+
+/// Deepest trace `load` accepts. `serve` has no deadline unless `load`
+/// sets one, and the abstract learner's cost grows with depth: on iris a
+/// certify at n = 1 answers in about 10 ms at depth 64 and in 0.65 s at
+/// depth 10,000, and at depth 100,000 it gives no answer within 15 s.
+/// The paper stops at depth 4.
+const MAX_TREE_DEPTH: usize = 64;
 
 struct Parser<'a> {
     s: &'a [u8],
@@ -596,7 +604,7 @@ impl Service {
         self.sessions.remove(&handle);
         self.lru.remove(&handle);
         self.registry.evict(&handle);
-        self.ctx.metrics().add_session_evicted();
+        self.ctx.metrics().record(Counter::SessionsEvicted, 1);
         true
     }
 
@@ -620,7 +628,9 @@ impl Service {
 
     /// `load`: registers a benchmark dataset (or CSV file) under a
     /// handle and opens its session with the given certification
-    /// config. Reloading a handle replaces both.
+    /// config. Reloading a handle replaces both; a refused reload (say,
+    /// a `depth` above [`MAX_TREE_DEPTH`]) leaves both in place. A
+    /// `timeout` too far out for the clock to represent means none.
     fn op_load(&mut self, obj: &BTreeMap<String, Json>) -> Result<String, String> {
         let handle = str_field(obj, "handle")?;
         let seed = if obj.contains_key("seed") {
@@ -642,12 +652,18 @@ impl Service {
             // The train split is what certification reasons about.
             bench.load(scale, seed).0
         };
+        let depth = if obj.contains_key("depth") {
+            usize_field(obj, "depth")?
+        } else {
+            2
+        };
+        if depth > MAX_TREE_DEPTH {
+            return Err(format!(
+                "depth {depth} exceeds the maximum {MAX_TREE_DEPTH}"
+            ));
+        }
         let cfg = SessionConfig {
-            depth: if obj.contains_key("depth") {
-                usize_field(obj, "depth")?
-            } else {
-                2
-            },
+            depth,
             domain: match obj.get("domain") {
                 Some(Json::Str(s)) => parse_domain(s).map_err(|e| e.0)?,
                 Some(other) => return Err(format!("bad domain {other:?}")),
@@ -760,45 +776,34 @@ impl Service {
         }
         self.lru.remove(handle);
         self.registry.evict(handle);
-        self.ctx.metrics().add_session_evicted();
+        self.ctx.metrics().record(Counter::SessionsEvicted, 1);
         Ok(format!(
             "{{\"ok\":true,\"op\":\"evict\",\"handle\":{}}}",
             json_str(handle)
         ))
     }
 
-    /// `metrics`: the deterministic counter subset — no watermarks, no
-    /// timings, no host-dependent counts, so transcripts stay
-    /// golden-file stable. `cross_request_hit_rate` is the derived
-    /// warm-path share of all served requests (0 before the first
-    /// request).
+    /// `metrics`: the deterministic counter subset — the rows the
+    /// engine's counter table tags `metrics_op`, in table order; no
+    /// watermarks, no timings, so transcripts stay golden-file stable.
+    /// `cross_request_hit_rate`, the derived warm-path share of all
+    /// served requests (0 before the first request), sits right after
+    /// the two counters it divides (the table's first two).
     fn op_metrics(&self) -> String {
-        let m = self.ctx.metrics();
-        let served = m.requests_served();
-        let hit_rate = if served == 0 {
-            0.0
-        } else {
-            m.cross_request_cache_hits() as f64 / served as f64
-        };
-        format!(
-            "{{\"ok\":true,\"op\":\"metrics\",\"requests_served\":{},\"cross_request_cache_hits\":{},\"cross_request_hit_rate\":{:.3},\"certify_calls\":{},\"cache_hits\":{},\"cache_misses\":{},\"cache_shortcircuits\":{},\"cache_transfers\":{},\"cache_invalidations\":{},\"split_memo_hits\":{},\"split_memo_misses\":{},\"probes_scheduled\":{},\"probes_deferred\":{},\"deadline_degradations\":{},\"warm_state_shared_hits\":{},\"sessions_evicted\":{}}}",
-            served,
-            m.cross_request_cache_hits(),
-            hit_rate,
-            m.certify_calls(),
-            m.cache_hits(),
-            m.cache_misses(),
-            m.cache_shortcircuits(),
-            m.cache_transfers(),
-            m.cache_invalidations(),
-            m.split_memo_hits(),
-            m.split_memo_misses(),
-            m.probes_scheduled(),
-            m.probes_deferred(),
-            m.deadline_degradations(),
-            m.warm_state_shared_hits(),
-            m.sessions_evicted(),
-        )
+        let m = self.ctx.metrics().snapshot();
+        let mut fields: Vec<String> = m
+            .counters()
+            .filter(|(c, _)| c.in_metrics_op())
+            .map(|(c, v)| format!("\"{c}\":{v}"))
+            .collect();
+        fields.insert(
+            2,
+            format!(
+                "\"cross_request_hit_rate\":{:.3}",
+                m.cross_request_hit_rate()
+            ),
+        );
+        format!("{{\"ok\":true,\"op\":\"metrics\",{}}}", fields.join(","))
     }
 }
 
@@ -1397,12 +1402,64 @@ mod tests {
     fn metrics_reports_the_derived_hit_rate() {
         let mut svc = Service::new(1);
         let (m0, _) = svc.handle_line(r#"{"op":"metrics"}"#);
-        assert!(m0.contains("\"cross_request_hit_rate\":0.000"), "{m0}");
+        // The op's bytes are pinned: the counter table's `metrics_op`
+        // rows in table order, the derived rate third.
+        assert_eq!(
+            m0,
+            "{\"ok\":true,\"op\":\"metrics\",\"requests_served\":0,\"cross_request_cache_hits\":0,\
+             \"cross_request_hit_rate\":0.000,\"certify_calls\":0,\"cache_hits\":0,\"cache_misses\":0,\
+             \"cache_shortcircuits\":0,\"cache_transfers\":0,\"cache_invalidations\":0,\
+             \"split_memo_hits\":0,\"split_memo_misses\":0,\"probes_scheduled\":0,\
+             \"probes_deferred\":0,\"deadline_degradations\":0,\"warm_state_shared_hits\":0,\
+             \"sessions_evicted\":0}"
+        );
         svc.handle_line(r#"{"op":"load","handle":"h","dataset":"iris","depth":1}"#);
         let rq = r#"{"op":"certify","handle":"h","x":[5.0,3.4,1.5,0.2],"n":2}"#;
         svc.handle_line(rq);
         svc.handle_line(rq);
         let (m, _) = svc.handle_line(r#"{"op":"metrics"}"#);
         assert!(m.contains("\"cross_request_hit_rate\":0.500"), "{m}");
+    }
+
+    #[test]
+    fn a_timeout_past_the_clock_range_means_no_deadline() {
+        let mut svc = Service::new(1);
+        let (r, _) = svc.handle_line(
+            r#"{"op":"load","handle":"i","dataset":"iris","depth":1,"domain":"box","timeout":10000000000000000000}"#,
+        );
+        assert!(r.contains("\"ok\":true"), "{r}");
+        let (r, _) =
+            svc.handle_line(r#"{"op":"certify","handle":"i","x":[5.1,3.5,1.4,0.2],"n":1}"#);
+        assert!(r.starts_with("{\"ok\":true"), "{r}");
+    }
+
+    #[test]
+    fn load_refuses_a_depth_past_the_cap() {
+        let mut svc = Service::new(1);
+        let certify = |svc: &mut Service, h: &str| {
+            svc.handle_line(&format!(
+                r#"{{"op":"certify","handle":"{h}","x":[5.1,3.5,1.4,0.2],"n":1}}"#
+            ))
+            .0
+        };
+        let load = |svc: &mut Service, h: &str, depth: usize| {
+            svc.handle_line(&format!(
+                r#"{{"op":"load","handle":"{h}","dataset":"iris","depth":{depth},"domain":"box"}}"#
+            ))
+            .0
+        };
+        let r = load(&mut svc, "deep", MAX_TREE_DEPTH + 1);
+        assert!(r.starts_with("{\"ok\":false"), "{r}");
+        assert!(r.contains("depth 65"), "{r}");
+        let r = certify(&mut svc, "deep");
+        assert!(r.contains("no dataset loaded"), "{r}");
+        let r = load(&mut svc, "deep", MAX_TREE_DEPTH);
+        assert!(r.contains("\"ok\":true"), "{r}");
+        assert!(certify(&mut svc, "deep").starts_with("{\"ok\":true"));
+        // A refused reload leaves the handle's previous session serving.
+        assert!(load(&mut svc, "kept", 1).contains("\"ok\":true"));
+        let before = certify(&mut svc, "kept");
+        assert!(load(&mut svc, "kept", 1000).starts_with("{\"ok\":false"));
+        assert_eq!(certify(&mut svc, "kept"), before);
     }
 }

@@ -60,7 +60,7 @@
 //! invalidated and re-proved fresh.
 
 use crate::certify::{Outcome, Verdict};
-use crate::engine::RunMetrics;
+use crate::engine::{Counter, RunMetrics};
 use antidote_data::{ClassId, Dataset, DeltaSummary, RowId, Subset};
 use antidote_domains::AbstractSet;
 use antidote_tree::dtrace::{dtrace_label, dtrace_recorded, TraceStep};
@@ -465,11 +465,11 @@ impl CertCache {
                     let mut ne = fresh.entry(point);
                     ne.transferred_label = Some(label);
                     ne.max_robust = Some(bound);
-                    metrics.add_cache_transfer();
+                    metrics.record(Counter::CacheTransfers, 1);
                 }
                 None => {
                     if e.has_state() {
-                        metrics.add_cache_invalidation();
+                        metrics.record(Counter::CacheInvalidations, 1);
                     }
                 }
             }

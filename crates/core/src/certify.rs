@@ -1,7 +1,7 @@
 //! The certification front-end: [`Certifier`] and [`Outcome`].
 
 use crate::cache::{CachedTrace, CertCache, EpochMismatch};
-use crate::engine::ExecContext;
+use crate::engine::{Counter, ExecContext};
 use crate::learner::{run_abstract_shared, Abort, DomainKind};
 use crate::memo::SharedLearner;
 use crate::verdict::all_terminals_dominated_by;
@@ -250,7 +250,7 @@ impl<'a> Certifier<'a> {
     /// Panics if the dataset is empty or `x` has fewer features than the
     /// dataset (the concrete semantics is undefined there).
     pub fn certify_in(&self, x: &[f64], n: usize, ctx: &ExecContext) -> Outcome {
-        ctx.metrics().add_certify_call();
+        ctx.metrics().record(Counter::CertifyCalls, 1);
         self.certify_inner(x, n, ctx, None)
     }
 
@@ -306,30 +306,30 @@ impl<'a> Certifier<'a> {
         if let Some(trace) = cache.cached_trace(point) {
             cache.debug_check_key(point, x, self.depth);
             if let Some(verdict) = cache.lookup(point, n) {
-                ctx.metrics().add_cache_hit();
-                ctx.metrics().add_cache_shortcircuit();
+                ctx.metrics().record(Counter::CacheHits, 1);
+                ctx.metrics().record(Counter::CacheShortcircuits, 1);
                 return Ok(Outcome {
                     verdict,
                     label: trace.label,
                     stats: RunStats::default(),
                 });
             }
-            ctx.metrics().add_cache_hit();
+            ctx.metrics().record(Counter::CacheHits, 1);
             let out = self.certify_inner(x, n, ctx, Some(&trace));
             cache.record(point, n, &out);
             Ok(out)
         } else {
             if let Some((verdict, label)) = cache.transferred_lookup(point, n) {
-                ctx.metrics().add_cache_hit();
-                ctx.metrics().add_cache_shortcircuit();
+                ctx.metrics().record(Counter::CacheHits, 1);
+                ctx.metrics().record(Counter::CacheShortcircuits, 1);
                 return Ok(Outcome {
                     verdict,
                     label,
                     stats: RunStats::default(),
                 });
             }
-            ctx.metrics().add_cache_miss();
-            ctx.metrics().add_certify_call();
+            ctx.metrics().record(Counter::CacheMisses, 1);
+            ctx.metrics().record(Counter::CertifyCalls, 1);
             let trace = cache.trace(point, self.ds, x, self.depth);
             let out = self.certify_inner(x, n, ctx, Some(&trace));
             cache.record(point, n, &out);

@@ -258,14 +258,8 @@ mod tests {
         // derivation or an incremental resume). Transferred bounds turn
         // warm-epoch rungs inside the carried interval into
         // certifier-free short-circuits.
-        let runs = |rs: &[EpochReport]| -> u64 {
-            rs[1..]
-                .iter()
-                .map(|r| {
-                    r.metrics.certify_calls + r.metrics.cache_hits - r.metrics.cache_shortcircuits
-                })
-                .sum()
-        };
+        let runs =
+            |rs: &[EpochReport]| -> u64 { rs[1..].iter().map(|r| r.metrics.abstract_runs()).sum() };
         assert!(
             runs(&on) < runs(&off),
             "transferred bounds must save warm-epoch abstract runs ({} vs {})",

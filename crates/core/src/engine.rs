@@ -31,6 +31,27 @@
 //! (`sweep`, `run_abstract`'s disjunct frontier, `certify_forest`,
 //! `baselines::enumerate`) rely on this: parallel and sequential runs
 //! return identical verdicts (timings aside).
+//!
+//! # Counters
+//!
+//! Every engine counter is one row of the `counters!` table below: its
+//! doc, its [`Counter`] variant, its name, whether it aggregates by
+//! [sum or max](Aggregation), and an optional tag (`metrics_op` if the
+//! service `metrics` op reports it, `per_thread` if its value depends on
+//! which thread ran which run). The table generates the [`RunMetrics`]
+//! storage and named getters, the [`MetricsSnapshot`] fields,
+//! [`RunMetrics::snapshot`] / [`RunMetrics::absorb`], and the
+//! [`MetricsSnapshot::counters`] walk that the `metrics` op, every
+//! benchmark artifact and the perf gate read. Adding a counter takes the
+//! row plus the line that bumps it; the artifacts, the gate (every sum
+//! counter) and, when tagged, the `metrics` op pick it up from the table:
+//!
+//! ```text
+//! /// Widgets frobbed by the learner.           (a row of `counters!`)
+//! WidgetsFrobbed widgets_frobbed: Sum;
+//!
+//! ctx.metrics().record(Counter::WidgetsFrobbed, 1);   (where it happens)
+//! ```
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -65,492 +86,281 @@ pub fn pool_stats() -> PoolStats {
     }
 }
 
-/// Live metrics of one engine run; shared with child contexts' parents
-/// and updated atomically from worker threads.
-#[derive(Debug, Default)]
+/// How a counter folds the values recorded into it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Aggregation {
+    /// A running total: recording and absorbing add.
+    Sum,
+    /// A watermark: recording and absorbing keep the larger value.
+    Max,
+}
+
+/// The counter table. Each row is one [`Counter`]: its doc, the variant,
+/// the field/getter/artifact name, its [`Aggregation`], and an optional
+/// tag — `metrics_op` for counters the service `metrics` op reports (in
+/// row order), `per_thread` for a watermark that depends on which thread
+/// ran which run. Any other tag fails to compile.
+macro_rules! counters {
+    (@metrics_op) => { false };
+    (@metrics_op metrics_op) => { true };
+    (@metrics_op per_thread) => { false };
+    (@per_thread) => { false };
+    (@per_thread per_thread) => { true };
+    (@per_thread metrics_op) => { false };
+    ($(
+        $(#[doc = $doc:literal])*
+        $variant:ident $name:ident: $agg:ident $(, $tag:ident)?;
+    )*) => {
+        /// One engine counter (a row of the table in `engine.rs`).
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+        pub enum Counter {
+            $($(#[doc = $doc])* $variant,)*
+        }
+
+        impl Counter {
+            /// Every counter, in table order.
+            pub const ALL: &'static [Counter] = &[$(Counter::$variant),*];
+
+            /// The counter's name: its getter, snapshot field and
+            /// artifact key.
+            pub fn name(self) -> &'static str {
+                match self {
+                    $(Counter::$variant => stringify!($name),)*
+                }
+            }
+
+            /// How recorded and absorbed values fold.
+            pub fn aggregation(self) -> Aggregation {
+                match self {
+                    $(Counter::$variant => Aggregation::$agg,)*
+                }
+            }
+
+            /// Whether the service `metrics` op reports this counter.
+            pub fn in_metrics_op(self) -> bool {
+                match self {
+                    $(Counter::$variant => counters!(@metrics_op $($tag)?),)*
+                }
+            }
+
+            /// Whether the value depends on which thread ran which run:
+            /// artifacts whose work lands on threads in no fixed order
+            /// (the scenario matrix) leave it out.
+            pub fn per_thread(self) -> bool {
+                match self {
+                    $(Counter::$variant => counters!(@per_thread $($tag)?),)*
+                }
+            }
+        }
+
+        impl RunMetrics {
+            $(
+                $(#[doc = $doc])*
+                pub fn $name(&self) -> u64 {
+                    self.get(Counter::$variant)
+                }
+            )*
+
+            /// A point-in-time copy of every counter.
+            ///
+            /// The matrix runner gives each grid cell a context with its
+            /// own `RunMetrics` (see [`ExecContext::fresh_metrics`]),
+            /// snapshots it when the cell finishes, and
+            /// [absorbs](RunMetrics::absorb) the snapshot into the
+            /// run-wide metrics — per-cell attribution without losing the
+            /// aggregate.
+            pub fn snapshot(&self) -> MetricsSnapshot {
+                MetricsSnapshot {
+                    $($name: self.$name(),)*
+                }
+            }
+        }
+
+        /// A plain-data copy of one [`RunMetrics`] at a point in time:
+        /// one field per [`Counter`].
+        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+        pub struct MetricsSnapshot {
+            $(
+                $(#[doc = $doc])*
+                pub $name: u64,
+            )*
+        }
+
+        impl MetricsSnapshot {
+            /// The value of one counter.
+            fn get(&self, counter: Counter) -> u64 {
+                match counter {
+                    $(Counter::$variant => self.$name,)*
+                }
+            }
+        }
+    };
+}
+
+counters! {
+    /// Admitted service requests (certify or sweep), coalesced duplicates
+    /// included: every admitted request is served exactly once.
+    RequestsServed requests_served: Sum, metrics_op;
+    /// Certify requests answered entirely from session state — a cached
+    /// interval short-circuit, a transferred bound, or a coalesced
+    /// duplicate — without a single abstract run. The service's warm
+    /// path; divided by `requests_served` it is the `metrics` op's
+    /// `cross_request_hit_rate`.
+    CrossRequestCacheHits cross_request_cache_hits: Sum, metrics_op;
+    /// Full certifier invocations: a from-scratch derivation of the
+    /// concrete reference trace plus a fresh abstract run. Resumed or
+    /// short-circuited cache probes are not counted here.
+    CertifyCalls certify_calls: Sum, metrics_op;
+    /// Cache hits: probes answered with cached state, either
+    /// incrementally (cached trace + budget-widened seed, abstract run
+    /// only) or fully (no abstract run: also a `cache_shortcircuits`).
+    CacheHits cache_hits: Sum, metrics_op;
+    /// Cache misses: probes for a point with no cached state yet (each
+    /// also a `certify_calls`).
+    CacheMisses cache_misses: Sum, metrics_op;
+    /// Full short-circuits: probes answered from the verdict intervals
+    /// or a counterexample witness without running the abstract
+    /// interpreter (each also a `cache_hits`).
+    CacheShortcircuits cache_shortcircuits: Sum, metrics_op;
+    /// Certificates transferred: per-point verdict bounds carried from a
+    /// cache at epoch `e` into its successor under the sound pure-removal
+    /// transfer rule (see `antidote_core::cache`).
+    CacheTransfers cache_transfers: Sum, metrics_op;
+    /// Certificates invalidated: cached per-point state that could not be
+    /// carried across an epoch boundary (the delta appended or flipped
+    /// rows, or the removals exhausted the certified budget).
+    CacheInvalidations cache_invalidations: Sum, metrics_op;
+    /// `bestSplit#` memo hits: frontier disjuncts whose scored-candidate
+    /// sweep was answered from the memo (DESIGN.md §9.2).
+    SplitMemoHits split_memo_hits: Sum, metrics_op;
+    /// `bestSplit#` memo misses: `bestSplit#` computations, one per
+    /// actual candidate sweep.
+    SplitMemoMisses split_memo_misses: Sum, metrics_op;
+    /// Probes the probe scheduler (DESIGN.md §13) issued: full rungs,
+    /// priority-ordered partial rungs under a binding budget, and
+    /// interval-tightening probes.
+    ProbesScheduled probes_scheduled: Sum, metrics_op;
+    /// Probes the scheduler declined because the sweep-global deadline
+    /// or probe budget was exhausted.
+    ProbesDeferred probes_deferred: Sum, metrics_op;
+    /// Points left at their current, still sound, interval because a
+    /// probe of theirs was deferred (at most one per point per sweep).
+    DeadlineDegradations deadline_degradations: Sum, metrics_op;
+    /// Sessions that joined a live warm unit through the process-wide
+    /// `WarmStateIndex` instead of building cold caches (DESIGN.md §14).
+    WarmStateSharedHits warm_state_shared_hits: Sum, metrics_op;
+    /// Service sessions dropped by the LRU policy (`--max-sessions` /
+    /// byte watermark) or an explicit `evict` op.
+    SessionsEvicted sessions_evicted: Sum, metrics_op;
+    /// Interner hits: frontier base sets whose payload was already
+    /// hash-consed earlier in the same run, so the disjunct was rewired
+    /// to the canonical allocation (DESIGN.md §9.1).
+    InternerHits interner_hits: Sum;
+    /// Frontier disjuncts processed.
+    DisjunctsProcessed disjuncts_processed: Sum;
+    /// Frontier disjuncts dropped because another disjunct dominates them
+    /// under the `⟨T,n⟩` partial order (`--no-subsume` disarms it).
+    DisjunctsSubsumed disjuncts_subsumed: Sum;
+    /// Arena run boundaries: one per abstract-learner run, wherever it
+    /// executes.
+    ArenaResets arena_resets: Sum;
+    /// Peak simultaneous disjuncts.
+    PeakDisjuncts peak_disjuncts: Max;
+    /// Peak memory proxy in bytes (DESIGN.md §4).
+    PeakBytes peak_bytes: Max;
+    /// Peak bytes held by the learner's per-thread scratch arenas since
+    /// each arena was built (DESIGN.md §10.2).
+    ArenaBytes arena_bytes: Max, per_thread;
+    /// Widest word-kernel lane count a run was configured with: 4 with
+    /// the `simd` feature compiled and armed, 1 under `--no-simd` or the
+    /// scalar build, 0 before any run.
+    SimdLanes simd_lanes: Max;
+}
+
+impl std::fmt::Display for Counter {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(self.name())
+    }
+}
+
+/// Live metrics of one engine run: one atomic per [`Counter`], shared
+/// with child contexts and updated from worker threads.
+#[derive(Debug)]
 pub struct RunMetrics {
-    peak_disjuncts: AtomicUsize,
-    peak_bytes: AtomicUsize,
-    disjuncts_processed: AtomicU64,
-    disjuncts_subsumed: AtomicU64,
-    certify_calls: AtomicU64,
-    cache_hits: AtomicU64,
-    cache_shortcircuits: AtomicU64,
-    cache_misses: AtomicU64,
-    cache_transfers: AtomicU64,
-    cache_invalidations: AtomicU64,
-    split_memo_hits: AtomicU64,
-    split_memo_misses: AtomicU64,
-    interner_hits: AtomicU64,
-    arena_bytes: AtomicUsize,
-    arena_resets: AtomicU64,
-    simd_lanes: AtomicUsize,
-    requests_served: AtomicU64,
-    cross_request_cache_hits: AtomicU64,
-    probes_scheduled: AtomicU64,
-    probes_deferred: AtomicU64,
-    deadline_degradations: AtomicU64,
-    warm_state_shared_hits: AtomicU64,
-    sessions_evicted: AtomicU64,
+    counts: [AtomicU64; Counter::ALL.len()],
+}
+
+impl Default for RunMetrics {
+    fn default() -> Self {
+        RunMetrics {
+            counts: std::array::from_fn(|_| AtomicU64::new(0)),
+        }
+    }
 }
 
 impl RunMetrics {
-    /// Raises the peak-disjunct watermark to at least `v`.
-    pub fn record_peak_disjuncts(&self, v: usize) {
-        self.peak_disjuncts.fetch_max(v, Ordering::Relaxed);
+    /// Records `v` into `counter`: a sum counter adds it, a watermark
+    /// rises to at least `v`.
+    pub fn record(&self, counter: Counter, v: u64) {
+        let cell = &self.counts[counter as usize];
+        match counter.aggregation() {
+            Aggregation::Sum => cell.fetch_add(v, Ordering::Relaxed),
+            Aggregation::Max => cell.fetch_max(v, Ordering::Relaxed),
+        };
     }
 
-    /// Raises the peak-memory watermark (bytes) to at least `v`.
-    pub fn record_peak_bytes(&self, v: usize) {
-        self.peak_bytes.fetch_max(v, Ordering::Relaxed);
-    }
-
-    /// Adds to the processed-disjunct counter.
-    pub fn add_disjuncts_processed(&self, v: u64) {
-        self.disjuncts_processed.fetch_add(v, Ordering::Relaxed);
-    }
-
-    /// Peak simultaneous disjuncts observed so far.
-    pub fn peak_disjuncts(&self) -> usize {
-        self.peak_disjuncts.load(Ordering::Relaxed)
-    }
-
-    /// Peak memory proxy (bytes) observed so far (DESIGN.md §4).
-    pub fn peak_bytes(&self) -> usize {
-        self.peak_bytes.load(Ordering::Relaxed)
-    }
-
-    /// Total disjuncts processed.
-    pub fn disjuncts_processed(&self) -> u64 {
-        self.disjuncts_processed.load(Ordering::Relaxed)
-    }
-
-    /// Adds to the subsumption-pruned disjunct counter: frontier elements
-    /// dropped because another disjunct dominates them under the `⟨T,n⟩`
-    /// partial order (the learner's `--no-subsume`-gated pruning pass).
-    pub fn add_disjuncts_subsumed(&self, v: u64) {
-        self.disjuncts_subsumed.fetch_add(v, Ordering::Relaxed);
-    }
-
-    /// Total disjuncts dropped by frontier subsumption pruning.
-    pub fn disjuncts_subsumed(&self) -> u64 {
-        self.disjuncts_subsumed.load(Ordering::Relaxed)
-    }
-
-    /// Counts one *full* certifier invocation: a from-scratch derivation
-    /// of the concrete reference trace plus a fresh abstract run. The
-    /// incremental cache (`antidote_core::cache`) deliberately does not
-    /// count resumed or short-circuited probes here.
-    pub fn add_certify_call(&self) {
-        self.certify_calls.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts one cache hit: a probe answered with cached state, either
-    /// incrementally (cached trace + budget-widened seed, abstract run
-    /// only) or fully (no abstract run at all — also counted by
-    /// [`RunMetrics::add_cache_shortcircuit`]).
-    pub fn add_cache_hit(&self) {
-        self.cache_hits.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts one full short-circuit: a probe answered from the verdict
-    /// intervals or a counterexample witness without running the abstract
-    /// interpreter. Always paired with [`RunMetrics::add_cache_hit`].
-    pub fn add_cache_shortcircuit(&self) {
-        self.cache_shortcircuits.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts one cache miss: a probe for a point with no cached state
-    /// yet (always paired with [`RunMetrics::add_certify_call`]).
-    pub fn add_cache_miss(&self) {
-        self.cache_misses.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Total full certifier invocations (see [`RunMetrics::add_certify_call`]).
-    pub fn certify_calls(&self) -> u64 {
-        self.certify_calls.load(Ordering::Relaxed)
-    }
-
-    /// Total cache hits (incremental + short-circuit).
-    pub fn cache_hits(&self) -> u64 {
-        self.cache_hits.load(Ordering::Relaxed)
-    }
-
-    /// Total full short-circuits (no abstract run).
-    pub fn cache_shortcircuits(&self) -> u64 {
-        self.cache_shortcircuits.load(Ordering::Relaxed)
-    }
-
-    /// Total cache misses.
-    pub fn cache_misses(&self) -> u64 {
-        self.cache_misses.load(Ordering::Relaxed)
-    }
-
-    /// Counts one certificate transfer: a per-point verdict bound carried
-    /// from a [`CertCache`] at epoch `e` into its successor at epoch
-    /// `e + 1` under the sound pure-removal transfer rule (budget shrunk
-    /// by the number of removed support rows; see `antidote_core::cache`).
-    ///
-    /// [`CertCache`]: crate::CertCache
-    pub fn add_cache_transfer(&self) {
-        self.cache_transfers.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts one certificate invalidation: cached per-point state that
-    /// could *not* be carried across an epoch boundary (the delta
-    /// appended or flipped rows, or the removal count exhausted the
-    /// certified budget) and was dropped for fresh re-certification.
-    pub fn add_cache_invalidation(&self) {
-        self.cache_invalidations.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Total certificates transferred across epoch boundaries.
-    pub fn cache_transfers(&self) -> u64 {
-        self.cache_transfers.load(Ordering::Relaxed)
-    }
-
-    /// Total certificates invalidated at epoch boundaries.
-    pub fn cache_invalidations(&self) -> u64 {
-        self.cache_invalidations.load(Ordering::Relaxed)
-    }
-
-    /// Counts one `bestSplit#` memo hit: a frontier disjunct whose
-    /// scored-candidate sweep was answered from the per-certify-call memo
-    /// table (DESIGN.md §9.2) instead of re-running.
-    pub fn add_split_memo_hit(&self) {
-        self.split_memo_hits.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts one `bestSplit#` memo miss: the first time a
-    /// `(base, n)` state is scored within one certify call (always paired
-    /// with an actual candidate sweep).
-    pub fn add_split_memo_miss(&self) {
-        self.split_memo_misses.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Adds to the interner-hit counter: frontier base sets whose payload
-    /// was already hash-consed earlier in the same run, so the disjunct
-    /// was rewired to the canonical allocation (DESIGN.md §9.1).
-    pub fn add_interner_hits(&self, v: u64) {
-        self.interner_hits.fetch_add(v, Ordering::Relaxed);
-    }
-
-    /// Total `bestSplit#` memo hits.
-    pub fn split_memo_hits(&self) -> u64 {
-        self.split_memo_hits.load(Ordering::Relaxed)
-    }
-
-    /// Total `bestSplit#` memo misses.
-    pub fn split_memo_misses(&self) -> u64 {
-        self.split_memo_misses.load(Ordering::Relaxed)
-    }
-
-    /// Total interner hits (structure-sharing events).
-    pub fn interner_hits(&self) -> u64 {
-        self.interner_hits.load(Ordering::Relaxed)
-    }
-
-    /// Raises the arena high-water mark (bytes held by the learner's
-    /// per-thread [`WordArena`]s, DESIGN.md §10.2) to at least `v`.
-    ///
-    /// [`WordArena`]: antidote_data::WordArena
-    pub fn record_arena_bytes(&self, v: usize) {
-        self.arena_bytes.fetch_max(v, Ordering::Relaxed);
-    }
-
-    /// Adds to the arena run-boundary counter: one per `run_abstract`
-    /// invocation that resets its thread's scratch arena. Thread-invariant
-    /// (a run resets exactly one arena no matter where it executes), so
-    /// the perf gate pins it.
-    pub fn add_arena_resets(&self, v: u64) {
-        self.arena_resets.fetch_add(v, Ordering::Relaxed);
-    }
-
-    /// Raises the SIMD lane-width watermark: the word-kernel lane count
-    /// the run was configured with (4 when the `simd` feature is compiled
-    /// and armed, 1 under `--no-simd` or the scalar fallback build).
-    pub fn record_simd_lanes(&self, v: usize) {
-        self.simd_lanes.fetch_max(v, Ordering::Relaxed);
-    }
-
-    /// Peak bytes held by the learner's scratch arenas.
-    pub fn arena_bytes(&self) -> usize {
-        self.arena_bytes.load(Ordering::Relaxed)
-    }
-
-    /// Total arena run boundaries (one per abstract-learner run).
-    pub fn arena_resets(&self) -> u64 {
-        self.arena_resets.load(Ordering::Relaxed)
-    }
-
-    /// Widest word-kernel lane count recorded by any run (0 before the
-    /// first run records one).
-    pub fn simd_lanes(&self) -> usize {
-        self.simd_lanes.load(Ordering::Relaxed)
-    }
-
-    /// Counts one admitted service request (certify or sweep), including
-    /// requests the request engine coalesced onto an identical in-flight
-    /// twin — every admitted request is served exactly once.
-    pub fn add_request_served(&self) {
-        self.requests_served.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts one certify request answered entirely from session state —
-    /// a cached-interval short-circuit, a transferred bound, or a
-    /// coalesced duplicate — without executing a single abstract run.
-    /// This is the service's warm-path counter: `cross_request_cache_hits
-    /// / requests_served` is the cross-request hit rate `BENCH_serve.json`
-    /// reports.
-    pub fn add_cross_request_cache_hit(&self) {
-        self.cross_request_cache_hits
-            .fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Total admitted service requests.
-    pub fn requests_served(&self) -> u64 {
-        self.requests_served.load(Ordering::Relaxed)
-    }
-
-    /// Total certify requests answered without any abstract run.
-    pub fn cross_request_cache_hits(&self) -> u64 {
-        self.cross_request_cache_hits.load(Ordering::Relaxed)
-    }
-
-    /// Adds to the scheduled-probe counter: (point, rung) probes the
-    /// probe scheduler (`antidote_core::sched`, DESIGN.md §13) issued,
-    /// whether as a full rung, a priority-ordered partial rung under a
-    /// binding budget, or an interval-tightening probe.
-    pub fn add_probes_scheduled(&self, v: u64) {
-        self.probes_scheduled.fetch_add(v, Ordering::Relaxed);
-    }
-
-    /// Adds to the deferred-probe counter: (point, rung) probes the
-    /// scheduler declined to issue because the sweep-global deadline or
-    /// probe budget was exhausted.
-    pub fn add_probes_deferred(&self, v: u64) {
-        self.probes_deferred.fetch_add(v, Ordering::Relaxed);
-    }
-
-    /// Counts one deadline degradation: the first time a point's probe is
-    /// deferred by the scheduler, leaving that point at its current —
-    /// still sound — `[max_robust, min_unknown]` interval instead of a
-    /// refined one (at most one per point per sweep).
-    pub fn add_deadline_degradation(&self) {
-        self.deadline_degradations.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Total probes issued by the scheduler.
-    pub fn probes_scheduled(&self) -> u64 {
-        self.probes_scheduled.load(Ordering::Relaxed)
-    }
-
-    /// Total probes deferred by the scheduler.
-    pub fn probes_deferred(&self) -> u64 {
-        self.probes_deferred.load(Ordering::Relaxed)
-    }
-
-    /// Total points degraded to their current interval by a binding
-    /// deadline or probe budget.
-    pub fn deadline_degradations(&self) -> u64 {
-        self.deadline_degradations.load(Ordering::Relaxed)
-    }
-
-    /// Counts one warm-state join: a session opened against the
-    /// process-wide `WarmStateIndex` found a live warm unit under the
-    /// same `(dataset fingerprint, epoch, config fingerprint)` key and
-    /// attached to it instead of building cold caches (DESIGN.md §14).
-    pub fn add_warm_state_shared_hit(&self) {
-        self.warm_state_shared_hits.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Counts one session eviction: a service session dropped by the LRU
-    /// policy (`--max-sessions` / byte watermark) or an explicit `evict`
-    /// op; a later request under the same handle re-certifies from cold.
-    pub fn add_session_evicted(&self) {
-        self.sessions_evicted.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Total warm-state index joins by newly opened sessions.
-    pub fn warm_state_shared_hits(&self) -> u64 {
-        self.warm_state_shared_hits.load(Ordering::Relaxed)
-    }
-
-    /// Total sessions evicted (LRU policy or explicit `evict` op).
-    pub fn sessions_evicted(&self) -> u64 {
-        self.sessions_evicted.load(Ordering::Relaxed)
+    /// The current value of `counter`.
+    fn get(&self, counter: Counter) -> u64 {
+        self.counts[counter as usize].load(Ordering::Relaxed)
     }
 
     /// `hits / (hits + misses)`, or 0 when the cache saw no probes.
     pub fn cache_hit_rate(&self) -> f64 {
-        let h = self.cache_hits() as f64;
-        let m = self.cache_misses() as f64;
-        if h + m == 0.0 {
-            0.0
-        } else {
-            h / (h + m)
-        }
+        self.snapshot().cache_hit_rate()
     }
 
-    /// A point-in-time copy of every counter and watermark.
-    ///
-    /// The matrix runner gives each grid cell a context with its own
-    /// `RunMetrics` (see [`ExecContext::fresh_metrics`]), snapshots it
-    /// when the cell finishes, and [absorbs](RunMetrics::absorb) the
-    /// snapshot into the run-wide metrics — per-cell attribution without
-    /// losing the aggregate.
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        MetricsSnapshot {
-            peak_disjuncts: self.peak_disjuncts(),
-            peak_bytes: self.peak_bytes(),
-            disjuncts_processed: self.disjuncts_processed(),
-            disjuncts_subsumed: self.disjuncts_subsumed(),
-            certify_calls: self.certify_calls(),
-            cache_hits: self.cache_hits(),
-            cache_shortcircuits: self.cache_shortcircuits(),
-            cache_misses: self.cache_misses(),
-            cache_transfers: self.cache_transfers(),
-            cache_invalidations: self.cache_invalidations(),
-            split_memo_hits: self.split_memo_hits(),
-            split_memo_misses: self.split_memo_misses(),
-            interner_hits: self.interner_hits(),
-            arena_bytes: self.arena_bytes(),
-            arena_resets: self.arena_resets(),
-            simd_lanes: self.simd_lanes(),
-            requests_served: self.requests_served(),
-            cross_request_cache_hits: self.cross_request_cache_hits(),
-            probes_scheduled: self.probes_scheduled(),
-            probes_deferred: self.probes_deferred(),
-            deadline_degradations: self.deadline_degradations(),
-            warm_state_shared_hits: self.warm_state_shared_hits(),
-            sessions_evicted: self.sessions_evicted(),
-        }
-    }
-
-    /// Rolls a snapshot up into these metrics: watermarks are raised
-    /// (`max`), counters are added. The inverse of carving a cell off via
-    /// [`ExecContext::fresh_metrics`] — absorbing every cell's snapshot
+    /// Rolls a snapshot up into these metrics, each counter by its
+    /// [`Aggregation`]. The inverse of carving a cell off via
+    /// [`ExecContext::fresh_metrics`]: absorbing every cell's snapshot
     /// reproduces the totals a shared-metrics run would have recorded.
     pub fn absorb(&self, s: &MetricsSnapshot) {
-        self.peak_disjuncts
-            .fetch_max(s.peak_disjuncts, Ordering::Relaxed);
-        self.peak_bytes.fetch_max(s.peak_bytes, Ordering::Relaxed);
-        self.disjuncts_processed
-            .fetch_add(s.disjuncts_processed, Ordering::Relaxed);
-        self.disjuncts_subsumed
-            .fetch_add(s.disjuncts_subsumed, Ordering::Relaxed);
-        self.certify_calls
-            .fetch_add(s.certify_calls, Ordering::Relaxed);
-        self.cache_hits.fetch_add(s.cache_hits, Ordering::Relaxed);
-        self.cache_shortcircuits
-            .fetch_add(s.cache_shortcircuits, Ordering::Relaxed);
-        self.cache_misses
-            .fetch_add(s.cache_misses, Ordering::Relaxed);
-        self.cache_transfers
-            .fetch_add(s.cache_transfers, Ordering::Relaxed);
-        self.cache_invalidations
-            .fetch_add(s.cache_invalidations, Ordering::Relaxed);
-        self.split_memo_hits
-            .fetch_add(s.split_memo_hits, Ordering::Relaxed);
-        self.split_memo_misses
-            .fetch_add(s.split_memo_misses, Ordering::Relaxed);
-        self.interner_hits
-            .fetch_add(s.interner_hits, Ordering::Relaxed);
-        self.arena_bytes.fetch_max(s.arena_bytes, Ordering::Relaxed);
-        self.arena_resets
-            .fetch_add(s.arena_resets, Ordering::Relaxed);
-        self.simd_lanes.fetch_max(s.simd_lanes, Ordering::Relaxed);
-        self.requests_served
-            .fetch_add(s.requests_served, Ordering::Relaxed);
-        self.cross_request_cache_hits
-            .fetch_add(s.cross_request_cache_hits, Ordering::Relaxed);
-        self.probes_scheduled
-            .fetch_add(s.probes_scheduled, Ordering::Relaxed);
-        self.probes_deferred
-            .fetch_add(s.probes_deferred, Ordering::Relaxed);
-        self.deadline_degradations
-            .fetch_add(s.deadline_degradations, Ordering::Relaxed);
-        self.warm_state_shared_hits
-            .fetch_add(s.warm_state_shared_hits, Ordering::Relaxed);
-        self.sessions_evicted
-            .fetch_add(s.sessions_evicted, Ordering::Relaxed);
+        for (counter, v) in s.counters() {
+            self.record(counter, v);
+        }
     }
-}
-
-/// A plain-data copy of one [`RunMetrics`] at a point in time.
-///
-/// Produced by [`RunMetrics::snapshot`]; `Copy`, comparable, and
-/// serialisable by hand — the per-cell counter block of
-/// `BENCH_matrix.json` is exactly this struct.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct MetricsSnapshot {
-    /// Peak simultaneous disjuncts observed.
-    pub peak_disjuncts: usize,
-    /// Peak memory proxy (bytes) observed.
-    pub peak_bytes: usize,
-    /// Total disjuncts processed.
-    pub disjuncts_processed: u64,
-    /// Disjuncts dropped by frontier subsumption pruning.
-    pub disjuncts_subsumed: u64,
-    /// Full certifier invocations.
-    pub certify_calls: u64,
-    /// Cache hits (incremental + short-circuit).
-    pub cache_hits: u64,
-    /// Certifier-free short-circuits.
-    pub cache_shortcircuits: u64,
-    /// Cache misses.
-    pub cache_misses: u64,
-    /// Certificates transferred across an epoch boundary (pure-removal
-    /// transfer rule; see `antidote_core::cache`).
-    pub cache_transfers: u64,
-    /// Certificates invalidated at an epoch boundary (no sound transfer).
-    pub cache_invalidations: u64,
-    /// `bestSplit#` memo hits (per-certify-call memo, DESIGN.md §9.2).
-    pub split_memo_hits: u64,
-    /// `bestSplit#` memo misses.
-    pub split_memo_misses: u64,
-    /// Interner hits: frontier payloads rewired to an already hash-consed
-    /// allocation (DESIGN.md §9.1).
-    pub interner_hits: u64,
-    /// Peak bytes held by the learner's scratch arenas (watermark,
-    /// DESIGN.md §10.2).
-    pub arena_bytes: usize,
-    /// Arena run boundaries: one per abstract-learner run.
-    pub arena_resets: u64,
-    /// Widest word-kernel lane count any run recorded (4 = SIMD armed,
-    /// 1 = scalar fallback, 0 = no runs).
-    pub simd_lanes: usize,
-    /// Admitted service requests (certify + sweep), coalesced duplicates
-    /// included.
-    pub requests_served: u64,
-    /// Certify requests answered from session state without any abstract
-    /// run (the service's warm path).
-    pub cross_request_cache_hits: u64,
-    /// Probes issued by the sweep's probe scheduler (DESIGN.md §13).
-    pub probes_scheduled: u64,
-    /// Probes the scheduler deferred under a binding deadline or budget.
-    pub probes_deferred: u64,
-    /// Points degraded to their current sound interval by a binding
-    /// deadline or budget (at most one per point per sweep).
-    pub deadline_degradations: u64,
-    /// Sessions that joined a live warm unit through the process-wide
-    /// `WarmStateIndex` instead of building cold caches (DESIGN.md §14).
-    pub warm_state_shared_hits: u64,
-    /// Service sessions dropped by the LRU eviction policy or an
-    /// explicit `evict` op.
-    pub sessions_evicted: u64,
 }
 
 impl MetricsSnapshot {
+    /// Every counter with its value, in table order.
+    pub fn counters(&self) -> impl Iterator<Item = (Counter, u64)> + '_ {
+        Counter::ALL.iter().map(move |&c| (c, self.get(c)))
+    }
+
     /// `hits / (hits + misses)`, or 0 when the cache saw no probes.
     pub fn cache_hit_rate(&self) -> f64 {
-        let h = self.cache_hits as f64;
-        let m = self.cache_misses as f64;
-        if h + m == 0.0 {
-            0.0
-        } else {
-            h / (h + m)
-        }
+        ratio(self.cache_hits, self.cache_hits + self.cache_misses)
+    }
+
+    /// Probes that ran the abstract learner — a fresh derivation or an
+    /// incremental cache resume — rather than being short-circuited:
+    /// `certify_calls + cache_hits − cache_shortcircuits`.
+    pub fn abstract_runs(&self) -> u64 {
+        self.certify_calls + self.cache_hits - self.cache_shortcircuits
+    }
+
+    /// `cross_request_cache_hits / requests_served`, or 0 before the
+    /// first request.
+    pub fn cross_request_hit_rate(&self) -> f64 {
+        ratio(self.cross_request_cache_hits, self.requests_served)
+    }
+}
+
+/// `a / b`, or 0 when `b` is 0.
+fn ratio(a: u64, b: u64) -> f64 {
+    if b == 0 {
+        0.0
+    } else {
+        a as f64 / b as f64
     }
 }
 
@@ -634,9 +444,11 @@ impl ExecContext {
         self
     }
 
-    /// Sets the deadline `timeout` from now.
-    pub fn timeout(self, timeout: Duration) -> Self {
-        self.deadline(Instant::now() + timeout)
+    /// Sets the deadline `timeout` from now. A deadline too far out for
+    /// [`Instant`] to represent means no deadline.
+    pub fn timeout(mut self, timeout: Duration) -> Self {
+        self.deadline = Instant::now().checked_add(timeout);
+        self
     }
 
     /// Sets the deadline `timeout` from now, when given.
@@ -695,11 +507,11 @@ impl ExecContext {
     /// back into the parent with [`RunMetrics::absorb`]:
     ///
     /// ```
-    /// use antidote_core::engine::ExecContext;
+    /// use antidote_core::engine::{Counter, ExecContext};
     ///
     /// let parent = ExecContext::new();
     /// let cell = parent.child().fresh_metrics();
-    /// cell.metrics().add_certify_call();
+    /// cell.metrics().record(Counter::CertifyCalls, 1);
     /// assert_eq!(parent.metrics().certify_calls(), 0); // isolated…
     /// parent.metrics().absorb(&cell.metrics().snapshot());
     /// assert_eq!(parent.metrics().certify_calls(), 1); // …then rolled up
@@ -1044,8 +856,8 @@ mod tests {
         // land on the parent's RunMetrics.
         let parent = ExecContext::new();
         let child = parent.child().child();
-        child.metrics().record_peak_disjuncts(42);
-        child.metrics().add_disjuncts_processed(7);
+        child.metrics().record(Counter::PeakDisjuncts, 42);
+        child.metrics().record(Counter::DisjunctsProcessed, 7);
         assert_eq!(parent.metrics().peak_disjuncts(), 42);
         assert_eq!(parent.metrics().disjuncts_processed(), 7);
     }
@@ -1129,10 +941,10 @@ mod tests {
     #[test]
     fn metrics_watermarks_and_counters() {
         let ctx = ExecContext::new().threads(3);
-        ctx.metrics().record_peak_disjuncts(5);
-        ctx.metrics().record_peak_disjuncts(3);
-        ctx.metrics().record_peak_bytes(100);
-        ctx.metrics().add_disjuncts_processed(17);
+        ctx.metrics().record(Counter::PeakDisjuncts, 5);
+        ctx.metrics().record(Counter::PeakDisjuncts, 3);
+        ctx.metrics().record(Counter::PeakBytes, 100);
+        ctx.metrics().record(Counter::DisjunctsProcessed, 17);
         assert_eq!(ctx.metrics().peak_disjuncts(), 5);
         assert_eq!(ctx.metrics().peak_bytes(), 100);
         assert_eq!(ctx.metrics().disjuncts_processed(), 17);
@@ -1142,12 +954,10 @@ mod tests {
     fn cache_counters_and_hit_rate() {
         let ctx = ExecContext::new();
         assert_eq!(ctx.metrics().cache_hit_rate(), 0.0, "no probes yet");
-        ctx.metrics().add_certify_call();
-        ctx.metrics().add_cache_miss();
-        for _ in 0..3 {
-            ctx.metrics().add_cache_hit();
-        }
-        ctx.metrics().add_cache_shortcircuit();
+        ctx.metrics().record(Counter::CertifyCalls, 1);
+        ctx.metrics().record(Counter::CacheMisses, 1);
+        ctx.metrics().record(Counter::CacheHits, 3);
+        ctx.metrics().record(Counter::CacheShortcircuits, 1);
         assert_eq!(ctx.metrics().certify_calls(), 1);
         assert_eq!(ctx.metrics().cache_hits(), 3);
         assert_eq!(ctx.metrics().cache_shortcircuits(), 1);
@@ -1155,12 +965,11 @@ mod tests {
         assert!((ctx.metrics().cache_hit_rate() - 0.75).abs() < 1e-12);
         // Children aggregate into the same run-wide counters.
         let child = ctx.child();
-        child.metrics().add_cache_hit();
+        child.metrics().record(Counter::CacheHits, 1);
         assert_eq!(ctx.metrics().cache_hits(), 4);
         // Epoch-boundary counters flow through snapshot and absorb too.
-        ctx.metrics().add_cache_transfer();
-        ctx.metrics().add_cache_transfer();
-        ctx.metrics().add_cache_invalidation();
+        ctx.metrics().record(Counter::CacheTransfers, 2);
+        ctx.metrics().record(Counter::CacheInvalidations, 1);
         assert_eq!(ctx.metrics().cache_transfers(), 2);
         assert_eq!(ctx.metrics().cache_invalidations(), 1);
         let snap = ctx.metrics().snapshot();
@@ -1175,23 +984,27 @@ mod tests {
     #[test]
     fn fresh_metrics_isolates_and_absorb_rolls_up() {
         let parent = ExecContext::new();
-        parent.metrics().add_certify_call();
-        parent.metrics().record_peak_disjuncts(3);
+        parent.metrics().record(Counter::CertifyCalls, 1);
+        parent.metrics().record(Counter::PeakDisjuncts, 3);
         // A detached child starts from zero and leaks nothing upward…
         let cell = parent.child().fresh_metrics();
         assert_eq!(cell.metrics().certify_calls(), 0);
-        cell.metrics().add_certify_call();
-        cell.metrics().add_cache_hit();
-        cell.metrics().add_cache_miss();
-        cell.metrics().add_cache_shortcircuit();
-        cell.metrics().add_disjuncts_processed(10);
-        cell.metrics().add_disjuncts_subsumed(2);
-        cell.metrics().record_peak_disjuncts(9);
-        cell.metrics().record_peak_bytes(128);
+        for (counter, v) in [
+            (Counter::CertifyCalls, 1),
+            (Counter::CacheHits, 1),
+            (Counter::CacheMisses, 1),
+            (Counter::CacheShortcircuits, 1),
+            (Counter::DisjunctsProcessed, 10),
+            (Counter::DisjunctsSubsumed, 2),
+            (Counter::PeakDisjuncts, 9),
+            (Counter::PeakBytes, 128),
+        ] {
+            cell.metrics().record(counter, v);
+        }
         assert_eq!(parent.metrics().certify_calls(), 1);
         assert_eq!(parent.metrics().peak_disjuncts(), 3);
         // …its grandchildren share the detached scope, not the parent's…
-        cell.child().metrics().add_cache_hit();
+        cell.child().metrics().record(Counter::CacheHits, 1);
         assert_eq!(cell.metrics().cache_hits(), 2);
         assert_eq!(parent.metrics().cache_hits(), 0);
         // …and cancellation still chains through the ancestor contexts.
@@ -1225,81 +1038,69 @@ mod tests {
     }
 
     #[test]
-    fn memo_and_interner_counters_snapshot_and_absorb() {
+    fn every_counter_records_snapshots_and_absorbs_by_its_aggregation() {
+        // One pass over the whole table: two recordings (the larger
+        // first, so a watermark must ignore the second), a snapshot, then
+        // two absorbs. A sum counter doubles its total; a watermark keeps
+        // the larger value. The named getter, the snapshot field (read
+        // through `get`) and the iterator's entry must agree.
         let ctx = ExecContext::new();
-        ctx.metrics().add_split_memo_hit();
-        ctx.metrics().add_split_memo_hit();
-        ctx.metrics().add_split_memo_miss();
-        ctx.metrics().add_interner_hits(5);
-        ctx.metrics().record_arena_bytes(4096);
-        ctx.metrics().record_arena_bytes(1024); // lower: no effect
-        ctx.metrics().add_arena_resets(3);
-        ctx.metrics().record_simd_lanes(4);
-        ctx.metrics().record_simd_lanes(1); // lower: no effect
-        assert_eq!(ctx.metrics().split_memo_hits(), 2);
-        assert_eq!(ctx.metrics().split_memo_misses(), 1);
-        assert_eq!(ctx.metrics().interner_hits(), 5);
-        assert_eq!(ctx.metrics().arena_bytes(), 4096);
-        assert_eq!(ctx.metrics().arena_resets(), 3);
-        assert_eq!(ctx.metrics().simd_lanes(), 4);
+        for (i, &c) in Counter::ALL.iter().enumerate() {
+            let v = 10 + i as u64;
+            ctx.metrics().record(c, v);
+            ctx.metrics().record(c, 1);
+        }
         let snap = ctx.metrics().snapshot();
-        assert_eq!(snap.split_memo_hits, 2);
-        assert_eq!(snap.split_memo_misses, 1);
-        assert_eq!(snap.interner_hits, 5);
-        assert_eq!(snap.arena_bytes, 4096);
-        assert_eq!(snap.arena_resets, 3);
-        assert_eq!(snap.simd_lanes, 4);
-        // Absorb adds the counters and maxes the watermarks.
         let parent = ExecContext::new();
         parent.metrics().absorb(&snap);
         parent.metrics().absorb(&snap);
-        assert_eq!(parent.metrics().split_memo_hits(), 4);
-        assert_eq!(parent.metrics().split_memo_misses(), 2);
-        assert_eq!(parent.metrics().interner_hits(), 10);
-        assert_eq!(parent.metrics().arena_bytes(), 4096, "watermark maxes");
-        assert_eq!(parent.metrics().arena_resets(), 6, "counter adds");
-        assert_eq!(parent.metrics().simd_lanes(), 4, "watermark maxes");
+        let rolled = parent.metrics().snapshot();
+        let entries: Vec<(Counter, u64)> = rolled.counters().collect();
+        assert_eq!(entries.len(), Counter::ALL.len());
+        for (i, &c) in Counter::ALL.iter().enumerate() {
+            let v = 10 + i as u64;
+            let (recorded, absorbed) = match c.aggregation() {
+                Aggregation::Sum => (v + 1, 2 * (v + 1)),
+                Aggregation::Max => (v, v),
+            };
+            assert_eq!(ctx.metrics().get(c), recorded, "{c}");
+            assert_eq!(snap.get(c), recorded, "{c}");
+            assert_eq!(parent.metrics().get(c), absorbed, "{c}");
+            assert_eq!(entries[i], (c, absorbed), "{c}: iterator entry");
+            assert_eq!(rolled.get(c), absorbed, "{c}: snapshot field");
+        }
+        // The named getters and fields are the same storage as `get`.
+        let m = parent.metrics();
+        assert_eq!(m.certify_calls(), rolled.certify_calls);
+        assert_eq!(m.certify_calls(), m.get(Counter::CertifyCalls));
+        assert_eq!(m.arena_bytes(), rolled.arena_bytes);
+        assert_eq!(m.arena_bytes(), m.get(Counter::ArenaBytes));
+        assert_eq!(m.sessions_evicted(), rolled.sessions_evicted);
+        // Names are unique, and the four watermarks are exactly these.
+        let mut names: Vec<&str> = Counter::ALL.iter().map(|c| c.name()).collect();
+        names.sort_unstable();
+        names.dedup();
+        assert_eq!(names.len(), Counter::ALL.len());
+        let max: Vec<&str> = Counter::ALL
+            .iter()
+            .filter(|c| c.aggregation() == Aggregation::Max)
+            .map(|c| c.name())
+            .collect();
+        assert_eq!(
+            max,
+            ["peak_disjuncts", "peak_bytes", "arena_bytes", "simd_lanes"]
+        );
     }
 
     #[test]
-    fn service_counters_snapshot_and_absorb() {
-        let ctx = ExecContext::new();
-        ctx.metrics().add_request_served();
-        ctx.metrics().add_request_served();
-        ctx.metrics().add_cross_request_cache_hit();
-        assert_eq!(ctx.metrics().requests_served(), 2);
-        assert_eq!(ctx.metrics().cross_request_cache_hits(), 1);
-        let snap = ctx.metrics().snapshot();
-        assert_eq!(snap.requests_served, 2);
-        assert_eq!(snap.cross_request_cache_hits, 1);
-        let parent = ExecContext::new();
-        parent.metrics().absorb(&snap);
-        parent.metrics().absorb(&snap);
-        assert_eq!(parent.metrics().requests_served(), 4);
-        assert_eq!(parent.metrics().cross_request_cache_hits(), 2);
-    }
-
-    #[test]
-    fn scheduler_counters_snapshot_and_absorb() {
-        let ctx = ExecContext::new();
-        ctx.metrics().add_probes_scheduled(5);
-        ctx.metrics().add_probes_deferred(2);
-        ctx.metrics().add_deadline_degradation();
-        assert_eq!(ctx.metrics().probes_scheduled(), 5);
-        assert_eq!(ctx.metrics().probes_deferred(), 2);
-        assert_eq!(ctx.metrics().deadline_degradations(), 1);
-        let snap = ctx.metrics().snapshot();
-        assert_eq!(snap.probes_scheduled, 5);
-        assert_eq!(snap.probes_deferred, 2);
-        assert_eq!(snap.deadline_degradations, 1);
-        // Absorbing adds: the matrix's per-cell scheduler activity rolls
-        // up into the run-wide totals like every other counter.
-        let parent = ExecContext::new();
-        parent.metrics().absorb(&snap);
-        parent.metrics().absorb(&snap);
-        assert_eq!(parent.metrics().probes_scheduled(), 10);
-        assert_eq!(parent.metrics().probes_deferred(), 4);
-        assert_eq!(parent.metrics().deadline_degradations(), 2);
+    fn an_unrepresentable_timeout_means_no_deadline() {
+        let ctx = ExecContext::new().timeout(Duration::MAX);
+        assert_eq!(ctx.deadline_at(), None);
+        assert!(!ctx.should_stop());
+        assert!(!ctx.child().should_stop());
+        let ctx = ExecContext::new().maybe_timeout(Some(Duration::MAX));
+        assert_eq!(ctx.deadline_at(), None);
+        assert!(!ctx.should_stop());
     }
 
     #[test]

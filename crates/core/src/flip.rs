@@ -16,7 +16,7 @@
 //! Box variant).
 
 use crate::certify::{Outcome, RunStats, Verdict};
-use crate::engine::ExecContext;
+use crate::engine::{Counter, ExecContext};
 use crate::learner::Abort;
 use crate::memo::FlipSplitMemo;
 use crate::verdict::dominant_class;
@@ -197,7 +197,8 @@ pub fn run_flip(
             .iter()
             .filter(|s| !matches!(s, FlipStepOut::Aborted))
             .count();
-        ctx.metrics().add_disjuncts_processed(processed as u64);
+        ctx.metrics()
+            .record(Counter::DisjunctsProcessed, processed as u64);
         let mut next: Vec<FlipSet> = Vec::new();
         for out in stepped {
             match out {
@@ -237,8 +238,9 @@ pub fn run_flip(
             }))
             .sum();
         peak_bytes = peak_bytes.max(bytes);
-        ctx.metrics().record_peak_disjuncts(peak_disjuncts);
-        ctx.metrics().record_peak_bytes(peak_bytes);
+        ctx.metrics()
+            .record(Counter::PeakDisjuncts, peak_disjuncts as u64);
+        ctx.metrics().record(Counter::PeakBytes, peak_bytes as u64);
         if ctx.over_disjunct_budget(live) {
             return FlipRunOutput {
                 terminals,
@@ -271,7 +273,7 @@ fn dedup_flipsets(sets: &mut Vec<FlipSet>) {
 fn intern_flip_frontier(sets: &mut [FlipSet], interner: &mut SubsetInterner, ctx: &ExecContext) {
     let hits = interner.intern_all(sets, FlipSet::subset, |s, c| FlipSet::new(c, s.n()));
     if hits > 0 {
-        ctx.metrics().add_interner_hits(hits);
+        ctx.metrics().record(Counter::InternerHits, hits);
     }
 }
 

@@ -35,7 +35,7 @@ use std::cell::RefCell;
 use std::collections::HashSet;
 use std::sync::Arc;
 
-use crate::engine::ExecContext;
+use crate::engine::{Counter, ExecContext};
 use crate::memo::{SharedLearner, SplitMemo};
 use crate::score::best_split_abs;
 
@@ -315,16 +315,16 @@ pub fn run_abstract_shared(
     // Record the lane width from the run's own flag, not the global
     // latch: concurrent runs toggling the latch must not perturb each
     // other's metrics.
-    ctx.metrics()
-        .record_simd_lanes(if simd && simd::compiled() {
-            simd::LANES
-        } else {
-            1
-        });
+    let lanes = if simd && simd::compiled() {
+        simd::LANES
+    } else {
+        1
+    };
+    ctx.metrics().record(Counter::SimdLanes, lanes as u64);
     SCRATCH.with(|arena| {
         let mut arena = arena.borrow_mut();
         arena.reset();
-        ctx.metrics().add_arena_resets(1);
+        ctx.metrics().record(Counter::ArenaResets, 1);
         let out = run_abstract_in(
             ds,
             initial,
@@ -338,7 +338,8 @@ pub fn run_abstract_shared(
             ctx,
             &mut arena,
         );
-        ctx.metrics().record_arena_bytes(arena.peak_bytes());
+        ctx.metrics()
+            .record(Counter::ArenaBytes, arena.peak_bytes() as u64);
         out
     })
 }
@@ -411,7 +412,8 @@ fn run_abstract_in(
             .iter()
             .filter(|s| !matches!(s, StepOut::Aborted))
             .count();
-        ctx.metrics().add_disjuncts_processed(processed as u64);
+        ctx.metrics()
+            .record(Counter::DisjunctsProcessed, processed as u64);
 
         let mut next: Vec<AbstractSet> = Vec::new();
         for out in stepped {
@@ -453,7 +455,8 @@ fn run_abstract_in(
         if subsume && domain != DomainKind::Box {
             let pruned = prune_subsumed(&mut next, arena);
             if pruned > 0 {
-                ctx.metrics().add_disjuncts_subsumed(pruned as u64);
+                ctx.metrics()
+                    .record(Counter::DisjunctsSubsumed, pruned as u64);
             }
         }
         if let DomainKind::Hybrid { max_disjuncts } = domain {
@@ -470,8 +473,9 @@ fn run_abstract_in(
             .map(AbstractSet::approx_bytes)
             .sum();
         peak_bytes = peak_bytes.max(bytes);
-        ctx.metrics().record_peak_disjuncts(peak_disjuncts);
-        ctx.metrics().record_peak_bytes(peak_bytes);
+        ctx.metrics()
+            .record(Counter::PeakDisjuncts, peak_disjuncts as u64);
+        ctx.metrics().record(Counter::PeakBytes, peak_bytes as u64);
         if ctx.over_disjunct_budget(live) {
             return abort(
                 terminals,
@@ -486,7 +490,8 @@ fn run_abstract_in(
     // States that survive all d iterations reach the learner's output.
     terminals.extend(active);
     peak_disjuncts = peak_disjuncts.max(terminals.len());
-    ctx.metrics().record_peak_disjuncts(peak_disjuncts);
+    ctx.metrics()
+        .record(Counter::PeakDisjuncts, peak_disjuncts as u64);
     RunOutput {
         terminals,
         aborted: None,
@@ -555,7 +560,7 @@ fn intern_frontier(
         AbstractSet::new(s, d.n())
     });
     if hits > 0 {
-        ctx.metrics().add_interner_hits(hits);
+        ctx.metrics().record(Counter::InternerHits, hits);
     }
 }
 

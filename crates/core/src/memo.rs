@@ -43,7 +43,7 @@
 //! table — those run the sweep directly and count as misses, exactly as
 //! a cold table would have charged them.
 
-use crate::engine::RunMetrics;
+use crate::engine::{Counter, RunMetrics};
 use crate::score::{best_split_abs, AbsSplitResult};
 use antidote_data::{Dataset, Subset};
 use antidote_domains::{AbstractSet, CprobTransformer};
@@ -83,11 +83,11 @@ impl<V> KeyedMemo<V> {
         metrics: &RunMetrics,
     ) -> Arc<V> {
         if let Some(hit) = self.table.lock().expect("memo lock poisoned").get(&key) {
-            metrics.add_split_memo_hit();
+            metrics.record(Counter::SplitMemoHits, 1);
             return hit.clone();
         }
         if !admit_insert {
-            metrics.add_split_memo_miss();
+            metrics.record(Counter::SplitMemoMisses, 1);
             return Arc::new(compute());
         }
         let value = Arc::new(compute());
@@ -97,11 +97,11 @@ impl<V> KeyedMemo<V> {
                 // values are bit-identical (pure function of the key);
                 // count the probe as the hit it would have been
                 // sequentially and return the stored value.
-                metrics.add_split_memo_hit();
+                metrics.record(Counter::SplitMemoHits, 1);
                 e.get().clone()
             }
             Entry::Vacant(e) => {
-                metrics.add_split_memo_miss();
+                metrics.record(Counter::SplitMemoMisses, 1);
                 e.insert(value).clone()
             }
         }
@@ -227,7 +227,7 @@ impl SplitMemo {
             ds.epoch(),
         );
         if a.len() * Self::ADMIT_DIVISOR < ds.len() {
-            metrics.add_split_memo_miss();
+            metrics.record(Counter::SplitMemoMisses, 1);
             return Arc::new(best_split_abs(ds, a, self.transformer));
         }
         let admit_insert = self.insert_all_depths || depth < Self::INSERT_DEPTH_LIMIT;

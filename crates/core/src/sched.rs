@@ -38,7 +38,7 @@
 //! [`ExecContext::par_map`]: crate::engine::ExecContext::par_map
 
 use crate::cache::CertCache;
-use crate::engine::RunMetrics;
+use crate::engine::{Counter, RunMetrics};
 use std::collections::BTreeSet;
 use std::time::{Duration, Instant};
 
@@ -74,12 +74,13 @@ pub struct ProbeScheduler {
 
 impl ProbeScheduler {
     /// A scheduler for one sweep whose budgets ladder tops out at
-    /// `max_n`. The wall-clock `deadline` starts now; `probe_budget`
-    /// counts (point, rung) probes. Either or both may be `None` — the
+    /// `max_n`. The wall-clock `deadline` starts now (one too far out for
+    /// [`Instant`] to represent means none); `probe_budget` counts
+    /// (point, rung) probes. Either or both may be `None` — the
     /// scheduler then only orders and counts, never defers.
     pub fn new(deadline: Option<Duration>, probe_budget: Option<u64>, max_n: usize) -> Self {
         ProbeScheduler {
-            deadline: deadline.map(|d| Instant::now() + d),
+            deadline: deadline.and_then(|d| Instant::now().checked_add(d)),
             budget: probe_budget,
             issued: 0,
             max_n,
@@ -160,11 +161,11 @@ impl ProbeScheduler {
             issue
         };
         self.issued += issue.len() as u64;
-        metrics.add_probes_scheduled(issue.len() as u64);
-        metrics.add_probes_deferred(deferred.len() as u64);
+        metrics.record(Counter::ProbesScheduled, issue.len() as u64);
+        metrics.record(Counter::ProbesDeferred, deferred.len() as u64);
         for &i in &deferred {
             if self.degraded.insert(i) {
-                metrics.add_deadline_degradation();
+                metrics.record(Counter::DeadlineDegradations, 1);
             }
         }
         RungPlan { issue, deferred }
@@ -178,7 +179,7 @@ impl ProbeScheduler {
             return false;
         }
         self.issued += 1;
-        metrics.add_probes_scheduled(1);
+        metrics.record(Counter::ProbesScheduled, 1);
         true
     }
 }
@@ -229,15 +230,19 @@ mod tests {
 
     #[test]
     fn unbounded_plans_issue_everything() {
-        let mut s = ProbeScheduler::new(None, None, 8);
-        let metrics = RunMetrics::default();
-        let plan = s.plan(&[0, 1, 2], &[0, 1, 2], None, &metrics);
-        assert_eq!(plan.issue, vec![0, 1, 2]);
-        assert!(plan.deferred.is_empty());
-        assert!(!s.bounded());
-        assert_eq!(metrics.probes_scheduled(), 3);
-        assert_eq!(metrics.probes_deferred(), 0);
-        assert_eq!(metrics.deadline_degradations(), 0);
+        // A deadline too far out for `Instant` to represent is no deadline.
+        for deadline in [None, Some(Duration::MAX)] {
+            let mut s = ProbeScheduler::new(deadline, None, 8);
+            let metrics = RunMetrics::default();
+            let plan = s.plan(&[0, 1, 2], &[0, 1, 2], None, &metrics);
+            assert_eq!(plan.issue, vec![0, 1, 2]);
+            assert!(plan.deferred.is_empty());
+            assert!(!s.bounded());
+            assert_eq!(s.deadline_at(), None);
+            assert_eq!(metrics.probes_scheduled(), 3);
+            assert_eq!(metrics.probes_deferred(), 0);
+            assert_eq!(metrics.deadline_degradations(), 0);
+        }
     }
 
     #[test]

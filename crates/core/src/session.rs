@@ -53,7 +53,7 @@
 
 use crate::cache::CertCache;
 use crate::certify::{Certifier, Outcome, Verdict};
-use crate::engine::{ExecContext, RunMetrics};
+use crate::engine::{Counter, ExecContext, RunMetrics};
 use crate::learner::DomainKind;
 use crate::memo::SharedLearner;
 use crate::sweep::{sweep_shared, SweepConfig, SweepPoint};
@@ -331,7 +331,7 @@ impl Session {
             Arc::new(WarmUnit::new(Arc::clone(&ds), cfg.clone()))
         });
         if joined {
-            metrics.add_warm_state_shared_hit();
+            metrics.record(Counter::WarmStateSharedHits, 1);
         }
         Session {
             cfg,
@@ -416,7 +416,7 @@ impl Session {
     /// entirely from session state (no abstract run) — the warm path a
     /// one-shot pipeline cannot have.
     pub fn certify(&self, x: &[f64], n: usize, ctx: &ExecContext) -> (Outcome, u64) {
-        ctx.metrics().add_request_served();
+        ctx.metrics().record(Counter::RequestsServed, 1);
         // Resolve the warm unit once: concurrent `advance` swaps the
         // session pointer, never the unit, so this whole request runs
         // against one consistent snapshot.
@@ -444,10 +444,9 @@ impl Session {
         let epoch = st.ds.epoch();
         drop(st);
         let snap = rctx.metrics().snapshot();
-        // abstract_runs (see `drift`): derivations plus incremental
-        // resumes; zero means session state answered outright.
-        if snap.certify_calls + snap.cache_hits - snap.cache_shortcircuits == 0 {
-            ctx.metrics().add_cross_request_cache_hit();
+        // Zero abstract runs means session state answered outright.
+        if snap.abstract_runs() == 0 {
+            ctx.metrics().record(Counter::CrossRequestCacheHits, 1);
         }
         ctx.metrics().absorb(&snap);
         (out, epoch)
@@ -463,7 +462,7 @@ impl Session {
         max_n: Option<usize>,
         ctx: &ExecContext,
     ) -> (Vec<SweepPoint>, u64) {
-        ctx.metrics().add_request_served();
+        ctx.metrics().record(Counter::RequestsServed, 1);
         let unit = self.unit();
         let slots: Vec<usize> = test_points
             .iter()
@@ -736,8 +735,8 @@ impl RequestEngine {
                             if let Some(r) = computed.get(&n) {
                                 // Coalesced twin: answered entirely by the
                                 // in-flight computation.
-                                gctx.metrics().add_request_served();
-                                gctx.metrics().add_cross_request_cache_hit();
+                                gctx.metrics().record(Counter::RequestsServed, 1);
+                                gctx.metrics().record(Counter::CrossRequestCacheHits, 1);
                                 responses.push((index, r.clone()));
                                 continue;
                             }

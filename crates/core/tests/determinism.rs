@@ -421,7 +421,7 @@ fn simd_kernels_are_observationally_invisible() {
             assert_eq!(
                 simd_ctx.metrics().simd_lanes(),
                 if antidote_data::simd::compiled() {
-                    antidote_data::simd::LANES
+                    antidote_data::simd::LANES as u64
                 } else {
                     1
                 }
