@@ -1093,6 +1093,84 @@ mod tests {
     }
 
     #[test]
+    fn memo_and_interner_counters_snapshot_and_absorb() {
+        let ctx = ExecContext::new();
+        ctx.metrics().record(Counter::SplitMemoHits, 1);
+        ctx.metrics().record(Counter::SplitMemoHits, 1);
+        ctx.metrics().record(Counter::SplitMemoMisses, 1);
+        ctx.metrics().record(Counter::InternerHits, 5);
+        ctx.metrics().record(Counter::ArenaBytes, 4096);
+        ctx.metrics().record(Counter::ArenaBytes, 1024); // lower: no effect
+        ctx.metrics().record(Counter::ArenaResets, 3);
+        ctx.metrics().record(Counter::SimdLanes, 4);
+        ctx.metrics().record(Counter::SimdLanes, 1); // lower: no effect
+        assert_eq!(ctx.metrics().split_memo_hits(), 2);
+        assert_eq!(ctx.metrics().split_memo_misses(), 1);
+        assert_eq!(ctx.metrics().interner_hits(), 5);
+        assert_eq!(ctx.metrics().arena_bytes(), 4096);
+        assert_eq!(ctx.metrics().arena_resets(), 3);
+        assert_eq!(ctx.metrics().simd_lanes(), 4);
+        let snap = ctx.metrics().snapshot();
+        assert_eq!(snap.split_memo_hits, 2);
+        assert_eq!(snap.split_memo_misses, 1);
+        assert_eq!(snap.interner_hits, 5);
+        assert_eq!(snap.arena_bytes, 4096);
+        assert_eq!(snap.arena_resets, 3);
+        assert_eq!(snap.simd_lanes, 4);
+        // Absorb adds the counters and maxes the watermarks.
+        let parent = ExecContext::new();
+        parent.metrics().absorb(&snap);
+        parent.metrics().absorb(&snap);
+        assert_eq!(parent.metrics().split_memo_hits(), 4);
+        assert_eq!(parent.metrics().split_memo_misses(), 2);
+        assert_eq!(parent.metrics().interner_hits(), 10);
+        assert_eq!(parent.metrics().arena_bytes(), 4096, "watermark maxes");
+        assert_eq!(parent.metrics().arena_resets(), 6, "counter adds");
+        assert_eq!(parent.metrics().simd_lanes(), 4, "watermark maxes");
+    }
+
+    #[test]
+    fn service_counters_snapshot_and_absorb() {
+        let ctx = ExecContext::new();
+        ctx.metrics().record(Counter::RequestsServed, 1);
+        ctx.metrics().record(Counter::RequestsServed, 1);
+        ctx.metrics().record(Counter::CrossRequestCacheHits, 1);
+        assert_eq!(ctx.metrics().requests_served(), 2);
+        assert_eq!(ctx.metrics().cross_request_cache_hits(), 1);
+        let snap = ctx.metrics().snapshot();
+        assert_eq!(snap.requests_served, 2);
+        assert_eq!(snap.cross_request_cache_hits, 1);
+        let parent = ExecContext::new();
+        parent.metrics().absorb(&snap);
+        parent.metrics().absorb(&snap);
+        assert_eq!(parent.metrics().requests_served(), 4);
+        assert_eq!(parent.metrics().cross_request_cache_hits(), 2);
+    }
+
+    #[test]
+    fn scheduler_counters_snapshot_and_absorb() {
+        let ctx = ExecContext::new();
+        ctx.metrics().record(Counter::ProbesScheduled, 5);
+        ctx.metrics().record(Counter::ProbesDeferred, 2);
+        ctx.metrics().record(Counter::DeadlineDegradations, 1);
+        assert_eq!(ctx.metrics().probes_scheduled(), 5);
+        assert_eq!(ctx.metrics().probes_deferred(), 2);
+        assert_eq!(ctx.metrics().deadline_degradations(), 1);
+        let snap = ctx.metrics().snapshot();
+        assert_eq!(snap.probes_scheduled, 5);
+        assert_eq!(snap.probes_deferred, 2);
+        assert_eq!(snap.deadline_degradations, 1);
+        // Absorbing adds: the matrix's per-cell scheduler activity rolls
+        // up into the run-wide totals like every other counter.
+        let parent = ExecContext::new();
+        parent.metrics().absorb(&snap);
+        parent.metrics().absorb(&snap);
+        assert_eq!(parent.metrics().probes_scheduled(), 10);
+        assert_eq!(parent.metrics().probes_deferred(), 4);
+        assert_eq!(parent.metrics().deadline_degradations(), 2);
+    }
+
+    #[test]
     fn an_unrepresentable_timeout_means_no_deadline() {
         let ctx = ExecContext::new().timeout(Duration::MAX);
         assert_eq!(ctx.deadline_at(), None);
