@@ -74,8 +74,8 @@ pub struct GateViolation {
 /// one-shot sweep serves no requests, shares and evicts no sessions,
 /// and crosses no epoch boundary, so service or transfer traffic on the
 /// static path fails the gate. The watermarks (`peak_disjuncts`,
-/// `peak_bytes`, `arena_bytes`, `simd_lanes`) are recorded in the
-/// artifacts but not gated here.
+/// `peak_bytes`, `arena_bytes`) are recorded in the artifacts but not
+/// gated here.
 pub fn gated_counters() -> impl Iterator<Item = &'static str> {
     Counter::ALL
         .iter()
@@ -289,7 +289,6 @@ mod tests {
   "peak_disjuncts": 40,
   "peak_bytes": 65536,
   "arena_bytes": 4096,
-  "simd_lanes": 4,
   "ladder": [
     {"n": 1, "attempted": 32, "verified": 30}
   ]
@@ -323,8 +322,7 @@ mod tests {
   "arena_resets": 11,
   "peak_disjuncts": 12,
   "peak_bytes": 8192,
-  "arena_bytes": 2048,
-  "simd_lanes": 4
+  "arena_bytes": 2048
 }
 "#;
 
@@ -367,14 +365,14 @@ mod tests {
 
     #[test]
     fn gate_catches_memo_and_interner_drift() {
-        // A change that silently disables the bestSplit# memo (hits fall
-        // to 0) or frontier hash-consing must fail the gate.
+        // A change that silently disables a session's bestSplit# memo
+        // (hits fall to 0) or frontier hash-consing must fail the gate.
         let no_memo = DOC.replace("\"split_memo_hits\": 17", "\"split_memo_hits\": 0");
         let v = check_sweep_gate(DOC, &no_memo);
         assert_eq!(v.len(), 1);
         assert_eq!(v[0].field, "split_memo_hits");
-        // Even with a 0-hit baseline (the stock depth-2 regime), a memo
-        // that stops being consulted drops its miss count and fails.
+        // Even with a 0-hit baseline (every one-shot artifact), a change
+        // in how many bestSplit# calls are computed fails.
         let memo_dead = DOC.replace("\"split_memo_misses\": 547", "\"split_memo_misses\": 0");
         let v = check_sweep_gate(DOC, &memo_dead);
         assert_eq!(v.len(), 1);
@@ -516,8 +514,7 @@ mod tests {
     "disjuncts_subsumed": 900,
     "arena_resets": 320,
     "peak_disjuncts": 96,
-    "peak_bytes": 1048576,
-    "simd_lanes": 4
+    "peak_bytes": 1048576
   },
   "cells": [
     {
@@ -568,7 +565,7 @@ mod tests {
         let drift = |doc: &str| {
             doc.replace("\"peak_disjuncts\": ", "\"peak_disjuncts\": 9")
                 .replace("\"arena_bytes\": ", "\"arena_bytes\": 9")
-                .replace("\"simd_lanes\": ", "\"simd_lanes\": 9")
+                .replace("\"peak_bytes\": ", "\"peak_bytes\": 9")
         };
         assert!(check_sweep_gate(DOC, &drift(DOC)).is_empty());
         assert!(check_serve_gate(SERVE_DOC, &drift(SERVE_DOC)).is_empty());

@@ -27,12 +27,39 @@ impl std::fmt::Display for CliError {
 impl std::error::Error for CliError {}
 
 impl Args {
+    /// Options followed by a value, across every subcommand.
+    pub(crate) const VALUE_OPTIONS: &'static [&'static str] = &[
+        "budget",
+        "csv",
+        "dataset",
+        "deadline",
+        "depth",
+        "domain",
+        "dot",
+        "features",
+        "index",
+        "max-session-bytes",
+        "max-sessions",
+        "mutate",
+        "n",
+        "ops",
+        "out-dir",
+        "points",
+        "probe-budget",
+        "scale",
+        "scenarios",
+        "script",
+        "seed",
+        "steps",
+        "threads",
+        "timeout",
+        "trees",
+    ];
+
     /// Boolean flags: present or absent, never followed by a value.
-    const BOOL_FLAGS: &'static [&'static str] = &[
+    pub(crate) const BOOL_FLAGS: &'static [&'static str] = &[
         "no-cache",
         "no-subsume",
-        "no-memo",
-        "no-simd",
         "no-schedule",
         "no-transfer",
         "no-share",
@@ -43,8 +70,9 @@ impl Args {
     ///
     /// # Errors
     ///
-    /// Returns [`CliError`] on a missing subcommand, an option without a
-    /// value, or a stray positional argument.
+    /// Returns [`CliError`] on a missing subcommand, an option no
+    /// subcommand reads, an option without a value, or a stray
+    /// positional argument.
     pub fn parse<I: IntoIterator<Item = String>>(argv: I) -> Result<Args, CliError> {
         let mut it = argv.into_iter();
         let command = it
@@ -58,6 +86,9 @@ impl Args {
             if Self::BOOL_FLAGS.contains(&key) {
                 options.insert(key.to_string(), "true".to_string());
                 continue;
+            }
+            if !Self::VALUE_OPTIONS.contains(&key) {
+                return Err(CliError(format!("unknown option --{key}")));
             }
             let value = it
                 .next()
@@ -178,22 +209,6 @@ impl Args {
     /// `--no-cache`).
     pub fn no_subsume(&self) -> bool {
         self.options.contains_key("no-subsume")
-    }
-
-    /// Whether `--no-memo` was given: disables the per-certify-call
-    /// `bestSplit#` memo, re-running the scored-candidates sweep for
-    /// every frontier disjunct (the escape hatch mirroring
-    /// `--no-cache`/`--no-subsume`).
-    pub fn no_memo(&self) -> bool {
-        self.options.contains_key("no-memo")
-    }
-
-    /// Whether `--no-simd` was given: disarms the chunked SIMD word
-    /// kernels, routing the subset algebra through the bit-identical
-    /// scalar fallback (the escape hatch mirroring
-    /// `--no-cache`/`--no-subsume`/`--no-memo`).
-    pub fn no_simd(&self) -> bool {
-        self.options.contains_key("no-simd")
     }
 
     /// Whether `--no-schedule` was given: disarms the adaptive probe
@@ -398,31 +413,39 @@ mod tests {
 
     #[test]
     fn no_memo_flag_takes_no_value() {
-        let a = Args::parse(argv("sweep")).unwrap();
-        assert!(!a.no_memo(), "the bestSplit# memo is on by default");
-        let a = Args::parse(argv("sweep --no-memo")).unwrap();
-        assert!(a.no_memo());
-        // All three escape hatches compose.
-        let a = Args::parse(argv("sweep --no-cache --no-subsume --no-memo --threads 2")).unwrap();
-        assert!(a.no_cache() && a.no_subsume() && a.no_memo());
+        // `--no-memo` is deleted. It is refused by name wherever it stands
+        // and never takes the next argument as its value.
+        for cmd in [
+            "sweep --no-memo",
+            "sweep --no-memo true",
+            "sweep --no-memo --no-cache",
+            "sweep --no-cache --no-subsume --no-memo --threads 2",
+        ] {
+            let err = Args::parse(argv(cmd)).unwrap_err();
+            assert_eq!(err.to_string(), "unknown option --no-memo", "{cmd}");
+        }
+        // The surviving escape hatches compose without it.
+        let a = Args::parse(argv("sweep --no-cache --no-subsume --threads 2")).unwrap();
+        assert!(a.no_cache() && a.no_subsume());
         assert_eq!(a.threads().unwrap(), 2);
-        assert!(Args::parse(argv("sweep --no-memo true")).is_err());
     }
 
     #[test]
     fn no_simd_flag_takes_no_value() {
-        let a = Args::parse(argv("sweep")).unwrap();
-        assert!(!a.no_simd(), "the SIMD kernels are armed by default");
-        let a = Args::parse(argv("sweep --no-simd")).unwrap();
-        assert!(a.no_simd());
-        // All four escape hatches compose.
-        let a = Args::parse(argv(
-            "sweep --no-cache --no-subsume --no-memo --no-simd --threads 2",
-        ))
-        .unwrap();
-        assert!(a.no_cache() && a.no_subsume() && a.no_memo() && a.no_simd());
+        // `--no-simd` is deleted: kernel dispatch is a build-time choice.
+        // The flag is refused by name and never swallows the next argument.
+        for cmd in [
+            "sweep --no-simd",
+            "sweep --no-simd true",
+            "sweep --no-simd --no-cache",
+            "sweep --no-cache --no-subsume --no-simd --threads 2",
+        ] {
+            let err = Args::parse(argv(cmd)).unwrap_err();
+            assert_eq!(err.to_string(), "unknown option --no-simd", "{cmd}");
+        }
+        let a = Args::parse(argv("sweep --no-cache --no-subsume --threads 2")).unwrap();
+        assert!(a.no_cache() && a.no_subsume());
         assert_eq!(a.threads().unwrap(), 2);
-        assert!(Args::parse(argv("sweep --no-simd true")).is_err());
     }
 
     #[test]
@@ -431,12 +454,12 @@ mod tests {
         assert!(!a.no_schedule(), "the probe scheduler is armed by default");
         let a = Args::parse(argv("sweep --no-schedule")).unwrap();
         assert!(a.no_schedule());
-        // All five escape hatches compose.
+        // All three sweep escape hatches compose.
         let a = Args::parse(argv(
-            "sweep --no-cache --no-subsume --no-memo --no-simd --no-schedule --threads 2",
+            "sweep --no-cache --no-subsume --no-schedule --threads 2",
         ))
         .unwrap();
-        assert!(a.no_cache() && a.no_subsume() && a.no_memo() && a.no_simd() && a.no_schedule());
+        assert!(a.no_cache() && a.no_subsume() && a.no_schedule());
         assert_eq!(a.threads().unwrap(), 2);
         assert!(Args::parse(argv("sweep --no-schedule true")).is_err());
     }
@@ -462,9 +485,24 @@ mod tests {
         let a = Args::parse(argv("drift --no-transfer")).unwrap();
         assert!(a.no_transfer());
         // Composes with the sibling escape hatches and value options.
-        let a = Args::parse(argv("drift --no-transfer --no-memo --threads 2")).unwrap();
-        assert!(a.no_transfer() && a.no_memo());
+        let a = Args::parse(argv("drift --no-transfer --no-subsume --threads 2")).unwrap();
+        assert!(a.no_transfer() && a.no_subsume());
         assert_eq!(a.threads().unwrap(), 2);
         assert!(Args::parse(argv("drift --no-transfer true")).is_err());
+    }
+
+    #[test]
+    fn unknown_options_are_refused() {
+        // Storing an unknown option would ignore it and swallow the next
+        // argument as its value (`--no-memmo --no-cache` would leave the
+        // cache on). The deleted `--no-memo` and `--no-simd` have tests of
+        // their own above.
+        for (cmd, key) in [
+            ("sweep --dataset iris --depht 1 --points 2", "depht"),
+            ("sweep --no-memmo --no-cache", "no-memmo"),
+        ] {
+            let err = Args::parse(argv(cmd)).unwrap_err();
+            assert_eq!(err.to_string(), format!("unknown option --{key}"), "{cmd}");
+        }
     }
 }

@@ -54,11 +54,11 @@ pub fn cli_main() {
 }
 
 const USAGE: &str = "usage:
-  antidote certify  --dataset <id> --depth <d> --n <n> [--domain box|disjuncts|hybridK] [--index i] [--timeout secs] [--no-subsume] [--no-memo] [--no-simd]
+  antidote certify  --dataset <id> --depth <d> --n <n> [--domain box|disjuncts|hybridK] [--index i] [--timeout secs] [--no-subsume]
   antidote flip     --dataset <id> --depth <d> --n <n> [--index i] [--timeout secs]
   antidote forest   --dataset <id> --depth <d> --n <n> [--trees t] [--features f] [--index i]
   antidote tree     --dataset <id> --depth <d> [--dot true]
-  antidote sweep    --dataset <id> --depth <d> [--domain ...] [--points k] [--timeout secs] [--deadline secs] [--probe-budget k] [--no-cache] [--no-subsume] [--no-memo] [--no-simd] [--no-schedule]
+  antidote sweep    --dataset <id> --depth <d> [--domain ...] [--points k] [--timeout secs] [--deadline secs] [--probe-budget k] [--no-cache] [--no-subsume] [--no-schedule]
   antidote drift    --dataset <id> --depth <d> [--steps k] [--mutate frac] [--ops removal|mixed] [--points k] [--timeout secs] [--no-transfer]
   antidote matrix   [--scenarios a,b,...] [--out-dir dir] [--seed s] [--list]
   antidote accuracy --dataset <id> [--scale small|paper]
@@ -70,14 +70,11 @@ const USAGE: &str = "usage:
 certify/flip/forest/sweep/attack/matrix also accept --threads <k>, k >= 1
 (default: all cores; 1 = sequential); sweep reuses certificates across
 ladder rungs unless --no-cache re-derives every probe from scratch;
-certify/sweep prune subsumed frontier disjuncts unless --no-subsume,
-memoize bestSplit# per certify call unless --no-memo, and use the
-chunked SIMD word kernels unless --no-simd (scalar fallback,
-bit-identical results); sweep orders probes widest-verdict-interval
-first and shares --deadline (wall-clock, whole ladder) /
---probe-budget (deterministic probe count) across the ladder unless
---no-schedule disarms the scheduler (absent a binding deadline or
-budget, ladders are bit-identical either way);
+certify/sweep prune subsumed frontier disjuncts unless --no-subsume;
+sweep orders probes widest-verdict-interval first and shares --deadline
+(wall-clock, whole ladder) / --probe-budget (deterministic probe count)
+across the ladder unless --no-schedule disarms the scheduler (absent a
+binding deadline or budget, ladders are bit-identical either way);
 drift replays a seeded mutation script (--steps deltas, each touching
 --mutate of the live rows; --ops removal keeps certificate transfer
 sound, mixed adds flips/appends that invalidate it) and re-runs the
@@ -152,9 +149,7 @@ fn cmd_certify(args: &Args) -> Result<(), CliError> {
         .depth(depth)
         .domain(args.domain()?)
         .threads(args.threads()?)
-        .subsume(!args.no_subsume())
-        .memo(!args.no_memo())
-        .simd(!args.no_simd());
+        .subsume(!args.no_subsume());
     let timeout = args.get_num("timeout", 0u64)?;
     if timeout > 0 {
         certifier = certifier.timeout(Duration::from_secs(timeout));
@@ -309,8 +304,6 @@ fn cmd_sweep(args: &Args) -> Result<(), CliError> {
         threads: args.threads()?,
         cache: !args.no_cache(),
         subsume: !args.no_subsume(),
-        memo: !args.no_memo(),
-        simd: !args.no_simd(),
         schedule: !args.no_schedule(),
         deadline: {
             let secs = args.get_num("deadline", 0u64)?;
@@ -361,8 +354,7 @@ fn cmd_sweep(args: &Args) -> Result<(), CliError> {
         m.peak_disjuncts()
     );
     println!(
-        "# bestSplit# memo: {} hit(s) / {} miss(es); interner: {} hit(s)",
-        m.split_memo_hits(),
+        "# {} bestSplit# computation(s), {} interner hit(s)",
         m.split_memo_misses(),
         m.interner_hits()
     );
@@ -379,6 +371,13 @@ fn cmd_drift(args: &Args) -> Result<(), CliError> {
     let timeout = args.get_num("timeout", 10u64)?;
     let steps = args.get_num("steps", 3usize)?;
     let fraction = args.get_num("mutate", 0.01f64)?;
+    // The script clamps each step to at least one and at most every live
+    // row, so a value outside (0, 1) would silently mean one of those.
+    if !(fraction > 0.0 && fraction < 1.0) {
+        return Err(CliError(format!(
+            "--mutate must be a fraction strictly between 0 and 1, got {fraction}"
+        )));
+    }
     let seed = args.get_num("seed", 0u64)?;
     let script = match args.get_or("ops", "removal") {
         "removal" => MutationScript::removal(steps, fraction, seed),
@@ -397,8 +396,6 @@ fn cmd_drift(args: &Args) -> Result<(), CliError> {
             timeout: (timeout > 0).then(|| Duration::from_secs(timeout)),
             threads: args.threads()?,
             subsume: !args.no_subsume(),
-            memo: !args.no_memo(),
-            simd: !args.no_simd(),
             schedule: !args.no_schedule(),
             ..SweepConfig::default()
         },
@@ -684,26 +681,6 @@ mod tests {
     }
 
     #[test]
-    fn no_memo_flag_reaches_certifier_and_sweep() {
-        assert!(run(argv("certify --dataset iris --depth 1 --n 1 --no-memo")).is_ok());
-        assert!(run(argv(
-            "sweep --dataset iris --depth 1 --points 4 --threads 1 --timeout 0 --no-memo"
-        ))
-        .is_ok());
-        assert!(run(argv("sweep --dataset iris --no-memo nope")).is_err());
-    }
-
-    #[test]
-    fn no_simd_flag_reaches_certifier_and_sweep() {
-        assert!(run(argv("certify --dataset iris --depth 1 --n 1 --no-simd")).is_ok());
-        assert!(run(argv(
-            "sweep --dataset iris --depth 1 --points 4 --threads 1 --timeout 0 --no-simd"
-        ))
-        .is_ok());
-        assert!(run(argv("sweep --dataset iris --no-simd nope")).is_err());
-    }
-
-    #[test]
     fn no_subsume_flag_reaches_certifier_and_sweep() {
         assert!(run(argv("certify --dataset iris --depth 1 --n 1 --no-subsume")).is_ok());
         assert!(run(argv(
@@ -736,6 +713,58 @@ mod tests {
         .is_ok());
         assert!(run(argv("drift --dataset iris --ops nope")).is_err());
         assert!(run(argv("drift --dataset iris --mutate nope")).is_err());
+    }
+
+    #[test]
+    fn drift_refuses_a_mutate_value_outside_the_open_unit_interval() {
+        // The script would clamp these to every live row or to one row.
+        for bad in ["1", "2", "0", "-1", "NaN", "inf"] {
+            let cmd = format!(
+                "drift --dataset iris --depth 1 --steps 1 --points 2 --threads 1 --timeout 0 \
+                 --mutate {bad}"
+            );
+            let err = run(argv(&cmd)).unwrap_err();
+            assert!(
+                err.to_string()
+                    .starts_with("--mutate must be a fraction strictly between 0 and 1"),
+                "{bad}: {err}"
+            );
+        }
+        assert!(run(argv(
+            "drift --dataset iris --depth 1 --steps 1 --points 2 --threads 1 --timeout 0 \
+             --mutate 0.5"
+        ))
+        .is_ok());
+    }
+
+    #[test]
+    fn usage_lists_exactly_the_options_parse_accepts() {
+        let in_usage: std::collections::BTreeSet<&str> = USAGE
+            .split("--")
+            .skip(1)
+            .map(|rest| {
+                let end = rest
+                    .find(|c: char| !(c.is_ascii_lowercase() || c == '-'))
+                    .unwrap_or(rest.len());
+                &rest[..end]
+            })
+            .collect();
+        for key in &in_usage {
+            let mut cmd = vec!["sweep".to_string(), format!("--{key}")];
+            if !Args::BOOL_FLAGS.contains(key) {
+                cmd.push("1".to_string());
+            }
+            assert!(
+                Args::parse(cmd).is_ok(),
+                "USAGE option --{key} does not parse"
+            );
+        }
+        let accepted: std::collections::BTreeSet<&str> = Args::VALUE_OPTIONS
+            .iter()
+            .chain(Args::BOOL_FLAGS)
+            .copied()
+            .collect();
+        assert_eq!(in_usage, accepted, "USAGE and Args::parse disagree");
     }
 
     #[test]

@@ -37,7 +37,7 @@ use antidote_core::{
     ExecContext, LadderRung, Request, RequestEngine, Response, Session, SessionConfig, Verdict,
     WarmStateIndex,
 };
-use antidote_data::{Benchmark, ClassId, DatasetDelta, DatasetRegistry, RowId, Scale};
+use antidote_data::{Benchmark, DatasetDelta, DatasetRegistry, Scale};
 use std::collections::BTreeMap;
 use std::io::{BufRead, Write};
 use std::sync::Arc;
@@ -807,6 +807,13 @@ impl Service {
     }
 }
 
+/// Narrows a parsed non-negative integer to a row id (`RowId`, `u32`) or
+/// a class id (`ClassId`, `u16`). Checked, because a cast would wrap
+/// label 65,536 to class 0 and row 2^32 to row 0.
+fn narrow_id<T: TryFrom<usize>>(v: usize, what: &str) -> Result<T, String> {
+    T::try_from(v).map_err(|_| format!("{what} {v} is out of range"))
+}
+
 /// Parses one delta spec: `{"remove":[ids],"append":[{"values":[..],
 /// "label":k}],"flip":[{"row":id,"label":k}]}` — all fields optional.
 fn parse_delta(obj: &BTreeMap<String, Json>) -> Result<DatasetDelta, String> {
@@ -817,7 +824,7 @@ fn parse_delta(obj: &BTreeMap<String, Json>) -> Result<DatasetDelta, String> {
                 for id in ids {
                     match id {
                         Json::Num(v) if *v >= 0.0 && v.fract() == 0.0 => {
-                            delta.remove(*v as RowId);
+                            delta.remove(narrow_id(*v as usize, "row")?);
                         }
                         other => {
                             return Err(format!(
@@ -842,7 +849,7 @@ fn parse_delta(obj: &BTreeMap<String, Json>) -> Result<DatasetDelta, String> {
                 for row in rows {
                     let row = row.as_obj()?;
                     let values = point_field(row, "values")?;
-                    let label = usize_field(row, "label")? as ClassId;
+                    let label = narrow_id(usize_field(row, "label")?, "label")?;
                     delta.append(&values, label);
                 }
             }
@@ -860,8 +867,8 @@ fn parse_delta(obj: &BTreeMap<String, Json>) -> Result<DatasetDelta, String> {
                 for row in rows {
                     let row = row.as_obj()?;
                     delta.flip_label(
-                        usize_field(row, "row")? as RowId,
-                        usize_field(row, "label")? as ClassId,
+                        narrow_id(usize_field(row, "row")?, "row")?,
+                        narrow_id(usize_field(row, "label")?, "label")?,
                     );
                 }
             }
@@ -1121,6 +1128,55 @@ mod tests {
             svc.handle_line(r#"{"op":"certify","handle":"i","x":[5.1,3.5,1.4,0.2],"n":1}"#);
         assert!(r.starts_with("{\"ok\":true"), "{r}");
         assert!(r.contains("\"epoch\":1"), "{r}");
+    }
+
+    /// Loads iris under `i`, sends one `delta` line with the given spec,
+    /// and returns its response after checking that nothing was
+    /// published: the handle still answers at epoch 0.
+    fn refused_delta(spec: &str) -> String {
+        let mut svc = Service::new(1);
+        svc.handle_line(r#"{"op":"load","handle":"i","dataset":"iris","depth":1,"domain":"box"}"#);
+        let (r, stop) = svc.handle_line(&format!(
+            r#"{{"op":"delta","handle":"i","deltas":[{spec}]}}"#
+        ));
+        assert!(!stop);
+        let (c, _) =
+            svc.handle_line(r#"{"op":"certify","handle":"i","x":[5.1,3.5,1.4,0.2],"n":1}"#);
+        assert!(c.contains("\"epoch\":0"), "{spec}: {c}");
+        r
+    }
+
+    #[test]
+    fn a_flip_label_beyond_the_class_id_range_is_refused() {
+        // A cast would wrap 65,536 to class 0, a declared label.
+        let r = refused_delta(r#"{"flip":[{"row":0,"label":65536}]}"#);
+        assert_eq!(r, r#"{"ok":false,"error":"label 65536 is out of range"}"#);
+    }
+
+    #[test]
+    fn a_flip_row_beyond_the_row_id_range_is_refused() {
+        // A cast would wrap 2^32 to row 0, a live row.
+        let r = refused_delta(r#"{"flip":[{"row":4294967296,"label":1}]}"#);
+        assert_eq!(
+            r,
+            r#"{"ok":false,"error":"row 4294967296 is out of range"}"#
+        );
+    }
+
+    #[test]
+    fn an_append_label_beyond_the_class_id_range_is_refused() {
+        let r = refused_delta(r#"{"append":[{"values":[5.0,3.0,1.5,0.2],"label":65536}]}"#);
+        assert_eq!(r, r#"{"ok":false,"error":"label 65536 is out of range"}"#);
+    }
+
+    #[test]
+    fn a_removed_row_beyond_the_row_id_range_is_named_as_given() {
+        // The error names the id as given, not a saturated cast of it.
+        let r = refused_delta(r#"{"remove":[4294967296]}"#);
+        assert_eq!(
+            r,
+            r#"{"ok":false,"error":"row 4294967296 is out of range"}"#
+        );
     }
 
     #[test]

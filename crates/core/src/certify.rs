@@ -89,8 +89,6 @@ pub struct Certifier<'a> {
     max_live_disjuncts: Option<usize>,
     threads: usize,
     subsume: bool,
-    memo: bool,
-    simd: bool,
     shared: Option<&'a SharedLearner>,
 }
 
@@ -108,8 +106,6 @@ impl<'a> Certifier<'a> {
             max_live_disjuncts: None,
             threads: 1,
             subsume: true,
-            memo: true,
-            simd: true,
             shared: None,
         }
     }
@@ -153,36 +149,12 @@ impl<'a> Certifier<'a> {
         self
     }
 
-    /// Enables or disables the per-call `bestSplit#` memo (default: on).
-    /// `false` is the `--no-memo` escape hatch mirroring
-    /// `--no-cache`/`--no-subsume`: every frontier disjunct re-runs the
-    /// scored-candidates sweep even when an identical `⟨T, n⟩` state was
-    /// already analysed in this call. Memoized and memo-free runs return
-    /// bit-identical verdicts (see `antidote_core::memo`).
-    pub fn memo(mut self, on: bool) -> Self {
-        self.memo = on;
-        self
-    }
-
-    /// Arms or disarms the chunked SIMD word kernels for the abstract
-    /// run's subset algebra (default: on). `false` is the `--no-simd`
-    /// escape hatch selecting the bit-identical scalar fallback — a pure
-    /// performance switch: verdicts, ladders, and every thread-invariant
-    /// counter are unchanged (see `antidote_data::simd` and
-    /// DESIGN.md §10).
-    pub fn simd(mut self, on: bool) -> Self {
-        self.simd = on;
-        self
-    }
-
     /// Borrows session-owned learner state: the abstract run probes the
     /// given [`SharedLearner`]'s persistent `bestSplit#` memo and
     /// hash-conses frontier bases through its long-lived interner
-    /// instead of building per-run instances, so structure discovered by
-    /// one request accelerates every later request on the same
-    /// `(dataset, config)`. The [`memo`](Certifier::memo) flag is
-    /// ignored while shared state is attached (whether memoization is
-    /// armed was decided when the shared state was built); verdicts are
+    /// instead of computing every `bestSplit#` and interning through a
+    /// per-run table, so structure discovered by one request accelerates
+    /// every later request on the same `(dataset, config)`. Verdicts are
     /// bit-identical either way.
     ///
     /// The shared state's epoch must match this certifier's dataset —
@@ -381,8 +353,6 @@ impl<'a> Certifier<'a> {
             self.domain,
             self.transformer,
             self.subsume,
-            self.memo,
-            self.simd,
             self.shared,
             ctx,
         );

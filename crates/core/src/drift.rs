@@ -112,30 +112,9 @@ pub fn drift_sweep_in(
     cfg: &DriftConfig,
     parent: &ExecContext,
 ) -> Result<Vec<EpochReport>, DataError> {
-    let cache = CertCache::for_dataset(base, test_points.len());
-    drift_sweep_with(base, test_points, deltas, cfg, parent, cache)
-}
-
-/// [`drift_sweep_in`] seeded from a caller-provided [`CertCache`] — the
-/// service entry point, letting a session's warm cache (already holding
-/// traces and verdict intervals for these points) carry into the replay
-/// instead of starting cold. The cache must be stamped for `base`'s
-/// epoch and sized for `test_points` (slot `i` addresses point `i`).
-///
-/// # Errors
-///
-/// See [`drift_sweep`].
-pub fn drift_sweep_with(
-    base: &Dataset,
-    test_points: &[Vec<f64>],
-    deltas: &[DatasetDelta],
-    cfg: &DriftConfig,
-    parent: &ExecContext,
-    initial_cache: CertCache,
-) -> Result<Vec<EpochReport>, DataError> {
     let mut reports = Vec::with_capacity(deltas.len() + 1);
     let mut ds = base.clone();
-    let mut cache = initial_cache;
+    let mut cache = CertCache::for_dataset(base, test_points.len());
     // Each epoch gets one child context: the transfer into the epoch and
     // the epoch's ladder count on the same snapshot, so a report's
     // `cache_transfers` describes the mutation that produced it.

@@ -231,10 +231,11 @@ counters! {
     /// rows, or the removals exhausted the certified budget).
     CacheInvalidations cache_invalidations: Sum, metrics_op;
     /// `bestSplit#` memo hits: frontier disjuncts whose scored-candidate
-    /// sweep was answered from the memo (DESIGN.md §9.2).
+    /// sweep a session's memo (or the flip learner's per-run memo)
+    /// answered (DESIGN.md §9.2). Always 0 on one-shot removal runs.
     SplitMemoHits split_memo_hits: Sum, metrics_op;
     /// `bestSplit#` memo misses: `bestSplit#` computations, one per
-    /// actual candidate sweep.
+    /// actual candidate sweep, on every path.
     SplitMemoMisses split_memo_misses: Sum, metrics_op;
     /// Probes the probe scheduler (DESIGN.md §13) issued: full rungs,
     /// priority-ordered partial rungs under a binding budget, and
@@ -271,10 +272,6 @@ counters! {
     /// Peak bytes held by the learner's per-thread scratch arenas since
     /// each arena was built (DESIGN.md §10.2).
     ArenaBytes arena_bytes: Max, per_thread;
-    /// Widest word-kernel lane count a run was configured with: 4 with
-    /// the `simd` feature compiled and armed, 1 under `--no-simd` or the
-    /// scalar build, 0 before any run.
-    SimdLanes simd_lanes: Max;
 }
 
 impl std::fmt::Display for Counter {
@@ -1076,7 +1073,7 @@ mod tests {
         assert_eq!(m.arena_bytes(), rolled.arena_bytes);
         assert_eq!(m.arena_bytes(), m.get(Counter::ArenaBytes));
         assert_eq!(m.sessions_evicted(), rolled.sessions_evicted);
-        // Names are unique, and the four watermarks are exactly these.
+        // Names are unique, and the three watermarks are exactly these.
         let mut names: Vec<&str> = Counter::ALL.iter().map(|c| c.name()).collect();
         names.sort_unstable();
         names.dedup();
@@ -1086,10 +1083,7 @@ mod tests {
             .filter(|c| c.aggregation() == Aggregation::Max)
             .map(|c| c.name())
             .collect();
-        assert_eq!(
-            max,
-            ["peak_disjuncts", "peak_bytes", "arena_bytes", "simd_lanes"]
-        );
+        assert_eq!(max, ["peak_disjuncts", "peak_bytes", "arena_bytes"]);
     }
 
     #[test]
@@ -1102,21 +1096,17 @@ mod tests {
         ctx.metrics().record(Counter::ArenaBytes, 4096);
         ctx.metrics().record(Counter::ArenaBytes, 1024); // lower: no effect
         ctx.metrics().record(Counter::ArenaResets, 3);
-        ctx.metrics().record(Counter::SimdLanes, 4);
-        ctx.metrics().record(Counter::SimdLanes, 1); // lower: no effect
         assert_eq!(ctx.metrics().split_memo_hits(), 2);
         assert_eq!(ctx.metrics().split_memo_misses(), 1);
         assert_eq!(ctx.metrics().interner_hits(), 5);
         assert_eq!(ctx.metrics().arena_bytes(), 4096);
         assert_eq!(ctx.metrics().arena_resets(), 3);
-        assert_eq!(ctx.metrics().simd_lanes(), 4);
         let snap = ctx.metrics().snapshot();
         assert_eq!(snap.split_memo_hits, 2);
         assert_eq!(snap.split_memo_misses, 1);
         assert_eq!(snap.interner_hits, 5);
         assert_eq!(snap.arena_bytes, 4096);
         assert_eq!(snap.arena_resets, 3);
-        assert_eq!(snap.simd_lanes, 4);
         // Absorb adds the counters and maxes the watermarks.
         let parent = ExecContext::new();
         parent.metrics().absorb(&snap);
@@ -1126,7 +1116,6 @@ mod tests {
         assert_eq!(parent.metrics().interner_hits(), 10);
         assert_eq!(parent.metrics().arena_bytes(), 4096, "watermark maxes");
         assert_eq!(parent.metrics().arena_resets(), 6, "counter adds");
-        assert_eq!(parent.metrics().simd_lanes(), 4, "watermark maxes");
     }
 
     #[test]

@@ -165,8 +165,8 @@ pub fn run_flip(
     depth: usize,
     ctx: &ExecContext,
 ) -> FlipRunOutput {
-    // Per-run bestSplit# memo and carrier interner, mirroring the removal
-    // learner (DESIGN.md §9.1–9.2). The flip memo has no escape hatch:
+    // Per-run bestSplit# memo and carrier interner (DESIGN.md
+    // §9.1–9.2). The flip memo has no escape hatch:
     // flip scoring is concrete-thresholded and the memoized result is a
     // pure function of the (carrier, budget) key, so the memo is as
     // observationally invisible as frontier dedup itself.

@@ -111,12 +111,10 @@ enum StepOut {
 
 /// One §4.7 iteration for a single disjunct: the `ent(T) = 0` fork, the
 /// `φ = ⋄` fork after `bestSplit#`, and `filter#`.
-#[allow(clippy::too_many_arguments)]
 fn step_disjunct(
     ds: &Dataset,
     a: &AbstractSet,
     x: &[f64],
-    iter: usize,
     domain: DomainKind,
     transformer: CprobTransformer,
     memo: Option<&SplitMemo>,
@@ -153,9 +151,14 @@ fn step_disjunct(
     }
 
     // --- φ ← bestSplit#(⟨T,n⟩) and the φ = ⋄ conditional ---
+    // Without a session memo every call is a computation, charged as
+    // the miss a cold memo would have recorded.
     let bs = match memo {
-        Some(memo) => memo.best_split(ds, a, iter, ctx.metrics()),
-        None => Arc::new(best_split_abs(ds, a, transformer)),
+        Some(memo) => memo.best_split(ds, a, ctx.metrics()),
+        None => {
+            ctx.metrics().record(Counter::SplitMemoMisses, 1);
+            Arc::new(best_split_abs(ds, a, transformer))
+        }
     };
     if bs.diamond {
         terminals.push(a.clone());
@@ -201,13 +204,47 @@ pub(crate) const MIN_PARALLEL_FRONTIER: usize = 4;
 thread_local! {
     /// Per-thread scratch arena for the learner's word buffers
     /// (`prune_subsumed`'s row-containment bitsets and accumulator).
-    /// Frontier lifetime: reset at the start of every [`run_abstract`]
-    /// call on this thread; see `antidote_data::arena` for the lifecycle
-    /// and the interner `Arc` escape hatch (DESIGN.md §10.2).
+    /// Frontier lifetime: reset at the start of every
+    /// [`run_abstract_shared`] call on this thread; see
+    /// `antidote_data::arena` for the lifecycle and the interner `Arc`
+    /// escape hatch (DESIGN.md §10.2).
     static SCRATCH: RefCell<WordArena> = RefCell::new(WordArena::new());
 }
 
-/// Runs `DTrace#(⟨T, n⟩, x)` to depth `depth` under `ctx`.
+/// Runs `DTrace#(⟨T, n⟩, x)` to depth `depth` under `ctx`, without
+/// session state.
+///
+/// Kept for callers outside this workspace: `memo` and `simd` have no
+/// effect (both settings always produced bit-identical output). The run
+/// is [`run_abstract_shared`] with no [`SharedLearner`].
+#[allow(clippy::too_many_arguments)]
+pub fn run_abstract(
+    ds: &Dataset,
+    initial: AbstractSet,
+    x: &[f64],
+    depth: usize,
+    domain: DomainKind,
+    transformer: CprobTransformer,
+    subsume: bool,
+    _memo: bool,
+    _simd: bool,
+    ctx: &ExecContext,
+) -> RunOutput {
+    run_abstract_shared(
+        ds,
+        initial,
+        x,
+        depth,
+        domain,
+        transformer,
+        subsume,
+        None,
+        ctx,
+    )
+}
+
+/// Runs `DTrace#(⟨T, n⟩, x)` to depth `depth` under `ctx` — the one
+/// learner entry every certification path goes through.
 ///
 /// `initial` is usually [`AbstractSet::full`]`(ds, n)` — the precise
 /// abstraction `α(Δn(T))`.
@@ -229,65 +266,27 @@ thread_local! {
 /// clamped to fewer than `n` rows — skips the pass and its scratch
 /// entirely (DESIGN.md §7.2).
 ///
-/// `memo` arms the per-call `bestSplit#` memo (DESIGN.md §9.2): recurring
-/// `(base, n)` frontier states across depth iterations reuse the stored
-/// candidate analysis instead of re-sweeping. Memoized runs are
-/// bit-identical to memo-free ones (`best_split_abs` is a pure function
-/// of the key); `false` is the `--no-memo` escape hatch. Independent of
-/// the flag, the run hash-conses frontier base payloads through a
-/// [`SubsetInterner`] (DESIGN.md §9.1), counting structure sharing on
-/// [`RunMetrics::interner_hits`](crate::engine::RunMetrics::interner_hits).
+/// `shared` is a session's learner state (DESIGN.md §9.2, §12): the run
+/// probes its persistent [`SplitMemo`] and hash-conses frontier bases
+/// through its long-lived [`SubsetInterner`], so structure discovered by
+/// one request accelerates every later request on the same
+/// `(dataset, config)`. With `None` the run computes every `bestSplit#`
+/// directly and hash-conses through a per-run interner. Verdicts are
+/// unaffected either way: `bestSplit#` is a pure function of
+/// `(base, n, transformer)` and interner rewiring preserves value
+/// equality exactly, so shared and per-run state produce bit-identical
+/// `RunOutput`s (pinned in `tests/determinism.rs` and the session
+/// differential). Every `bestSplit#` computation lands on
+/// [`RunMetrics::split_memo_misses`](crate::engine::RunMetrics::split_memo_misses)
+/// and every memo answer on `split_memo_hits`; structure sharing lands
+/// on [`RunMetrics::interner_hits`](crate::engine::RunMetrics::interner_hits).
 ///
-/// `simd` arms the chunked word kernels (`antidote_data::simd`,
-/// DESIGN.md §10.1) for this run's subset algebra; `false` is the
-/// `--no-simd` escape hatch selecting the scalar fallback. Both paths
-/// are bit-identical (the kernels are pure bitwise functions), so the
-/// flag — a process-wide latch — is a pure performance switch:
-/// concurrent runs with different settings still produce identical
-/// ladders and verdicts (pinned in `tests/determinism.rs`). The run
-/// also resets this thread's scratch [`WordArena`] and reports
-/// `arena_resets` / `arena_bytes` / `simd_lanes` on the metrics.
-#[allow(clippy::too_many_arguments)]
-pub fn run_abstract(
-    ds: &Dataset,
-    initial: AbstractSet,
-    x: &[f64],
-    depth: usize,
-    domain: DomainKind,
-    transformer: CprobTransformer,
-    subsume: bool,
-    memo: bool,
-    simd: bool,
-    ctx: &ExecContext,
-) -> RunOutput {
-    run_abstract_shared(
-        ds,
-        initial,
-        x,
-        depth,
-        domain,
-        transformer,
-        subsume,
-        memo,
-        simd,
-        None,
-        ctx,
-    )
-}
-
-/// [`run_abstract`] against session-owned learner state.
+/// The run also resets this thread's scratch [`WordArena`] and reports
+/// `arena_resets` / `arena_bytes` on the metrics.
 ///
-/// When `shared` is `Some`, the run probes the session's persistent
-/// [`SplitMemo`] and hash-conses frontier bases through the session's
-/// [`SubsetInterner`] instead of building per-run instances, so
-/// structure discovered by one request accelerates every later request
-/// on the same `(dataset, config)`. The `memo` flag is then ignored —
-/// whether memoization is armed was decided when the [`SharedLearner`]
-/// was built. Verdicts are unaffected either way: `bestSplit#` is a pure
-/// function of `(base, n, transformer)` and interner rewiring preserves
-/// value equality exactly, so shared and per-run state produce
-/// bit-identical `RunOutput`s (pinned in `tests/determinism.rs` and the
-/// session differential).
+/// # Panics
+///
+/// Panics if `shared` was built for a different dataset epoch.
 #[allow(clippy::too_many_arguments)]
 pub fn run_abstract_shared(
     ds: &Dataset,
@@ -297,8 +296,6 @@ pub fn run_abstract_shared(
     domain: DomainKind,
     transformer: CprobTransformer,
     subsume: bool,
-    memo: bool,
-    simd: bool,
     shared: Option<&SharedLearner>,
     ctx: &ExecContext,
 ) -> RunOutput {
@@ -311,16 +308,6 @@ pub fn run_abstract_shared(
             ds.epoch()
         );
     }
-    simd::set_enabled(simd);
-    // Record the lane width from the run's own flag, not the global
-    // latch: concurrent runs toggling the latch must not perturb each
-    // other's metrics.
-    let lanes = if simd && simd::compiled() {
-        simd::LANES
-    } else {
-        1
-    };
-    ctx.metrics().record(Counter::SimdLanes, lanes as u64);
     SCRATCH.with(|arena| {
         let mut arena = arena.borrow_mut();
         arena.reset();
@@ -333,7 +320,6 @@ pub fn run_abstract_shared(
             domain,
             transformer,
             subsume,
-            memo,
             shared,
             ctx,
             &mut arena,
@@ -344,7 +330,7 @@ pub fn run_abstract_shared(
     })
 }
 
-/// [`run_abstract`] against an explicit scratch arena.
+/// [`run_abstract_shared`] against an explicit scratch arena.
 #[allow(clippy::too_many_arguments)]
 fn run_abstract_in(
     ds: &Dataset,
@@ -354,27 +340,23 @@ fn run_abstract_in(
     domain: DomainKind,
     transformer: CprobTransformer,
     subsume: bool,
-    memo: bool,
     shared: Option<&SharedLearner>,
     ctx: &ExecContext,
     arena: &mut WordArena,
 ) -> RunOutput {
-    // Per-run learner state only when no session supplies shared state;
-    // the effective memo is whichever of the two exists.
-    let local_memo = match shared {
-        None => memo.then(|| SplitMemo::new(ds, transformer)),
-        Some(_) => None,
-    };
-    let memo = match shared {
-        Some(s) => s.memo(),
-        None => local_memo.as_ref(),
-    };
-    let mut interner = match shared {
-        Some(s) => RunInterner::Shared(s),
-        None => RunInterner::Local(SubsetInterner::new()),
+    let memo = shared.map(SharedLearner::memo);
+    // Hash-cons through the session's interner, under its lock, or a
+    // per-run one. Only which allocation becomes canonical differs; with
+    // shared state a payload first interned by an earlier request counts
+    // as a hit, and in aggregate the count stays order-invariant (total
+    // payloads interned − distinct payloads).
+    let mut local = SubsetInterner::new();
+    let mut intern = |disjuncts: &mut [AbstractSet]| match shared {
+        Some(s) => s.with_interner(|interner| intern_frontier(disjuncts, interner, ctx)),
+        None => intern_frontier(disjuncts, &mut local, ctx),
     };
     let mut active: Vec<AbstractSet> = vec![initial];
-    interner.intern_frontier(&mut active, ctx);
+    intern(&mut active);
     let mut terminals: Vec<AbstractSet> = Vec::new();
     let mut peak_disjuncts = 1usize;
     let mut peak_bytes = 0usize;
@@ -388,7 +370,7 @@ fn run_abstract_in(
         iterations_completed: iters,
     };
 
-    for iter in 0..depth {
+    for _ in 0..depth {
         if active.is_empty() {
             break;
         }
@@ -400,12 +382,12 @@ fn run_abstract_in(
         let use_par = active.len() >= MIN_PARALLEL_FRONTIER && ctx.effective_threads() > 1;
         let stepped: Vec<StepOut> = if use_par {
             ctx.par_map(&active, |_, a| {
-                step_disjunct(ds, a, x, iter, domain, transformer, memo, ctx)
+                step_disjunct(ds, a, x, domain, transformer, memo, ctx)
             })
         } else {
             active
                 .iter()
-                .map(|a| step_disjunct(ds, a, x, iter, domain, transformer, memo, ctx))
+                .map(|a| step_disjunct(ds, a, x, domain, transformer, memo, ctx))
                 .collect()
         };
         let processed = stepped
@@ -451,7 +433,7 @@ fn run_abstract_in(
         // canonical allocation, making later equality checks and memo
         // probes pointer-fast. Runs in the sequential fold, so the hit
         // count is thread-invariant.
-        interner.intern_frontier(&mut next, ctx);
+        intern(&mut next);
         if subsume && domain != DomainKind::Box {
             let pruned = prune_subsumed(&mut next, arena);
             if pruned > 0 {
@@ -518,32 +500,6 @@ pub(crate) fn dedup_states<D>(items: &mut Vec<D>, key: impl Fn(&D) -> (usize, Su
 /// Removes exact duplicate disjuncts (same base set and budget).
 fn dedup_disjuncts(disjuncts: &mut Vec<AbstractSet>) {
     dedup_states(disjuncts, |d| (d.n(), d.base().clone()));
-}
-
-/// Where a run hash-conses its frontier: a per-run [`SubsetInterner`]
-/// (the one-shot path) or a session's long-lived interner behind its
-/// lock (the service path). Rewiring is observationally invisible either
-/// way; only *which* allocation becomes canonical differs. With shared
-/// state a payload first interned by an earlier request counts as a hit
-/// here — that cross-request structure sharing is precisely what the
-/// service counters measure, and in aggregate the count stays
-/// order-invariant (total payloads interned − distinct payloads).
-enum RunInterner<'a> {
-    /// Run-local interner, dropped with the run.
-    Local(SubsetInterner),
-    /// Session-owned interner shared across requests.
-    Shared(&'a SharedLearner),
-}
-
-impl RunInterner<'_> {
-    fn intern_frontier(&mut self, disjuncts: &mut [AbstractSet], ctx: &ExecContext) {
-        match self {
-            RunInterner::Local(interner) => intern_frontier(disjuncts, interner, ctx),
-            RunInterner::Shared(s) => s.with_interner(|interner| {
-                intern_frontier(disjuncts, interner, ctx);
-            }),
-        }
-    }
 }
 
 /// Rewires every disjunct whose base payload is already interned to the
@@ -747,7 +703,7 @@ mod tests {
 
     fn run_fig2(n: usize, depth: usize, domain: DomainKind) -> RunOutput {
         let ds = synth::figure2();
-        run_abstract(
+        run_abstract_shared(
             &ds,
             AbstractSet::full(&ds, n),
             &[5.0],
@@ -755,8 +711,7 @@ mod tests {
             domain,
             CprobTransformer::Optimal,
             true,
-            true,
-            true,
+            None,
             &ExecContext::sequential(),
         )
     }
@@ -823,7 +778,7 @@ mod tests {
     #[test]
     fn timeout_aborts() {
         let ds = synth::mnist17_like(synth::MnistVariant::Binary, 200, 0);
-        let out = run_abstract(
+        let out = run_abstract_shared(
             &ds,
             AbstractSet::full(&ds, 8),
             &ds.row_values(0),
@@ -831,8 +786,7 @@ mod tests {
             DomainKind::Disjuncts,
             CprobTransformer::Optimal,
             true,
-            true,
-            true,
+            None,
             &ExecContext::sequential().timeout(std::time::Duration::ZERO),
         );
         assert_eq!(out.aborted, Some(Abort::Timeout));
@@ -841,7 +795,7 @@ mod tests {
     #[test]
     fn disjunct_budget_aborts() {
         let ds = synth::iris_like(0);
-        let out = run_abstract(
+        let out = run_abstract_shared(
             &ds,
             AbstractSet::full(&ds, 8),
             &ds.row_values(0),
@@ -849,8 +803,7 @@ mod tests {
             DomainKind::Disjuncts,
             CprobTransformer::Optimal,
             true,
-            true,
-            true,
+            None,
             &ExecContext::sequential().disjunct_budget(2),
         );
         assert_eq!(out.aborted, Some(Abort::DisjunctLimit));
@@ -860,7 +813,7 @@ mod tests {
     fn hybrid_caps_active_disjuncts() {
         let ds = synth::iris_like(0);
         let cap = 4;
-        let out = run_abstract(
+        let out = run_abstract_shared(
             &ds,
             AbstractSet::full(&ds, 4),
             &ds.row_values(3),
@@ -868,8 +821,7 @@ mod tests {
             DomainKind::Hybrid { max_disjuncts: cap },
             CprobTransformer::Optimal,
             true,
-            true,
-            true,
+            None,
             &ExecContext::sequential(),
         );
         assert!(out.aborted.is_none());
@@ -900,7 +852,7 @@ mod tests {
     fn pure_base_stops_iteration() {
         let ds = synth::figure2();
         let blacks = Subset::from_indices(&ds, vec![9, 10, 11, 12]);
-        let out = run_abstract(
+        let out = run_abstract_shared(
             &ds,
             AbstractSet::new(blacks, 1),
             &[12.0],
@@ -908,8 +860,7 @@ mod tests {
             DomainKind::Disjuncts,
             CprobTransformer::Optimal,
             true,
-            true,
-            true,
+            None,
             &ExecContext::sequential(),
         );
         // The only terminal is the pure restriction of the initial state.
@@ -1043,7 +994,7 @@ mod tests {
         // changes the processed-disjunct count when pruning fires).
         let ds = synth::iris_like(0);
         let run = |subsume: bool, ctx: &ExecContext| {
-            run_abstract(
+            run_abstract_shared(
                 &ds,
                 AbstractSet::full(&ds, 8),
                 &ds.row_values(3),
@@ -1051,8 +1002,7 @@ mod tests {
                 DomainKind::Disjuncts,
                 CprobTransformer::Optimal,
                 subsume,
-                true,
-                true,
+                None,
                 ctx,
             )
         };
@@ -1072,11 +1022,12 @@ mod tests {
     #[test]
     fn memoized_run_is_bit_identical_and_hits_at_depth_three() {
         // Same-feature threshold restrictions compose, so depth-3 runs
-        // revisit ⟨T,n⟩ states from earlier iterations; the memo must
-        // answer them with the exact result a recompute would produce.
+        // revisit ⟨T,n⟩ states from earlier iterations; a session's memo
+        // must answer them with the exact result a recompute would
+        // produce.
         let ds = synth::iris_like(0);
-        let run = |memo: bool, ctx: &ExecContext| {
-            run_abstract(
+        let run = |shared: Option<&SharedLearner>, ctx: &ExecContext| {
+            run_abstract_shared(
                 &ds,
                 AbstractSet::full(&ds, 6),
                 &ds.row_values(3),
@@ -1084,32 +1035,65 @@ mod tests {
                 DomainKind::Disjuncts,
                 CprobTransformer::Optimal,
                 true,
-                memo,
-                true,
+                shared,
                 ctx,
             )
         };
+        let shared = SharedLearner::new(&ds, CprobTransformer::Optimal);
         let memo_ctx = ExecContext::sequential();
-        let memoized = run(true, &memo_ctx);
+        let memoized = run(Some(&shared), &memo_ctx);
         let plain_ctx = ExecContext::sequential();
-        let plain = run(false, &plain_ctx);
+        let plain = run(None, &plain_ctx);
         assert_eq!(memoized.terminals, plain.terminals);
         assert_eq!(memoized.aborted, plain.aborted);
         assert_eq!(memoized.peak_disjuncts, plain.peak_disjuncts);
         assert_eq!(memoized.peak_bytes, plain.peak_bytes);
         assert_eq!(memoized.iterations_completed, plain.iterations_completed);
+        let (memo, plain) = (memo_ctx.metrics(), plain_ctx.metrics());
         assert!(
-            memo_ctx.metrics().split_memo_hits() > 0,
+            memo.split_memo_hits() > 0,
             "sanity: this configuration must revisit frontier states"
         );
-        assert_eq!(plain_ctx.metrics().split_memo_hits(), 0);
-        assert_eq!(plain_ctx.metrics().split_memo_misses(), 0);
-        // Hash-consing runs regardless of the memo flag and fires here.
-        assert!(memo_ctx.metrics().interner_hits() > 0);
+        // The one-shot run computes every bestSplit# the memo was asked.
+        assert_eq!(plain.split_memo_hits(), 0);
         assert_eq!(
-            memo_ctx.metrics().interner_hits(),
-            plain_ctx.metrics().interner_hits()
+            plain.split_memo_misses(),
+            memo.split_memo_hits() + memo.split_memo_misses()
         );
+        // A fresh session interner shares exactly what a per-run one does.
+        assert!(memo.interner_hits() > 0);
+        assert_eq!(memo.interner_hits(), plain.interner_hits());
+    }
+
+    #[test]
+    fn one_shot_runs_count_one_miss_per_best_split() {
+        // Without a SharedLearner every bestSplit# is computed and
+        // charged as one miss: figure 2 at depth 1 steps only the root.
+        let ds = synth::figure2();
+        let count = |depth: usize, domain: DomainKind| {
+            let ctx = ExecContext::sequential();
+            run_abstract_shared(
+                &ds,
+                AbstractSet::full(&ds, 2),
+                &[5.0],
+                depth,
+                domain,
+                CprobTransformer::Optimal,
+                true,
+                None,
+                &ctx,
+            );
+            let m = ctx.metrics();
+            assert_eq!(m.split_memo_hits(), 0, "{domain:?} @ depth {depth}");
+            (m.split_memo_misses(), m.disjuncts_processed())
+        };
+        assert_eq!(count(0, DomainKind::Box), (0, 0));
+        assert_eq!(count(1, DomainKind::Box), (1, 1));
+        // Deeper runs compute once per processed disjunct, except that a
+        // pure base terminates before bestSplit#.
+        let (misses, processed) = count(3, DomainKind::Disjuncts);
+        assert!(misses > 1);
+        assert!(misses <= processed);
     }
 
     #[test]

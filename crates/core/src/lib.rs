@@ -19,10 +19,10 @@
 //! * [`cache`](mod@cache) — the incremental certification cache:
 //!   memoized concrete traces, monotone verdict intervals, and validated
 //!   counterexample witnesses reused across sweep rungs;
-//! * [`memo`](mod@memo) — the per-certify-call `bestSplit#` memo:
-//!   recurring `⟨T, n⟩` frontier states across depth iterations reuse the
-//!   stored candidate analysis (hash-consed keys, `--no-memo` escape
-//!   hatch);
+//! * [`memo`](mod@memo) — a session's `bestSplit#` memo: recurring
+//!   `⟨T, n⟩` frontier states across certify calls reuse the stored
+//!   candidate analysis (hash-consed keys; one-shot runs compute every
+//!   `bestSplit#` directly);
 //! * [`score`] — `score#` intervals and `bestSplit#` with the Φ∀/Φ∃
 //!   trivial-split analysis and minimal-interval selection (§4.6), using
 //!   symbolic real-valued predicates (§5.1, Appendix B);
@@ -86,7 +86,7 @@ pub mod verdict;
 
 pub use cache::{CachedTrace, CertCache, EpochMismatch};
 pub use certify::{Certifier, Outcome, RunStats, Verdict};
-pub use drift::{drift_sweep, drift_sweep_in, drift_sweep_with, DriftConfig, EpochReport};
+pub use drift::{drift_sweep, drift_sweep_in, DriftConfig, EpochReport};
 pub use engine::{ExecContext, MetricsSnapshot, RunMetrics};
 pub use ensemble::{certify_forest, certify_forest_in, EnsembleConfig, EnsembleOutcome};
 pub use flip::certify_label_flips;

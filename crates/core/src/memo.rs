@@ -1,47 +1,44 @@
-//! Per-certify-call memoization of `bestSplit#` (DESIGN.md §9.2).
+//! Session-shared memoization of `bestSplit#` (DESIGN.md §9.2).
 //!
 //! The abstract learner's dominant cost is the per-feature
 //! scored-candidates sweep behind [`best_split_abs`], re-run for every
-//! live disjunct at every depth iteration. Frontier deduplication removes
-//! exact duplicates *within* one iteration, but identical `⟨T, n⟩` states
-//! recur **across** iterations — same-feature threshold restrictions
-//! compose (`T↓x≤a↓x≤b = T↓x≤min(a,b)`), budget clamping collapses deep
-//! fragments onto the same `n`, and Hybrid joins can reproduce earlier
-//! states. [`SplitMemo`] caches the full `bestSplit#` result per
-//! `(base, n)` within one certification run, so recurring states skip the
-//! sweep entirely.
+//! live disjunct at every depth iteration. A service session answers a
+//! stream of certify calls against one training set, and identical
+//! `⟨T, n⟩` states recur **across** those calls — requests start from
+//! the same roots (one per budget), same-feature threshold restrictions
+//! compose (`T↓x≤a↓x≤b = T↓x≤min(a,b)`), and budget clamping collapses
+//! deep fragments onto the same `n`. [`SplitMemo`] caches the full
+//! `bestSplit#` result per `(base, n)` for the session's whole lifetime,
+//! so recurring states skip the sweep entirely. A one-shot run (no
+//! [`SharedLearner`]) computes every `bestSplit#` directly: within one
+//! certify call the states recur too rarely to pay for the table.
 //!
 //! # Keying and soundness
 //!
-//! A table is built per certify call with the call's `cprob#` transformer
-//! fixed, so the effective key is `(interned base payload, n,
-//! transformer)`. `best_split_abs` is a *pure, deterministic* function of
-//! exactly that key (the test input `x` only enters `filter#`, after the
-//! split set is chosen), so a memo hit returns the bit-identical
-//! [`AbsSplitResult`] — same candidate order, same predicates, same ⋄
-//! flag — that a recompute would produce. Memoized and memo-free runs
-//! therefore produce identical ladders and verdicts (pinned by the
-//! memo-on/off rows of `crates/core/tests/determinism.rs`); `--no-memo`
-//! is the escape hatch mirroring `--no-cache`/`--no-subsume`. The one
-//! caveat is shared with every accelerator in this codebase: under a
-//! binding wall-clock timeout, a faster memoized run can finish where a
-//! memo-free run times out.
+//! A table is built with the session's `cprob#` transformer fixed, so
+//! the effective key is `(interned base payload, n, transformer)`.
+//! `best_split_abs` is a *pure, deterministic* function of exactly that
+//! key (the test input `x` only enters `filter#`, after the split set is
+//! chosen), so a memo hit returns the bit-identical [`AbsSplitResult`] —
+//! same candidate order, same predicates, same ⋄ flag — that a recompute
+//! would produce. Session and one-shot runs therefore produce identical
+//! ladders and verdicts (pinned by the session-vs-one-shot rows of
+//! `crates/core/tests/determinism.rs`).
 //!
 //! Keys are hash-consed [`Subset`]s (clone = refcount bump, `Hash` =
 //! precomputed content hash), so a probe costs O(1) plus one short lock.
 //!
 //! # Deterministic hit/miss accounting
 //!
-//! Within one run, all frontier disjuncts of one iteration are distinct
-//! after dedup, so concurrent workers never race on the *same* key — but
-//! Hybrid joins can occasionally reintroduce a duplicate into one batch.
-//! The table reconciles at insert time: a computed value that finds the
-//! key already present is counted as a **hit** (and the stored value
-//! returned), keeping the invariant *hits = probes − misses* at every
-//! thread count, which the perf gate relies on. An admission guard
-//! (see [`SplitMemo::best_split`]) routes small-base probes around the
-//! table — those run the sweep directly and count as misses, exactly as
-//! a cold table would have charged them.
+//! Concurrent workers — of one run or of concurrent certify calls — can
+//! race on the same key. The table reconciles at insert time: a computed
+//! value that finds the key already present is counted as a **hit** (and
+//! the stored value returned), keeping the invariant *hits = probes −
+//! distinct keys* at every thread count and admission order, which the
+//! perf gate relies on. An admission guard (see
+//! [`SplitMemo::best_split`]) routes small-base probes around the table —
+//! those run the sweep directly and count as misses, exactly as a cold
+//! table would have charged them.
 
 use crate::engine::{Counter, RunMetrics};
 use crate::score::{best_split_abs, AbsSplitResult};
@@ -71,24 +68,16 @@ impl<V> Default for KeyedMemo<V> {
 impl<V> KeyedMemo<V> {
     /// Returns the memoized value for `key`, computing it with `compute`
     /// on the first probe. Hits and misses land on `metrics`
-    /// deterministically (insert-time reconciliation). With
-    /// `admit_insert: false` the probe still consults the table (a
-    /// present key is a hit) but a miss recomputes without storing —
-    /// the caller has decided this state is not worth retaining.
+    /// deterministically (insert-time reconciliation).
     fn get_or_compute<F: FnOnce() -> V>(
         &self,
         key: (Subset, usize),
         compute: F,
-        admit_insert: bool,
         metrics: &RunMetrics,
     ) -> Arc<V> {
         if let Some(hit) = self.table.lock().expect("memo lock poisoned").get(&key) {
             metrics.record(Counter::SplitMemoHits, 1);
             return hit.clone();
-        }
-        if !admit_insert {
-            metrics.record(Counter::SplitMemoMisses, 1);
-            return Arc::new(compute());
         }
         let value = Arc::new(compute());
         match self.table.lock().expect("memo lock poisoned").entry(key) {
@@ -107,54 +96,34 @@ impl<V> KeyedMemo<V> {
         }
     }
 
-    /// Number of distinct keys memoized (= total misses recorded).
+    /// Number of distinct keys memoized (= misses recorded by the table).
     fn len(&self) -> usize {
         self.table.lock().expect("memo lock poisoned").len()
     }
 }
 
-/// The removal-model `bestSplit#` memo: one table per certify call, with
-/// the call's transformer fixed at construction and the table stamped
-/// with the dataset epoch it was built against — memoized split results
-/// describe one training set, and consulting them across a mutation
-/// would be unsound (DESIGN.md §11).
+/// The removal-model `bestSplit#` memo of a session's
+/// [`SharedLearner`], with the session's transformer fixed at
+/// construction and the table stamped with the dataset epoch it was
+/// built against — memoized split results describe one training set,
+/// and consulting them across a mutation would be unsound (DESIGN.md
+/// §11).
 #[derive(Debug)]
 pub struct SplitMemo {
     transformer: CprobTransformer,
     epoch: u64,
-    /// `true` for session-shared memos: entries are inserted at every
-    /// frontier depth (see [`SplitMemo::new_shared`]); `false` for the
-    /// per-certify-call memo, which only retains shallow states.
-    insert_all_depths: bool,
     inner: KeyedMemo<AbsSplitResult>,
 }
 
 impl SplitMemo {
-    /// An empty memo for **one** certify call over `ds` under
-    /// `transformer`, stamped with `ds`'s current epoch. Insert
-    /// admission is depth-gated (see [`SplitMemo::best_split`]).
-    pub fn new(ds: &Dataset, transformer: CprobTransformer) -> Self {
-        SplitMemo {
-            transformer,
-            epoch: ds.epoch(),
-            insert_all_depths: false,
-            inner: KeyedMemo::default(),
-        }
-    }
-
-    /// An empty memo for a session's [`SharedLearner`], stamped with
-    /// `ds`'s current epoch. Shared memos insert at **every** frontier
-    /// depth: retention pays off across the whole request stream, and —
-    /// more importantly — insert-everywhere is what keeps hit/miss
-    /// accounting order-invariant when *concurrent* certify calls probe
-    /// the same key (both racers insert, the collision reconciles to a
-    /// hit; a depth-gated lookup racing a concurrent insert would count
-    /// hit or miss depending on timing).
+    /// An empty memo for a session's [`SharedLearner`] over `ds` under
+    /// `transformer`, stamped with `ds`'s current epoch. Every admitted
+    /// probe inserts, which keeps hit/miss accounting order-invariant
+    /// across concurrent certify calls.
     pub fn new_shared(ds: &Dataset, transformer: CprobTransformer) -> Self {
         SplitMemo {
             transformer,
             epoch: ds.epoch(),
-            insert_all_depths: true,
             inner: KeyedMemo::default(),
         }
     }
@@ -167,56 +136,30 @@ impl SplitMemo {
     /// Size guard: probe the table only for bases covering at least a
     /// third of the dataset (`base·ADMIT_DIVISOR ≥ |D|`).
     ///
-    /// Profiling depth-3 disjunctive runs showed memo hits land only on
-    /// sizeable bases — recurring `⟨T, n⟩` states come from same-feature
-    /// threshold compositions near the root (every hit in the 200-row
-    /// split bench uses a base of ≥ 101 rows; the 150-row iris-like
-    /// learner test's hits bottom out at 51 ≈ |D|/3) — while the bulk
-    /// of misses are small deep fragments whose sparse-path sweep is
-    /// cheaper than the key clone + two lock rounds + `Arc` insert a
-    /// memoized miss pays. Guarded-out probes run the sweep directly and
-    /// still count as misses, so `misses = probes − hits` holds at every
-    /// thread count and the depth-2 perf-gate counters are untouched (a
-    /// depth-2 frontier has no recurring states: every probe is a miss
-    /// either way).
+    /// Recurring `⟨T, n⟩` states are sizeable bases — the roots every
+    /// request starts from and the same-feature threshold compositions
+    /// near them — while the bulk of probes are small deep fragments
+    /// whose sparse-path sweep is cheaper than the key clone + two lock
+    /// rounds + `Arc` insert a memoized miss pays. Guarded-out probes run
+    /// the sweep directly and still count as misses, so `misses = probes
+    /// − hits` holds at every thread count. The divisor is part of the
+    /// session's observable accounting: it decides which probes can hit,
+    /// so changing it moves `split_memo_hits`/`split_memo_misses` in the
+    /// service's `metrics` op (and the replay transcripts that pin it).
     const ADMIT_DIVISOR: usize = 3;
 
-    /// Insert guard for per-certify-call memos: retain only states first
-    /// probed at frontier depth < 2 (the root and its direct children).
-    ///
-    /// The recurrences the memo exists for are composition collapses —
-    /// `T↓x≤a↓x≤b = T↓x≤b` re-derives a depth-1 state at depth ≥ 2 — so
-    /// every observed hit re-probes a state already seen by depth 1.
-    /// The original guard admitted *any* large-enough base at any depth,
-    /// and a depth-3 run retained thousands of never-again-probed deep
-    /// `Arc<AbsSplitResult>`s; the split bench measured that retention
-    /// as a net regression (`certify_memo_ms` 395 ms vs 375 ms memo-free
-    /// at 42 hits / 3,885 misses). Depth-gating the *insert* (lookups
-    /// still run at every depth, so collapsed re-derivations still hit)
-    /// bounds the table to the shallow states that actually recur; the
-    /// split bench records both timings in `BENCH_split.json`. Determinism: a
-    /// local memo serves one run, iterations are barriers, and frontier
-    /// dedup keeps same-iteration keys distinct, so whether a probe's
-    /// key was inserted is a pure function of the trace — hit/miss
-    /// counts stay thread-invariant. Session-shared memos keep
-    /// insert-everywhere semantics (see [`SplitMemo::new_shared`]).
-    const INSERT_DEPTH_LIMIT: usize = 2;
-
-    /// `bestSplit#(a)` through the memo, probing from a frontier
-    /// disjunct at 0-based iteration `depth`: the first *admitted* probe
-    /// per `(base, n)` runs the scored-candidates sweep, every later
-    /// probe returns the stored result; small-base probes bypass the
-    /// table entirely and deep probes of a per-call memo consult it
-    /// without inserting (see `ADMIT_DIVISOR` / `INSERT_DEPTH_LIMIT`
-    /// above). `bestSplit#` results are pure functions of `(base, n)`
-    /// *on one training set*; a memo consulted against a different epoch
-    /// would silently return splits scored on stale data, so the stamp
-    /// check is a hard assert, active in release builds too.
+    /// `bestSplit#(a)` through the memo: the first *admitted* probe per
+    /// `(base, n)` runs the scored-candidates sweep, every later probe
+    /// returns the stored result; small-base probes bypass the table
+    /// (see `ADMIT_DIVISOR` above). `bestSplit#` results are pure
+    /// functions of `(base, n)` *on one training set*; a memo consulted
+    /// against a different epoch would silently return splits scored on
+    /// stale data, so the stamp check is a hard assert, active in release
+    /// builds too.
     pub fn best_split(
         &self,
         ds: &Dataset,
         a: &AbstractSet,
-        depth: usize,
         metrics: &RunMetrics,
     ) -> Arc<AbsSplitResult> {
         assert_eq!(
@@ -230,11 +173,9 @@ impl SplitMemo {
             metrics.record(Counter::SplitMemoMisses, 1);
             return Arc::new(best_split_abs(ds, a, self.transformer));
         }
-        let admit_insert = self.insert_all_depths || depth < Self::INSERT_DEPTH_LIMIT;
         self.inner.get_or_compute(
             (a.base().clone(), a.n()),
             || best_split_abs(ds, a, self.transformer),
-            admit_insert,
             metrics,
         )
     }
@@ -254,14 +195,13 @@ impl SplitMemo {
 /// calls (DESIGN.md §12): one `bestSplit#` memo plus one frontier
 /// interner, both stamped for a single dataset epoch.
 ///
-/// A one-shot run builds a [`SplitMemo`] and a
-/// [`SubsetInterner`](antidote_data::SubsetInterner) inside
-/// `run_abstract` and drops them on return, so recurring `⟨T, n⟩` states
-/// across *requests* re-run the candidate sweep from scratch. A
-/// [`crate::session::Session`] instead owns one `SharedLearner` per
-/// (dataset epoch, config) and lends it to every certify call via
-/// `Certifier::shared_state`, so the memo and the hash-cons table warm up
-/// over the whole request stream.
+/// A one-shot run computes every `bestSplit#` directly and builds a
+/// [`SubsetInterner`](antidote_data::SubsetInterner) that it drops on
+/// return, so recurring `⟨T, n⟩` states across *requests* re-run the
+/// candidate sweep from scratch. A [`crate::session::Session`] instead
+/// owns one `SharedLearner` per (dataset epoch, config) and lends it to
+/// every certify call via `Certifier::shared_state`, so the memo and the
+/// hash-cons table warm up over the whole request stream.
 ///
 /// Sharing is sound and deterministic:
 ///
@@ -280,31 +220,27 @@ impl SplitMemo {
 ///   guarantees cover the certify/cache counters only.
 #[derive(Debug)]
 pub struct SharedLearner {
-    epoch: u64,
-    memo: Option<SplitMemo>,
+    memo: SplitMemo,
     interner: Mutex<antidote_data::SubsetInterner>,
 }
 
 impl SharedLearner {
-    /// Shared state for `ds`'s current epoch. `memo: false` (the
-    /// `--no-memo` regime) keeps the interner but routes every
-    /// `bestSplit#` probe straight to the sweep.
-    pub fn new(ds: &Dataset, transformer: CprobTransformer, memo: bool) -> Self {
+    /// Shared state for `ds`'s current epoch under `transformer`.
+    pub fn new(ds: &Dataset, transformer: CprobTransformer) -> Self {
         SharedLearner {
-            epoch: ds.epoch(),
-            memo: memo.then(|| SplitMemo::new_shared(ds, transformer)),
+            memo: SplitMemo::new_shared(ds, transformer),
             interner: Mutex::new(antidote_data::SubsetInterner::new()),
         }
     }
 
     /// The dataset epoch this state is valid for.
     pub fn epoch(&self) -> u64 {
-        self.epoch
+        self.memo.epoch()
     }
 
-    /// The shared `bestSplit#` memo, when memoization is armed.
-    pub fn memo(&self) -> Option<&SplitMemo> {
-        self.memo.as_ref()
+    /// The shared `bestSplit#` memo.
+    pub fn memo(&self) -> &SplitMemo {
+        &self.memo
     }
 
     /// Runs `f` under the shared interner's lock. The learner interns
@@ -360,7 +296,6 @@ impl FlipSplitMemo {
         self.inner.get_or_compute(
             (f.subset().clone(), f.n()),
             || crate::flip::best_split_flip(ds, f),
-            true,
             metrics,
         )
     }
@@ -384,26 +319,26 @@ mod tests {
     #[test]
     fn memo_returns_bit_identical_results_and_counts_probes() {
         let ds = synth::figure2();
-        let memo = SplitMemo::new(&ds, CprobTransformer::Optimal);
+        let memo = SplitMemo::new_shared(&ds, CprobTransformer::Optimal);
         let metrics = RunMetrics::default();
         let a = AbstractSet::full(&ds, 2);
-        let first = memo.best_split(&ds, &a, 0, &metrics);
+        let first = memo.best_split(&ds, &a, &metrics);
         let direct = best_split_abs(&ds, &a, CprobTransformer::Optimal);
         assert_eq!(*first, direct, "memoized result equals the direct sweep");
         assert_eq!(metrics.split_memo_misses(), 1);
         assert_eq!(metrics.split_memo_hits(), 0);
         // A re-probe (same base payload, same n) hits and shares the Arc.
-        let again = memo.best_split(&ds, &a.clone(), 0, &metrics);
+        let again = memo.best_split(&ds, &a.clone(), &metrics);
         assert!(Arc::ptr_eq(&first, &again));
         assert_eq!(metrics.split_memo_hits(), 1);
         // An equal-but-distinct allocation still hits (content keying)...
         let rebuilt = AbstractSet::full(&ds, 2);
-        let third = memo.best_split(&ds, &rebuilt, 0, &metrics);
+        let third = memo.best_split(&ds, &rebuilt, &metrics);
         assert!(Arc::ptr_eq(&first, &third));
         assert_eq!(metrics.split_memo_hits(), 2);
         // ...while a different budget is a distinct key.
         let wide = a.with_budget(3);
-        let other = memo.best_split(&ds, &wide, 0, &metrics);
+        let other = memo.best_split(&ds, &wide, &metrics);
         assert!(!Arc::ptr_eq(&first, &other));
         assert_eq!(memo.len(), 2);
         assert_eq!(metrics.split_memo_misses(), 2);
@@ -411,40 +346,13 @@ mod tests {
     }
 
     #[test]
-    fn deep_probes_consult_but_only_shallow_probes_insert() {
-        let ds = synth::figure2();
-        let metrics = RunMetrics::default();
-        let a = AbstractSet::full(&ds, 2);
-        // Local memo: a depth-2 probe recomputes without retaining...
-        let local = SplitMemo::new(&ds, CprobTransformer::Optimal);
-        let first = local.best_split(&ds, &a, 2, &metrics);
-        assert!(local.is_empty());
-        assert_eq!(metrics.split_memo_misses(), 1);
-        // ...but once a shallow probe inserted the state, deep
-        // re-probes (the composition-collapse recurrences) still hit.
-        let shallow = local.best_split(&ds, &a, 1, &metrics);
-        assert!(!Arc::ptr_eq(&first, &shallow));
-        let deep = local.best_split(&ds, &a, 2, &metrics);
-        assert!(Arc::ptr_eq(&shallow, &deep));
-        assert_eq!(metrics.split_memo_hits(), 1);
-        assert_eq!(metrics.split_memo_misses(), 2);
-        // Session-shared memos insert at every depth (order-invariant
-        // accounting under concurrent certify calls; see new_shared).
-        let shared = SplitMemo::new_shared(&ds, CprobTransformer::Optimal);
-        let s1 = shared.best_split(&ds, &a, 5, &metrics);
-        assert_eq!(shared.len(), 1);
-        let s2 = shared.best_split(&ds, &a, 0, &metrics);
-        assert!(Arc::ptr_eq(&s1, &s2));
-    }
-
-    #[test]
     fn small_bases_bypass_the_table_but_still_count_misses() {
         let ds = synth::figure2(); // 13 rows: the size guard needs ≥ 5
-        let memo = SplitMemo::new(&ds, CprobTransformer::Optimal);
+        let memo = SplitMemo::new_shared(&ds, CprobTransformer::Optimal);
         let metrics = RunMetrics::default();
         let small = AbstractSet::new(Subset::from_indices(&ds, vec![0, 1, 2]), 1);
-        let first = memo.best_split(&ds, &small, 0, &metrics);
-        let again = memo.best_split(&ds, &small, 0, &metrics);
+        let first = memo.best_split(&ds, &small, &metrics);
+        let again = memo.best_split(&ds, &small, &metrics);
         // Bypassed probes recompute (no sharing), never hit, and leave
         // the table empty — but each one is charged as a miss.
         assert_eq!(*first, *again);
@@ -459,8 +367,8 @@ mod tests {
         );
         // A half-dataset base is admitted.
         let big = AbstractSet::new(Subset::from_indices(&ds, (0..7).collect()), 1);
-        let b1 = memo.best_split(&ds, &big, 0, &metrics);
-        let b2 = memo.best_split(&ds, &big, 0, &metrics);
+        let b1 = memo.best_split(&ds, &big, &metrics);
+        let b2 = memo.best_split(&ds, &big, &metrics);
         assert!(Arc::ptr_eq(&b1, &b2));
         assert_eq!(memo.len(), 1);
         assert_eq!(metrics.split_memo_hits(), 1);
@@ -489,13 +397,13 @@ mod tests {
     #[should_panic(expected = "SplitMemo stamped for dataset epoch 0 used against epoch 1")]
     fn split_memo_rejects_a_mutated_dataset() {
         let ds = synth::figure2();
-        let memo = SplitMemo::new(&ds, CprobTransformer::Optimal);
+        let memo = SplitMemo::new_shared(&ds, CprobTransformer::Optimal);
         assert_eq!(memo.epoch(), 0);
         let mutated = ds
             .apply(antidote_data::DatasetDelta::new().remove(0))
             .unwrap();
         let a = AbstractSet::full(&mutated, 1);
-        let _ = memo.best_split(&mutated, &a, 0, &RunMetrics::default());
+        let _ = memo.best_split(&mutated, &a, &RunMetrics::default());
     }
 
     #[test]

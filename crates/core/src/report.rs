@@ -7,7 +7,7 @@
 //! concrete evidence, which the CLI and examples can print.
 
 use crate::engine::ExecContext;
-use crate::learner::{run_abstract, DomainKind};
+use crate::learner::{run_abstract_shared, DomainKind};
 use crate::verdict::dominant_class;
 use antidote_data::{ClassId, Dataset, Subset};
 use antidote_domains::{AbstractSet, CprobTransformer, Interval};
@@ -90,7 +90,7 @@ pub fn explain(
     subsume: bool,
 ) -> Explanation {
     let reference = dtrace_label(ds, &Subset::full(ds), x, depth);
-    let out = run_abstract(
+    let out = run_abstract_shared(
         ds,
         AbstractSet::full(ds, n),
         x,
@@ -98,8 +98,7 @@ pub fn explain(
         domain,
         transformer,
         subsume,
-        true,
-        true,
+        None,
         &ExecContext::sequential(),
     );
     let terminals: Vec<TerminalReport> = out

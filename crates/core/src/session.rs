@@ -80,18 +80,6 @@ pub struct SessionConfig {
     pub timeout: Option<Duration>,
     /// Per-instance disjunct budget (out-of-memory stand-in).
     pub max_live_disjuncts: Option<usize>,
-    /// Frontier subsumption pruning (default on).
-    pub subsume: bool,
-    /// Persistent `bestSplit#` memoization (default on).
-    pub memo: bool,
-    /// Chunked SIMD word kernels (default on).
-    pub simd: bool,
-    /// The adaptive probe scheduler for session sweeps (default on; the
-    /// service-side counterpart of `--no-schedule`, see
-    /// `SweepConfig::schedule`). Sessions set no ladder deadline or
-    /// probe budget, so the scheduler only orders rungs and counts
-    /// probes — session ladders stay bit-identical either way.
-    pub schedule: bool,
 }
 
 impl Default for SessionConfig {
@@ -102,10 +90,6 @@ impl Default for SessionConfig {
             transformer: CprobTransformer::Optimal,
             timeout: None,
             max_live_disjuncts: None,
-            subsume: true,
-            memo: true,
-            simd: true,
-            schedule: true,
         }
     }
 }
@@ -147,10 +131,6 @@ impl SessionConfig {
             None => u64::MAX,
             Some(b) => b as u64,
         });
-        mix(u64::from(self.subsume)
-            | u64::from(self.memo) << 1
-            | u64::from(self.simd) << 2
-            | u64::from(self.schedule) << 3);
         h
     }
 }
@@ -185,7 +165,7 @@ impl WarmUnit {
         let state = SessionState {
             cache: CertCache::with_epoch(ds.epoch(), 0),
             slots: BTreeMap::new(),
-            shared: Arc::new(SharedLearner::new(&ds, cfg.transformer, cfg.memo)),
+            shared: Arc::new(SharedLearner::new(&ds, cfg.transformer)),
             ds,
         };
         WarmUnit {
@@ -427,9 +407,6 @@ impl Session {
             .depth(self.cfg.depth)
             .domain(self.cfg.domain)
             .transformer(self.cfg.transformer)
-            .subsume(self.cfg.subsume)
-            .memo(self.cfg.memo)
-            .simd(self.cfg.simd)
             .shared_state(&st.shared);
         if let Some(t) = self.cfg.timeout {
             certifier = certifier.timeout(t);
@@ -469,23 +446,16 @@ impl Session {
             .map(|x| self.slot_for(&unit, x))
             .collect();
         let st = unit.state.read().expect("session lock poisoned");
+        // No ladder deadline or probe budget, so the scheduler defers
+        // nothing; `threads` is unused (the parent context fans out).
         let cfg = SweepConfig {
             depth: self.cfg.depth,
             domain: self.cfg.domain,
             transformer: self.cfg.transformer,
             timeout: self.cfg.timeout,
             max_live_disjuncts: self.cfg.max_live_disjuncts,
-            start_n: 1,
             max_n,
-            binary_search: true,
-            threads: 0, // unused: the parent context governs fan-out
-            cache: true,
-            subsume: self.cfg.subsume,
-            memo: self.cfg.memo,
-            simd: self.cfg.simd,
-            schedule: self.cfg.schedule,
-            deadline: None,
-            probe_budget: None,
+            ..SweepConfig::default()
         };
         let rctx = ctx.child().fresh_metrics();
         let ladder = sweep_shared(
@@ -529,11 +499,7 @@ impl Session {
             SessionState {
                 cache: st.cache.transfer_batched(summaries, &new_ds, metrics),
                 slots: st.slots.clone(),
-                shared: Arc::new(SharedLearner::new(
-                    &new_ds,
-                    self.cfg.transformer,
-                    self.cfg.memo,
-                )),
+                shared: Arc::new(SharedLearner::new(&new_ds, self.cfg.transformer)),
                 ds: Arc::clone(&new_ds),
             }
         };

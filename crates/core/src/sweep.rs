@@ -69,20 +69,6 @@ pub struct SweepConfig {
     /// stock configurations produces ladders bit-identical to the
     /// unpruned frontier (pinned in `tests/determinism.rs`).
     pub subsume: bool,
-    /// Whether each certify call memoizes `bestSplit#` results across its
-    /// frontier disjuncts and depth iterations (default: on; `false` is
-    /// the `--no-memo` escape hatch mirroring `--no-cache`/`--no-subsume`).
-    /// Memoized and memo-free sweeps produce bit-identical ladders — the
-    /// memoized result is a pure function of its key (see
-    /// `antidote_core::memo`) — with the usual timing caveat under a
-    /// binding wall-clock `timeout`.
-    pub memo: bool,
-    /// Whether the abstract runs use the chunked SIMD word kernels for
-    /// their subset algebra (default: on; `false` is the `--no-simd`
-    /// escape hatch selecting the bit-identical scalar fallback). A pure
-    /// performance switch: ladders and thread-invariant counters are
-    /// unchanged either way (see `antidote_data::simd`, DESIGN.md §10).
-    pub simd: bool,
     /// Whether the adaptive [`ProbeScheduler`] steers the ladder
     /// (default: on; `false` is the `--no-schedule` escape hatch
     /// mirroring `--no-cache`). The scheduler orders each rung's probes
@@ -134,8 +120,6 @@ impl Default for SweepConfig {
             threads: 0,
             cache: true,
             subsume: true,
-            memo: true,
-            simd: true,
             schedule: true,
             deadline: None,
             probe_budget: None,
@@ -288,9 +272,7 @@ pub(crate) fn sweep_shared(
         .depth(cfg.depth)
         .domain(cfg.domain)
         .transformer(cfg.transformer)
-        .subsume(cfg.subsume)
-        .memo(cfg.memo)
-        .simd(cfg.simd);
+        .subsume(cfg.subsume);
     if let Some(s) = shared {
         certifier = certifier.shared_state(s);
     }

@@ -7,11 +7,13 @@
 //! for each parallel surface.
 
 use antidote_core::engine::ExecContext;
-use antidote_core::learner::run_abstract;
+use antidote_core::learner::run_abstract_shared;
 use antidote_core::{sweep, Certifier, DomainKind, SweepConfig};
+use antidote_core::{Session, SessionConfig, SharedLearner};
 use antidote_data::synth::{gaussian_blobs, BlobSpec};
 use antidote_data::Dataset;
 use antidote_domains::{AbstractSet, CprobTransformer};
+use std::sync::Arc;
 
 /// Two separated 1-D Gaussian classes.
 fn blobs(per_class: usize, seed: u64) -> Dataset {
@@ -278,11 +280,11 @@ fn probe_budget_cutoff_is_thread_invariant() {
 
 #[test]
 fn memoized_best_split_is_observationally_invisible() {
-    // The per-certify-call bestSplit# memo must change nothing but work
-    // counts: memo-on and --no-memo sweeps produce bit-identical ladders
-    // for every domain × thread count (the memoized result is a pure
-    // function of its (base, n, transformer) key), and the escape hatch
-    // fully disarms the memo.
+    // A session's bestSplit# memo must change nothing but work counts:
+    // session sweeps (memoized through their SharedLearner) and one-shot
+    // sweeps (every bestSplit# computed) produce bit-identical ladders
+    // for every domain × thread count, since the memoized result is a
+    // pure function of its (base, n, transformer) key.
     let ds = blobs(60, 7);
     let xs = test_points(16);
     for domain in [
@@ -290,28 +292,37 @@ fn memoized_best_split_is_observationally_invisible() {
         DomainKind::Disjuncts,
         DomainKind::Hybrid { max_disjuncts: 8 },
     ] {
+        let mut counts = Vec::new();
         for threads in [1usize, 4] {
-            let cfg = |memo: bool| SweepConfig {
+            let cfg = SweepConfig {
                 depth: 3,
                 domain,
                 timeout: None,
+                max_live_disjuncts: None,
                 threads,
-                memo,
                 ..SweepConfig::default()
             };
-            let memo_ctx = ExecContext::new().threads(threads);
-            let memoized = antidote_core::sweep_in(&ds, &xs, &cfg(true), &memo_ctx);
             let plain_ctx = ExecContext::new().threads(threads);
-            let plain = antidote_core::sweep_in(&ds, &xs, &cfg(false), &plain_ctx);
+            let plain = antidote_core::sweep_in(&ds, &xs, &cfg, &plain_ctx);
+            let session = Session::new(
+                Arc::new(ds.clone()),
+                SessionConfig {
+                    depth: 3,
+                    domain,
+                    ..SessionConfig::default()
+                },
+            );
+            let memo_ctx = ExecContext::new().threads(threads);
+            let (memoized, _) = session.sweep(&xs, None, &memo_ctx);
             assert_eq!(
                 key(&memoized),
                 key(&plain),
-                "{domain:?} @ {threads} thread(s): --no-memo ladder diverged"
+                "{domain:?} @ {threads} thread(s): session ladder diverged"
             );
             assert_eq!(
-                plain_ctx.metrics().split_memo_hits() + plain_ctx.metrics().split_memo_misses(),
+                plain_ctx.metrics().split_memo_hits(),
                 0,
-                "the escape hatch must fully disarm the memo"
+                "a one-shot run computes every bestSplit#"
             );
             if domain == DomainKind::Disjuncts {
                 assert!(
@@ -319,27 +330,22 @@ fn memoized_best_split_is_observationally_invisible() {
                     "sanity: recurring depth-3 frontier states must hit the memo"
                 );
             }
-            // Hit/miss accounting is thread-invariant (deterministic
-            // insert-time reconciliation), which the perf gate relies on.
-            if threads == 1 {
-                continue;
-            }
-            let seq_ctx = ExecContext::new().threads(1);
-            let _ = antidote_core::sweep_in(&ds, &xs, &cfg(true), &seq_ctx);
-            assert_eq!(
-                (
-                    memo_ctx.metrics().split_memo_hits(),
-                    memo_ctx.metrics().split_memo_misses(),
-                    memo_ctx.metrics().interner_hits(),
-                ),
-                (
-                    seq_ctx.metrics().split_memo_hits(),
-                    seq_ctx.metrics().split_memo_misses(),
-                    seq_ctx.metrics().interner_hits(),
-                ),
-                "{domain:?}: memo/interner counters diverged across thread counts"
-            );
+            let (p, m) = (plain_ctx.metrics(), memo_ctx.metrics());
+            counts.push([
+                p.split_memo_misses(),
+                p.interner_hits(),
+                m.split_memo_hits(),
+                m.split_memo_misses(),
+                m.interner_hits(),
+            ]);
         }
+        // Hit/miss and interner accounting is thread-invariant on both
+        // paths (deterministic insert-time reconciliation), which the
+        // perf gate relies on.
+        assert_eq!(
+            counts[0], counts[1],
+            "{domain:?}: memo/interner counters diverged across thread counts"
+        );
     }
 }
 
@@ -347,22 +353,28 @@ fn memoized_best_split_is_observationally_invisible() {
 fn certify_verdicts_invariant_under_memo_toggle() {
     // Direct certifier differential: identical verdicts, labels, and
     // terminal counts for every domain × budget × input with and without
-    // the memo, at 1 and 4 threads.
+    // a session's shared learner state, at 1 and 4 threads.
     let ds = blobs(50, 3);
     for domain in [
         DomainKind::Box,
         DomainKind::Disjuncts,
         DomainKind::Hybrid { max_disjuncts: 8 },
     ] {
+        let shared = SharedLearner::new(&ds, CprobTransformer::Optimal);
+        let totals = ExecContext::sequential();
         for n in [0usize, 4, 16, 64] {
             for x in [[0.5], [5.1], [9.5]] {
                 let outcome = |memo: bool, threads: usize| {
-                    Certifier::new(&ds)
-                        .depth(3)
-                        .domain(domain)
-                        .threads(threads)
-                        .memo(memo)
-                        .certify(&x, n)
+                    let certifier = Certifier::new(&ds).depth(3).domain(domain);
+                    let certifier = if memo {
+                        certifier.shared_state(&shared)
+                    } else {
+                        certifier
+                    };
+                    let ctx = ExecContext::new().threads(threads);
+                    let out = certifier.certify_in(&x, n, &ctx);
+                    totals.metrics().absorb(&ctx.metrics().snapshot());
+                    out
                 };
                 let base = outcome(false, 1);
                 for (memo, threads) in [(true, 1), (true, 4), (false, 4)] {
@@ -376,109 +388,11 @@ fn certify_verdicts_invariant_under_memo_toggle() {
                 }
             }
         }
-    }
-}
-
-#[test]
-fn simd_kernels_are_observationally_invisible() {
-    // The chunked word kernels are a pure perf switch: --no-simd (scalar
-    // fallback) and the vector forms must produce bit-identical sweep
-    // ladders for every domain × thread count. Bitwise ops are exact and
-    // the per-lane popcount sums are associative integer adds, so the
-    // two paths compute literally the same values — this pins it.
-    let ds = blobs(60, 7);
-    let xs = test_points(32);
-    for domain in [
-        DomainKind::Box,
-        DomainKind::Disjuncts,
-        DomainKind::Hybrid { max_disjuncts: 8 },
-    ] {
-        for threads in [1usize, 4] {
-            let cfg = |simd: bool| SweepConfig {
-                depth: 2,
-                domain,
-                timeout: None,
-                threads,
-                simd,
-                ..SweepConfig::default()
-            };
-            let simd_ctx = ExecContext::new().threads(threads);
-            let vectored = antidote_core::sweep_in(&ds, &xs, &cfg(true), &simd_ctx);
-            let scalar_ctx = ExecContext::new().threads(threads);
-            let scalar = antidote_core::sweep_in(&ds, &xs, &cfg(false), &scalar_ctx);
-            assert_eq!(
-                key(&vectored),
-                key(&scalar),
-                "{domain:?} @ {threads} thread(s): --no-simd ladder diverged"
+        if domain == DomainKind::Disjuncts {
+            assert!(
+                totals.metrics().split_memo_hits() > 0,
+                "sanity: the shared memo must answer recurring states"
             );
-            // The recorded lane width reflects each run's own flag: the
-            // escape hatch reports scalar (1) even in a SIMD build.
-            assert_eq!(
-                scalar_ctx.metrics().simd_lanes(),
-                1,
-                "--no-simd must disarm the kernels"
-            );
-            assert_eq!(
-                simd_ctx.metrics().simd_lanes(),
-                if antidote_data::simd::compiled() {
-                    antidote_data::simd::LANES as u64
-                } else {
-                    1
-                }
-            );
-            // Work counters agree exactly: the kernels change how words
-            // are combined, never which states are visited.
-            assert_eq!(
-                (
-                    simd_ctx.metrics().certify_calls(),
-                    simd_ctx.metrics().disjuncts_processed(),
-                    simd_ctx.metrics().disjuncts_subsumed(),
-                    simd_ctx.metrics().interner_hits(),
-                ),
-                (
-                    scalar_ctx.metrics().certify_calls(),
-                    scalar_ctx.metrics().disjuncts_processed(),
-                    scalar_ctx.metrics().disjuncts_subsumed(),
-                    scalar_ctx.metrics().interner_hits(),
-                ),
-                "{domain:?} @ {threads} thread(s): SIMD toggle moved a work counter"
-            );
-        }
-    }
-}
-
-#[test]
-fn certify_verdicts_invariant_under_simd_toggle() {
-    // Direct certifier differential: identical verdicts, labels, and
-    // terminal counts for every domain × budget × input with the vector
-    // kernels on and off, at 1 and 4 threads.
-    let ds = blobs(50, 3);
-    for domain in [
-        DomainKind::Box,
-        DomainKind::Disjuncts,
-        DomainKind::Hybrid { max_disjuncts: 8 },
-    ] {
-        for n in [0usize, 4, 16, 64] {
-            for x in [[0.5], [5.1], [9.5]] {
-                let outcome = |simd: bool, threads: usize| {
-                    Certifier::new(&ds)
-                        .depth(3)
-                        .domain(domain)
-                        .threads(threads)
-                        .simd(simd)
-                        .certify(&x, n)
-                };
-                let base = outcome(false, 1);
-                for (simd, threads) in [(true, 1), (true, 4), (false, 4)] {
-                    let o = outcome(simd, threads);
-                    assert_eq!(
-                        o.verdict, base.verdict,
-                        "{domain:?} x={x:?} n={n} simd={simd} threads={threads}"
-                    );
-                    assert_eq!(o.label, base.label);
-                    assert_eq!(o.stats.terminals, base.stats.terminals);
-                }
-            }
         }
     }
 }
@@ -564,7 +478,7 @@ fn disjunct_frontier_is_thread_invariant() {
         DomainKind::Hybrid { max_disjuncts: 16 },
     ] {
         let run = |threads: usize| {
-            run_abstract(
+            run_abstract_shared(
                 &ds,
                 AbstractSet::full(&ds, 8),
                 &x,
@@ -572,8 +486,7 @@ fn disjunct_frontier_is_thread_invariant() {
                 domain,
                 CprobTransformer::Optimal,
                 true,
-                true,
-                true,
+                None,
                 &ExecContext::new().threads(threads),
             )
         };

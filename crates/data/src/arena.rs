@@ -11,8 +11,8 @@
 //! # Lifecycle and the interner escape hatch
 //!
 //! One arena lives per engine worker thread (a thread-local in the
-//! learner) and is `reset` at the start of every `run_abstract` call —
-//! "frontier lifetime". The arena only ever owns *scratch* buffers:
+//! learner) and is `reset` at the start of every `run_abstract_shared`
+//! call — "frontier lifetime". The arena only ever owns *scratch* buffers:
 //! any word vector that survives the run — a sealed
 //! `SubsetRepr` payload, interned or not — is moved into its own
 //! `Arc` allocation by `Subset::seal` and therefore outlives every

@@ -20,8 +20,8 @@
 //!   can be substituted in when available;
 //! * [`split`] — train/test splitting utilities;
 //! * [`simd`] — the chunked (4×`u64`) word kernels the subset algebra
-//!   dispatches through, with a bit-identical scalar fallback behind the
-//!   `--no-simd` escape hatch and the default-on `simd` cargo feature;
+//!   dispatches through under the default-on `simd` cargo feature, with a
+//!   bit-identical scalar form for builds without it;
 //! * [`arena`] — a frontier-lifetime recycling arena ([`WordArena`]) for
 //!   the learner's word-buffer scratch;
 //! * [`registry`] — the service-mode [`DatasetRegistry`]: handles →

@@ -9,8 +9,9 @@
 //!   per-lane accumulators, the shape LLVM reliably turns into `u64x4`
 //!   SIMD on any target with 256-bit vectors (and clean unrolled scalar
 //!   code elsewhere);
-//! * a **scalar form** that compiles everywhere and is also the runtime
-//!   fallback behind the `--no-simd` escape hatch.
+//! * a **scalar form** that compiles everywhere: the only form of a
+//!   `--no-default-features` build, and the reference the vector forms
+//!   are tested against.
 //!
 //! # Soundness
 //!
@@ -22,59 +23,16 @@
 //! routing `Subset` algebra, `AbstractSet::le`, `filter_cmp`'s mask
 //! application, and `prune_subsumed`'s live-word AND through the
 //! dispatchers cannot change any ladder or verdict (pinned by the
-//! vector-vs-scalar differential in `crates/data/tests/subset_equiv.rs`
-//! and the `--no-simd` differentials in `crates/core/tests/determinism.rs`).
+//! vector-vs-scalar differential in `crates/data/tests/subset_equiv.rs`).
 //!
 //! # Dispatch
 //!
-//! Each public kernel dispatches on [`enabled`]: compile-time (`simd`
-//! feature off ⇒ the vector form does not exist) and runtime (the
-//! process-wide latch behind [`set_enabled`], driven by the `--no-simd`
-//! CLI flag / `Certifier::simd(false)`). Because both forms are
-//! bit-identical, the latch is a pure performance switch: flipping it
-//! mid-run — even from another thread — can never change a result, so it
-//! needs no synchronisation stronger than a relaxed atomic.
-
-use std::sync::atomic::{AtomicBool, Ordering};
+//! Each public kernel is decided at compile time: the vector form under
+//! the `simd` feature, the scalar form without it. There is no runtime
+//! switch and no state.
 
 /// Lane width of the vector form: four `u64`s, one 256-bit register.
 pub const LANES: usize = 4;
-
-/// Runtime disarm latch for the vector kernels (`false` = vector form
-/// allowed). Stored inverted so the zero-initialised default arms SIMD.
-static DISARMED: AtomicBool = AtomicBool::new(false);
-
-/// Whether the vector kernels are compiled in at all (the `simd` cargo
-/// feature, on by default).
-#[inline]
-pub const fn compiled() -> bool {
-    cfg!(feature = "simd")
-}
-
-/// Arms (`true`, the default) or disarms (`false`) the vector kernels at
-/// runtime — the `--no-simd` escape hatch. Disarming routes every kernel
-/// through the scalar fallback; results are bit-identical either way.
-pub fn set_enabled(on: bool) {
-    DISARMED.store(!on, Ordering::Relaxed);
-}
-
-/// Whether kernel calls currently take the vector form.
-#[inline]
-pub fn enabled() -> bool {
-    compiled() && !DISARMED.load(Ordering::Relaxed)
-}
-
-/// The effective lane count: [`LANES`] when the vector form is armed,
-/// 1 under the scalar fallback. Reported as the `simd_lanes` engine
-/// metric.
-#[inline]
-pub fn lanes() -> usize {
-    if enabled() {
-        LANES
-    } else {
-        1
-    }
-}
 
 /// `Σ popcount(a[i] & b[i])` over two equal-length slices — the fused
 /// AND-popcount behind per-class counts and `filter_class`.
@@ -86,10 +44,13 @@ pub fn lanes() -> usize {
 pub fn and_popcount(a: &[u64], b: &[u64]) -> u32 {
     debug_assert_eq!(a.len(), b.len());
     #[cfg(feature = "simd")]
-    if enabled() {
-        return and_popcount_vector(a, b);
+    {
+        and_popcount_vector(a, b)
     }
-    and_popcount_scalar(a, b)
+    #[cfg(not(feature = "simd"))]
+    {
+        and_popcount_scalar(a, b)
+    }
 }
 
 /// Scalar form of [`and_popcount`].
@@ -119,10 +80,13 @@ pub fn and_popcount_vector(a: &[u64], b: &[u64]) -> u32 {
 #[inline]
 pub fn andnot_popcount(a: &[u64], b: &[u64]) -> u32 {
     #[cfg(feature = "simd")]
-    if enabled() {
-        return andnot_popcount_vector(a, b);
+    {
+        andnot_popcount_vector(a, b)
     }
-    andnot_popcount_scalar(a, b)
+    #[cfg(not(feature = "simd"))]
+    {
+        andnot_popcount_scalar(a, b)
+    }
 }
 
 /// Scalar form of [`andnot_popcount`].
@@ -163,10 +127,13 @@ pub fn andnot_popcount_vector(a: &[u64], b: &[u64]) -> u32 {
 #[inline]
 pub fn popcount(words: &[u64]) -> u32 {
     #[cfg(feature = "simd")]
-    if enabled() {
-        return popcount_vector(words);
+    {
+        popcount_vector(words)
     }
-    popcount_scalar(words)
+    #[cfg(not(feature = "simd"))]
+    {
+        popcount_scalar(words)
+    }
 }
 
 /// Scalar form of [`popcount`].
@@ -193,10 +160,13 @@ pub fn popcount_vector(words: &[u64]) -> u32 {
 #[inline]
 pub fn is_subset(a: &[u64], b: &[u64]) -> bool {
     #[cfg(feature = "simd")]
-    if enabled() {
-        return is_subset_vector(a, b);
+    {
+        is_subset_vector(a, b)
     }
-    is_subset_scalar(a, b)
+    #[cfg(not(feature = "simd"))]
+    {
+        is_subset_scalar(a, b)
+    }
 }
 
 /// Scalar form of [`is_subset`].
@@ -238,10 +208,8 @@ pub fn and_words(a: &[u64], b: &[u64], out: &mut Vec<u64>) {
     out.clear();
     out.resize(n, 0);
     #[cfg(feature = "simd")]
-    if enabled() {
-        and_words_vector(&a[..n], &b[..n], out);
-        return;
-    }
+    and_words_vector(&a[..n], &b[..n], out);
+    #[cfg(not(feature = "simd"))]
     and_words_scalar(&a[..n], &b[..n], out);
 }
 
@@ -277,11 +245,8 @@ pub fn andnot_words(a: &[u64], b: &[u64], out: &mut Vec<u64>) {
     out.clear();
     out.resize(a.len(), 0);
     #[cfg(feature = "simd")]
-    if enabled() {
-        andnot_words_vector(&a[..n], &b[..n], &mut out[..n]);
-        out[n..].copy_from_slice(&a[n..]);
-        return;
-    }
+    andnot_words_vector(&a[..n], &b[..n], &mut out[..n]);
+    #[cfg(not(feature = "simd"))]
     andnot_words_scalar(&a[..n], &b[..n], &mut out[..n]);
     out[n..].copy_from_slice(&a[n..]);
 }
@@ -318,11 +283,8 @@ pub fn or_words(a: &[u64], b: &[u64], out: &mut Vec<u64>) {
     out.clear();
     out.resize(long.len(), 0);
     #[cfg(feature = "simd")]
-    if enabled() {
-        or_words_vector(&long[..n], short, &mut out[..n]);
-        out[n..].copy_from_slice(&long[n..]);
-        return;
-    }
+    or_words_vector(&long[..n], short, &mut out[..n]);
+    #[cfg(not(feature = "simd"))]
     or_words_scalar(&long[..n], short, &mut out[..n]);
     out[n..].copy_from_slice(&long[n..]);
 }
@@ -372,10 +334,8 @@ pub fn masked_and(words: &[u64], mask: &[u64], invert: bool, out: &mut Vec<u64>)
 pub fn and_in_place(acc: &mut [u64], bits: &[u64]) {
     debug_assert_eq!(acc.len(), bits.len());
     #[cfg(feature = "simd")]
-    if enabled() {
-        and_in_place_vector(acc, bits);
-        return;
-    }
+    and_in_place_vector(acc, bits);
+    #[cfg(not(feature = "simd"))]
     and_in_place_scalar(acc, bits);
 }
 
@@ -409,10 +369,13 @@ pub fn and_in_place_vector(acc: &mut [u64], bits: &[u64]) {
 #[inline]
 pub fn first_nonzero_word(words: &[u64], from: usize) -> Option<usize> {
     #[cfg(feature = "simd")]
-    if enabled() {
-        return first_nonzero_word_vector(words, from);
+    {
+        first_nonzero_word_vector(words, from)
     }
-    first_nonzero_word_scalar(words, from)
+    #[cfg(not(feature = "simd"))]
+    {
+        first_nonzero_word_scalar(words, from)
+    }
 }
 
 /// Scalar form of [`first_nonzero_word`].
@@ -452,18 +415,6 @@ pub fn first_set(words: &[u64]) -> Option<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn latch_round_trips() {
-        assert_eq!(compiled(), cfg!(feature = "simd"));
-        set_enabled(true);
-        assert_eq!(enabled(), compiled());
-        assert_eq!(lanes(), if compiled() { LANES } else { 1 });
-        set_enabled(false);
-        assert!(!enabled());
-        assert_eq!(lanes(), 1);
-        set_enabled(true);
-    }
 
     #[test]
     fn kernels_agree_with_naive_semantics() {

@@ -15,7 +15,7 @@
 //! `cprob`/`ent` (and their abstract versions) O(k). Every such pass
 //! dispatches through the chunked vector kernels of [`crate::simd`]
 //! (4×`u64` lanes under the default `simd` feature, with a bit-identical
-//! scalar fallback behind the `--no-simd` escape hatch).
+//! scalar form for builds without it).
 //!
 //! # Hash-consing
 //!
@@ -23,8 +23,8 @@
 //! a **precomputed 64-bit content hash**, so:
 //!
 //! * `clone` is a reference-count bump — the disjunct frontier, the sweep
-//!   cache's budget-widened re-seeds, and the `bestSplit#` memo keys all
-//!   share one allocation per distinct row set;
+//!   cache's budget-widened re-seeds, and a session's `bestSplit#` memo
+//!   keys all share one allocation per distinct row set;
 //! * `Hash` writes the precomputed hash (O(1));
 //! * `Eq` short-circuits on pointer identity, then on hash inequality,
 //!   and only falls back to a word compare on a (conjectural) collision —
@@ -510,8 +510,9 @@ impl Subset {
 ///
 /// The table holds one canonical `Subset` per distinct payload and is
 /// scoped to a single certification run (the learner builds one per
-/// `run_abstract` / `run_flip` call), so its footprint is bounded by the
-/// number of distinct frontier states the run visits.
+/// `run_abstract_shared` / `run_flip` call without session state), so
+/// its footprint is bounded by the number of distinct frontier states
+/// the run visits.
 ///
 /// ```
 /// use antidote_data::{synth, Subset, SubsetInterner};

@@ -248,11 +248,12 @@ proptest! {
     }
 
     /// SIMD kernel differential: every chunked vector kernel must agree
-    /// with its scalar fallback on arbitrary word vectors — including
-    /// empty slices, lengths that are not a multiple of the lane width,
-    /// unequal lengths (the zero-extension contracts), and canonical
-    /// trailing-zero-trimmed reprs. The learner's bit-identical-ladders
-    /// guarantee under `--no-simd` reduces to exactly this equivalence.
+    /// with its scalar form on arbitrary word vectors — including empty
+    /// slices, lengths that are not a multiple of the lane width, unequal
+    /// lengths (the zero-extension contracts), and canonical
+    /// trailing-zero-trimmed reprs. The guarantee that a scalar build
+    /// (`--no-default-features`) produces the same ladders reduces to
+    /// exactly this equivalence.
     #[cfg(feature = "simd")]
     #[test]
     fn simd_vector_kernels_match_scalar_fallback(

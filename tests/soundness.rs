@@ -13,7 +13,7 @@
 //! 3. the greedy attack can never break a certified input.
 
 use antidote::core::engine::ExecContext;
-use antidote::core::learner::{run_abstract, DomainKind};
+use antidote::core::learner::{run_abstract_shared, DomainKind};
 use antidote::data::{ClassId, Dataset, Schema, Subset};
 use antidote::domains::{AbstractSet, CprobTransformer};
 use antidote::prelude::*;
@@ -70,7 +70,7 @@ fn theorem_4_11_terminal_coverage() {
             .map(|_| rng.random_range(0..5) as f64)
             .collect();
         for domain in DOMAINS {
-            let out = run_abstract(
+            let out = run_abstract_shared(
                 &ds,
                 AbstractSet::full(&ds, n),
                 &x,
@@ -78,8 +78,7 @@ fn theorem_4_11_terminal_coverage() {
                 domain,
                 CprobTransformer::Optimal,
                 true,
-                true,
-                true,
+                None,
                 &ExecContext::sequential(),
             );
             assert!(out.aborted.is_none());
