@@ -66,7 +66,8 @@ pub struct MatrixCell {
     /// Certification domain of this cell. The flip learner is inherently
     /// disjunctive, so on [`ThreatModel::LabelFlip`] cells the domain is
     /// recorded but does not change the ladder (see
-    /// `antidote_scenarios::flip_sweep`).
+    /// `antidote_scenarios::flip_sweep`, the removal sweep's ladder with
+    /// the flip prover).
     pub domain: DomainKind,
     /// Trace depth used.
     pub depth: usize,
@@ -90,9 +91,9 @@ impl MatrixCell {
     /// rungs, and every sum counter — everything that must be
     /// bit-identical across `--threads` and registration order.
     /// (Wall-clock and the watermarks are excluded. The scheduler
-    /// counters are included: the cells run under a count-based probe
-    /// budget, so scheduled/deferred/degraded counts are as
-    /// thread-invariant as the ladder itself.)
+    /// counters are included: remove cells run under a count-based
+    /// probe budget and flip cells unbounded, so scheduled/deferred/
+    /// degraded counts are as thread-invariant as the ladder itself.)
     #[allow(clippy::type_complexity)]
     pub fn verdict_key(&self) -> (String, Vec<(usize, usize, usize, usize, usize)>, Vec<u64>) {
         (

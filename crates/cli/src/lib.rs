@@ -251,6 +251,9 @@ fn cmd_forest(args: &Args) -> Result<(), CliError> {
         max_depth: depth,
         seed: args.get_num("seed", 0u64)?,
     };
+    if fcfg.n_trees == 0 {
+        return Err(CliError("--trees must be >= 1".into()));
+    }
     let forest = learn_forest(&train, &fcfg);
     let cfg = EnsembleConfig {
         depth,
@@ -261,7 +264,7 @@ fn cmd_forest(args: &Args) -> Result<(), CliError> {
     println!(
         "forest of {} trees (depth {depth}, {} features each), accuracy {:.1}%",
         forest.len(),
-        fcfg.features_per_tree,
+        forest.members()[0].features.len(),
         100.0 * forest.accuracy(&test)
     );
     println!(
@@ -817,6 +820,8 @@ mod tests {
         assert!(run(argv("tree --dataset iris --depth 1 --dot true")).is_ok());
         assert!(run(argv("flip --dataset iris --index 999")).is_err());
         assert!(run(argv("forest --dataset iris --index 999")).is_err());
+        let err = run(argv("forest --dataset iris --trees 0")).unwrap_err();
+        assert_eq!(err.0, "--trees must be >= 1");
     }
 
     #[test]

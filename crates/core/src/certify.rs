@@ -2,7 +2,7 @@
 
 use crate::cache::{CachedTrace, CertCache, EpochMismatch};
 use crate::engine::{Counter, ExecContext};
-use crate::learner::{run_abstract_shared, Abort, DomainKind};
+use crate::learner::{run_abstract_shared, Abort, DomainKind, RunOutput};
 use crate::memo::SharedLearner;
 use crate::verdict::all_terminals_dominated_by;
 use antidote_data::{ClassId, Dataset, Subset};
@@ -356,30 +356,40 @@ impl<'a> Certifier<'a> {
             self.shared,
             ctx,
         );
-        let stats = RunStats {
-            elapsed: start.elapsed(),
-            peak_disjuncts: out.peak_disjuncts,
-            peak_bytes: out.peak_bytes,
-            terminals: out.terminals.len(),
-            iterations_completed: out.iterations_completed,
-        };
-        let verdict = match out.aborted {
-            Some(Abort::Timeout) => Verdict::Timeout,
-            Some(Abort::DisjunctLimit) => Verdict::DisjunctBudget,
-            Some(Abort::Cancelled) => Verdict::Cancelled,
-            None => {
-                if all_terminals_dominated_by(&out.terminals, label, self.transformer) {
-                    Verdict::Robust
-                } else {
-                    Verdict::Unknown
-                }
-            }
-        };
-        Outcome {
-            verdict,
-            label,
-            stats,
-        }
+        run_outcome(out, label, start, |terminals| {
+            all_terminals_dominated_by(terminals, label, self.transformer)
+        })
+    }
+}
+
+/// The [`Outcome`] of one learner run started at `start`, for either
+/// threat model: an abort maps to its verdict (Timeout, DisjunctBudget
+/// or Cancelled), and a complete run is Robust exactly when `robust`
+/// holds for its terminals (Corollary 4.12), Unknown otherwise.
+pub(crate) fn run_outcome<T>(
+    out: RunOutput<T>,
+    label: ClassId,
+    start: Instant,
+    robust: impl FnOnce(&[T]) -> bool,
+) -> Outcome {
+    let stats = RunStats {
+        elapsed: start.elapsed(),
+        peak_disjuncts: out.peak_disjuncts,
+        peak_bytes: out.peak_bytes,
+        terminals: out.terminals.len(),
+        iterations_completed: out.iterations_completed,
+    };
+    let verdict = match out.aborted {
+        Some(Abort::Timeout) => Verdict::Timeout,
+        Some(Abort::DisjunctLimit) => Verdict::DisjunctBudget,
+        Some(Abort::Cancelled) => Verdict::Cancelled,
+        None if robust(&out.terminals) => Verdict::Robust,
+        None => Verdict::Unknown,
+    };
+    Outcome {
+        verdict,
+        label,
+        stats,
     }
 }
 

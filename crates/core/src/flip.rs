@@ -14,11 +14,20 @@
 //! The price: relabelings of different carriers cannot be joined into one
 //! flip element, so the learner is inherently disjunctive (there is no
 //! Box variant).
+//!
+//! Only the per-state step ([`best_split_flip`] and `filter#` on
+//! [`FlipSet`]s) and the per-layer pass (dedup and interning, no
+//! subsumption or merge) are the flip learner's own. The depth loop is
+//! the removal learner's (`learner::run_frontier`: parallel fan-out,
+//! abort handling, watermarks, disjunct budget), the verdict mapping is
+//! the removal certifier's, and the §6.1 ladder over many points is
+//! [`sweep::flip_sweep`](crate::sweep::flip_sweep). Every `bestSplit#`
+//! is computed and charged as one `split_memo_misses`, as on a one-shot
+//! removal run.
 
-use crate::certify::{Outcome, RunStats, Verdict};
+use crate::certify::{run_outcome, Outcome};
 use crate::engine::{Counter, ExecContext};
-use crate::learner::Abort;
-use crate::memo::FlipSplitMemo;
+use crate::learner::{dedup_states, run_frontier, Footprint, Step};
 use crate::verdict::dominant_class;
 use antidote_data::{ClassId, Dataset, Subset, SubsetInterner, ThresholdCmp};
 use antidote_domains::flipset::{score_interval_flip, FlipSet};
@@ -40,17 +49,25 @@ pub enum FlipTerminal {
     Fragment(FlipSet),
 }
 
-/// Raw result of one abstract flip run.
-#[derive(Debug, Clone)]
-pub struct FlipRunOutput {
-    /// Terminal states.
-    pub terminals: Vec<FlipTerminal>,
-    /// Why the run aborted, if it did.
-    pub aborted: Option<Abort>,
-    /// Peak simultaneous disjuncts.
-    pub peak_disjuncts: usize,
-    /// Peak memory proxy in bytes.
-    pub peak_bytes: usize,
+impl From<FlipSet> for FlipTerminal {
+    fn from(f: FlipSet) -> Self {
+        FlipTerminal::Fragment(f)
+    }
+}
+
+impl Footprint for FlipSet {
+    fn footprint(&self) -> usize {
+        self.approx_bytes()
+    }
+}
+
+impl Footprint for FlipTerminal {
+    fn footprint(&self) -> usize {
+        match self {
+            FlipTerminal::Pure(_) => std::mem::size_of::<ClassId>(),
+            FlipTerminal::Fragment(f) => f.approx_bytes(),
+        }
+    }
 }
 
 /// `bestSplit#` under flips: every concrete non-trivial predicate of the
@@ -87,29 +104,14 @@ pub fn best_split_flip(ds: &Dataset, f: &FlipSet) -> (Vec<Predicate>, bool) {
     (kept, false)
 }
 
-/// The per-disjunct outcome of one flip-learner iteration (the flip
-/// counterpart of the removal learner's step; see `learner::StepOut`).
-enum FlipStepOut {
-    /// The disjunct was not processed because the run should stop.
-    Aborted,
-    /// Terminals emitted and successor disjuncts produced.
-    Done {
-        terminals: Vec<FlipTerminal>,
-        branches: Vec<FlipSet>,
-    },
-}
-
-/// One iteration of the flip learner for a single disjunct.
+/// One iteration of the flip learner for a single state: the
+/// `ent(T) = 0` fork, `bestSplit#` with the ⋄ fork, and `filter#`.
 fn step_flipset(
     ds: &Dataset,
     f: &FlipSet,
     x: &[f64],
-    memo: &FlipSplitMemo,
     ctx: &ExecContext,
-) -> FlipStepOut {
-    if ctx.should_stop() {
-        return FlipStepOut::Aborted;
-    }
+) -> Step<FlipTerminal, FlipSet> {
     let mut terminals: Vec<FlipTerminal> = Vec::new();
     // ent(T) = 0 conditional: pure-feasible classes terminate with
     // an exact label.
@@ -119,19 +121,17 @@ fn step_flipset(
         }
     }
     if f.all_concretizations_pure() {
-        return FlipStepOut::Done {
+        return Step {
             terminals,
             branches: Vec::new(),
         };
     }
-    // bestSplit# and the ⋄ conditional, through the per-run memo
-    // (best_split_flip is a pure function of the carrier and budget, so
-    // recurring states reuse the stored analysis bit-identically).
-    let split = memo.best_split(ds, f, ctx.metrics());
-    let (preds, diamond) = (&split.0, split.1);
+    // bestSplit# and the ⋄ conditional, charged as one computation.
+    ctx.metrics().record(Counter::SplitMemoMisses, 1);
+    let (preds, diamond) = best_split_flip(ds, f);
     if diamond {
         terminals.push(FlipTerminal::Fragment(f.clone()));
-        return FlipStepOut::Done {
+        return Step {
             terminals,
             branches: Vec::new(),
         };
@@ -149,136 +149,21 @@ fn step_flipset(
             f.restrict_cmp(ds, p.feature, p.threshold, cmp)
         })
         .collect();
-    FlipStepOut::Done {
+    Step {
         terminals,
         branches,
     }
 }
 
-/// Runs the abstract flip learner to depth `depth` under `ctx`, fanning
-/// each iteration's disjunct frontier across the context's workers
-/// (in-order fold: parallel and sequential runs are identical).
-pub fn run_flip(
-    ds: &Dataset,
-    initial: FlipSet,
-    x: &[f64],
-    depth: usize,
-    ctx: &ExecContext,
-) -> FlipRunOutput {
-    // Per-run bestSplit# memo and carrier interner (DESIGN.md
-    // §9.1–9.2). The flip memo has no escape hatch:
-    // flip scoring is concrete-thresholded and the memoized result is a
-    // pure function of the (carrier, budget) key, so the memo is as
-    // observationally invisible as frontier dedup itself.
-    let memo = FlipSplitMemo::new(ds);
-    let mut interner = SubsetInterner::new();
-    let mut active: Vec<FlipSet> = vec![initial];
-    intern_flip_frontier(&mut active, &mut interner, ctx);
-    let mut terminals: Vec<FlipTerminal> = Vec::new();
-    let mut peak_disjuncts = 1usize;
-    let mut peak_bytes = 0usize;
-
-    for _ in 0..depth {
-        if active.is_empty() {
-            break;
-        }
-        // Same inline threshold as the removal learner's frontier.
-        let stepped: Vec<FlipStepOut> = if active.len() >= crate::learner::MIN_PARALLEL_FRONTIER
-            && ctx.effective_threads() > 1
-        {
-            ctx.par_map(&active, |_, f| step_flipset(ds, f, x, &memo, ctx))
-        } else {
-            active
-                .iter()
-                .map(|f| step_flipset(ds, f, x, &memo, ctx))
-                .collect()
-        };
-        let processed = stepped
-            .iter()
-            .filter(|s| !matches!(s, FlipStepOut::Aborted))
-            .count();
-        ctx.metrics()
-            .record(Counter::DisjunctsProcessed, processed as u64);
-        let mut next: Vec<FlipSet> = Vec::new();
-        for out in stepped {
-            match out {
-                FlipStepOut::Aborted => {
-                    let why = if ctx.is_cancelled() {
-                        Abort::Cancelled
-                    } else {
-                        Abort::Timeout
-                    };
-                    return FlipRunOutput {
-                        terminals,
-                        aborted: Some(why),
-                        peak_disjuncts,
-                        peak_bytes,
-                    };
-                }
-                FlipStepOut::Done {
-                    terminals: t,
-                    branches,
-                } => {
-                    terminals.extend(t);
-                    next.extend(branches);
-                }
-            }
-        }
-        dedup_flipsets(&mut next);
-        intern_flip_frontier(&mut next, &mut interner, ctx);
-        active = next;
-        let live = active.len() + terminals.len();
-        peak_disjuncts = peak_disjuncts.max(live);
-        let bytes: usize = active
-            .iter()
-            .map(FlipSet::approx_bytes)
-            .chain(terminals.iter().map(|t| match t {
-                FlipTerminal::Pure(_) => std::mem::size_of::<ClassId>(),
-                FlipTerminal::Fragment(f) => f.approx_bytes(),
-            }))
-            .sum();
-        peak_bytes = peak_bytes.max(bytes);
-        ctx.metrics()
-            .record(Counter::PeakDisjuncts, peak_disjuncts as u64);
-        ctx.metrics().record(Counter::PeakBytes, peak_bytes as u64);
-        if ctx.over_disjunct_budget(live) {
-            return FlipRunOutput {
-                terminals,
-                aborted: Some(Abort::DisjunctLimit),
-                peak_disjuncts,
-                peak_bytes,
-            };
-        }
-    }
-    terminals.extend(active.into_iter().map(FlipTerminal::Fragment));
-    peak_disjuncts = peak_disjuncts.max(terminals.len());
-    FlipRunOutput {
-        terminals,
-        aborted: None,
-        peak_disjuncts,
-        peak_bytes,
-    }
-}
-
-/// Removes exact duplicate flip states (the shared
-/// [`learner::dedup_states`](crate::learner) pass keyed on the carrier).
-fn dedup_flipsets(sets: &mut Vec<FlipSet>) {
-    crate::learner::dedup_states(sets, |s| (s.n(), s.subset().clone()));
-}
-
-/// The flip-frontier interning pass (the shared
-/// [`SubsetInterner::intern_all`] keyed on the carrier): payloads already
-/// hash-consed in this run are rewired to the canonical allocation, with
-/// hits counted on the run metrics.
-fn intern_flip_frontier(sets: &mut [FlipSet], interner: &mut SubsetInterner, ctx: &ExecContext) {
-    let hits = interner.intern_all(sets, FlipSet::subset, |s, c| FlipSet::new(c, s.n()));
-    if hits > 0 {
-        ctx.metrics().record(Counter::InternerHits, hits);
-    }
-}
-
 /// Attempts to prove that `x`'s prediction is robust to up to `n` label
 /// flips in the training set.
+///
+/// The abstract flip learner runs to depth `depth` on the shared
+/// frontier loop under `ctx`, with a per-run carrier interner; each
+/// layer is deduplicated and interned (the shared
+/// [`learner::dedup_states`](crate::learner) pass and
+/// [`SubsetInterner::intern_all`], keyed on the carrier, hits counted on
+/// the run metrics).
 ///
 /// # Panics
 ///
@@ -292,39 +177,32 @@ pub fn certify_label_flips(
 ) -> Outcome {
     let start = Instant::now();
     let label = dtrace_label(ds, &Subset::full(ds), x, depth);
-    let out = run_flip(ds, FlipSet::full(ds, n), x, depth, ctx);
-    let verdict = match out.aborted {
-        Some(Abort::Timeout) => Verdict::Timeout,
-        Some(Abort::Cancelled) => Verdict::Cancelled,
-        Some(Abort::DisjunctLimit) => Verdict::DisjunctBudget,
-        None => {
-            let all_ok = out.terminals.iter().all(|t| match t {
-                FlipTerminal::Pure(c) => *c == label,
-                FlipTerminal::Fragment(f) => dominant_class(&f.cprob_intervals()) == Some(label),
-            });
-            if all_ok {
-                Verdict::Robust
-            } else {
-                Verdict::Unknown
+    let mut interner = SubsetInterner::new();
+    let out = run_frontier(
+        FlipSet::full(ds, n),
+        depth,
+        ctx,
+        |f| step_flipset(ds, f, x, ctx),
+        |next| {
+            dedup_states(next, |s| (s.n(), s.subset().clone()));
+            let hits = interner.intern_all(next, FlipSet::subset, |s, c| FlipSet::new(c, s.n()));
+            if hits > 0 {
+                ctx.metrics().record(Counter::InternerHits, hits);
             }
-        }
-    };
-    Outcome {
-        verdict,
-        label,
-        stats: RunStats {
-            elapsed: start.elapsed(),
-            peak_disjuncts: out.peak_disjuncts,
-            peak_bytes: out.peak_bytes,
-            terminals: out.terminals.len(),
-            iterations_completed: depth,
         },
-    }
+    );
+    run_outcome(out, label, start, |terminals| {
+        terminals.iter().all(|t| match t {
+            FlipTerminal::Pure(c) => *c == label,
+            FlipTerminal::Fragment(f) => dominant_class(&f.cprob_intervals()) == Some(label),
+        })
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::certify::Verdict;
     use antidote_data::synth::{self, BlobSpec};
 
     fn blobs() -> Dataset {
@@ -419,6 +297,7 @@ mod tests {
             &ExecContext::sequential().timeout(std::time::Duration::ZERO),
         );
         assert_eq!(out.verdict, Verdict::Timeout);
+        assert_eq!(out.stats.iterations_completed, 0, "no layer finished");
         let out = certify_label_flips(
             &ds,
             &[0.5],
@@ -430,6 +309,23 @@ mod tests {
             out.verdict,
             Verdict::DisjunctBudget | Verdict::Robust
         ));
+        assert_eq!(
+            out.stats.iterations_completed, 1,
+            "the budget aborts after the first layer"
+        );
+    }
+
+    #[test]
+    fn flip_runs_count_one_miss_per_best_split() {
+        // No memo: every bestSplit# is computed and charged as one miss.
+        // Figure 2 at depth 1 steps only the root.
+        let ds = synth::figure2();
+        let ctx = ExecContext::sequential();
+        certify_label_flips(&ds, &[5.0], 1, 2, &ctx);
+        let m = ctx.metrics();
+        assert_eq!(m.split_memo_misses(), 1);
+        assert_eq!(m.split_memo_hits(), 0);
+        assert_eq!(m.disjuncts_processed(), 1);
     }
 
     #[test]

@@ -28,6 +28,11 @@
 //! The per-iteration predicate set Ψ is consumed by `filter#` within the
 //! same iteration (Fig. 4 reassigns φ before reading it), so disjuncts
 //! store only their abstract training set.
+//!
+//! The depth loop itself (`run_frontier`: the parallel fan-out, abort
+//! handling, watermarks and disjunct budget) also runs the label-flip
+//! learner of [`crate::flip`], which supplies its own per-state step and
+//! per-layer pass.
 
 use antidote_data::{simd, ClassId, Dataset, Subset, SubsetInterner, WordArena};
 use antidote_domains::{AbstractSet, CprobTransformer, Truth};
@@ -80,11 +85,13 @@ pub enum Abort {
     Cancelled,
 }
 
-/// Raw result of one abstract interpretation run.
+/// Raw result of one abstract interpretation run. `T` is the terminal
+/// type: the removal learner's [`AbstractSet`] by default, or the flip
+/// learner's [`FlipTerminal`](crate::flip::FlipTerminal).
 #[derive(Debug, Clone)]
-pub struct RunOutput {
-    /// Terminal abstract sets (one per return point reached).
-    pub terminals: Vec<AbstractSet>,
+pub struct RunOutput<T = AbstractSet> {
+    /// Terminal abstract states (one per return point reached).
+    pub terminals: Vec<T>,
     /// Why the run aborted, if it did (terminals are then incomplete).
     pub aborted: Option<Abort>,
     /// Peak number of simultaneous disjuncts (active + terminal).
@@ -95,18 +102,27 @@ pub struct RunOutput {
     pub iterations_completed: usize,
 }
 
-/// The outcome of abstractly interpreting one disjunct for one iteration
-/// of the depth loop — a pure function of the disjunct, so the frontier
-/// can be mapped in parallel and folded back in input order.
-#[derive(Debug, Clone)]
-enum StepOut {
-    /// The disjunct was not processed because the run should stop.
-    Aborted,
-    /// Terminals emitted and successor disjuncts produced.
-    Done {
-        terminals: Vec<AbstractSet>,
-        branches: Vec<AbstractSet>,
-    },
+/// What one frontier state yields in one iteration of the depth loop —
+/// a pure function of the state, so the frontier can be mapped in
+/// parallel and folded back in input order.
+pub(crate) struct Step<T, S> {
+    /// Terminals emitted at this state's return points.
+    pub(crate) terminals: Vec<T>,
+    /// Successor states for the next iteration.
+    pub(crate) branches: Vec<S>,
+}
+
+/// The memory-proxy footprint (DESIGN.md §4.1) the frontier loop charges
+/// for each live state and terminal.
+pub(crate) trait Footprint {
+    /// Approximate bytes held.
+    fn footprint(&self) -> usize;
+}
+
+impl Footprint for AbstractSet {
+    fn footprint(&self) -> usize {
+        self.approx_bytes()
+    }
 }
 
 /// One §4.7 iteration for a single disjunct: the `ent(T) = 0` fork, the
@@ -119,10 +135,7 @@ fn step_disjunct(
     transformer: CprobTransformer,
     memo: Option<&SplitMemo>,
     ctx: &ExecContext,
-) -> StepOut {
-    if ctx.should_stop() {
-        return StepOut::Aborted;
-    }
+) -> Step<AbstractSet, AbstractSet> {
     let mut terminals: Vec<AbstractSet> = Vec::new();
 
     // --- conditional ent(T) = 0 (§4.7) ---
@@ -144,7 +157,7 @@ fn step_disjunct(
     if a.base().is_pure() {
         // Every concretization is pure: the else branch of the
         // conditional is infeasible.
-        return StepOut::Done {
+        return Step {
             terminals,
             branches: Vec::new(),
         };
@@ -164,7 +177,7 @@ fn step_disjunct(
         terminals.push(a.clone());
     }
     if bs.preds.is_empty() {
-        return StepOut::Done {
+        return Step {
             terminals,
             branches: Vec::new(),
         };
@@ -190,7 +203,7 @@ fn step_disjunct(
             .into_iter()
             .collect();
     }
-    StepOut::Done {
+    Step {
         terminals,
         branches,
     }
@@ -199,7 +212,7 @@ fn step_disjunct(
 /// Frontiers below this size are stepped inline: a fan-out (spawning
 /// and joining its helper threads) costs more than a couple of
 /// `bestSplit#` calls on small sets.
-pub(crate) const MIN_PARALLEL_FRONTIER: usize = 4;
+const MIN_PARALLEL_FRONTIER: usize = 4;
 
 thread_local! {
     /// Per-thread scratch arena for the learner's word buffers
@@ -330,7 +343,8 @@ pub fn run_abstract_shared(
     })
 }
 
-/// [`run_abstract_shared`] against an explicit scratch arena.
+/// [`run_abstract_shared`] against an explicit scratch arena: the removal
+/// learner's step and layer pass on the shared [`run_frontier`] loop.
 #[allow(clippy::too_many_arguments)]
 fn run_abstract_in(
     ds: &Dataset,
@@ -355,132 +369,127 @@ fn run_abstract_in(
         Some(s) => s.with_interner(|interner| intern_frontier(disjuncts, interner, ctx)),
         None => intern_frontier(disjuncts, &mut local, ctx),
     };
-    let mut active: Vec<AbstractSet> = vec![initial];
-    intern(&mut active);
-    let mut terminals: Vec<AbstractSet> = Vec::new();
-    let mut peak_disjuncts = 1usize;
-    let mut peak_bytes = 0usize;
-    let mut iterations_completed = 0usize;
+    run_frontier(
+        initial,
+        depth,
+        ctx,
+        |a| step_disjunct(ds, a, x, domain, transformer, memo, ctx),
+        |next| {
+            // Disjunct-set hygiene: duplicates arise whenever several
+            // predicates induce the same restriction (common for binary
+            // features); the disjunctive join is set union, so
+            // deduplication is exact.
+            dedup_disjuncts(next);
+            // Hash-cons the surviving bases: payloads seen in an earlier
+            // iteration (or under a different budget) are rewired to
+            // their canonical allocation, making later equality checks
+            // and memo probes pointer-fast.
+            intern(next);
+            if subsume && domain != DomainKind::Box {
+                let pruned = prune_subsumed(next, arena);
+                if pruned > 0 {
+                    ctx.metrics()
+                        .record(Counter::DisjunctsSubsumed, pruned as u64);
+                }
+            }
+            if let DomainKind::Hybrid { max_disjuncts } = domain {
+                merge_down_to(ds, next, max_disjuncts.max(1));
+            }
+        },
+    )
+}
 
-    let abort = |terminals: Vec<AbstractSet>, why, peak_disjuncts, peak_bytes, iters| RunOutput {
-        terminals,
-        aborted: Some(why),
-        peak_disjuncts,
-        peak_bytes,
-        iterations_completed: iters,
+/// The depth loop of `DTrace#` (§4.7), shared by both abstract learners:
+/// the removal learner's [`run_abstract_shared`] and the label-flip
+/// learner's [`certify_label_flips`](crate::flip::certify_label_flips).
+///
+/// Each iteration maps `step` over the frontier — fanned out across
+/// `ctx`'s workers from [`MIN_PARALLEL_FRONTIER`] states up, inline
+/// below — and folds the results back in input order, so parallel and
+/// sequential runs produce identical terminal sequences. A deadline hit
+/// inside any step cancels nothing by itself: once `ctx` says stop, the
+/// remaining states go unstepped and the in-order fold turns the first
+/// of them into the sequential abort (Cancelled or Timeout). `layer`
+/// then runs on the stepped successors in the sequential fold (so its
+/// counters are thread-invariant) before the watermarks and the
+/// disjunct budget are checked. It also runs on the one-state root,
+/// where only its interning can act: dedup, pruning and merging need
+/// two states. States that survive all `depth` iterations become
+/// terminals.
+pub(crate) fn run_frontier<S, T>(
+    initial: S,
+    depth: usize,
+    ctx: &ExecContext,
+    step: impl Fn(&S) -> Step<T, S> + Sync,
+    mut layer: impl FnMut(&mut Vec<S>),
+) -> RunOutput<T>
+where
+    S: Footprint + Send + Sync,
+    T: Footprint + From<S> + Send,
+{
+    let mut active: Vec<S> = vec![initial];
+    layer(&mut active);
+    let mut out = RunOutput {
+        terminals: Vec::new(),
+        aborted: None,
+        peak_disjuncts: 1,
+        peak_bytes: 0,
+        iterations_completed: 0,
     };
 
     for _ in 0..depth {
         if active.is_empty() {
             break;
         }
-        // Fan the frontier out across the engine's workers. A deadline
-        // hit inside any step cancels nothing by itself — each step
-        // checks `should_stop` on entry, so once the deadline passes the
-        // remaining steps return `Aborted` markers that the in-order
-        // fold below turns into the sequential abort semantics.
-        let use_par = active.len() >= MIN_PARALLEL_FRONTIER && ctx.effective_threads() > 1;
-        let stepped: Vec<StepOut> = if use_par {
-            ctx.par_map(&active, |_, a| {
-                step_disjunct(ds, a, x, domain, transformer, memo, ctx)
-            })
-        } else {
-            active
-                .iter()
-                .map(|a| step_disjunct(ds, a, x, domain, transformer, memo, ctx))
-                .collect()
-        };
-        let processed = stepped
-            .iter()
-            .filter(|s| !matches!(s, StepOut::Aborted))
-            .count();
+        let step_live = |s: &S| (!ctx.should_stop()).then(|| step(s));
+        let stepped: Vec<Option<Step<T, S>>> =
+            if active.len() >= MIN_PARALLEL_FRONTIER && ctx.effective_threads() > 1 {
+                ctx.par_map(&active, |_, s| step_live(s))
+            } else {
+                active.iter().map(step_live).collect()
+            };
+        let processed = stepped.iter().filter(|s| s.is_some()).count();
         ctx.metrics()
             .record(Counter::DisjunctsProcessed, processed as u64);
 
-        let mut next: Vec<AbstractSet> = Vec::new();
-        for out in stepped {
-            match out {
-                StepOut::Aborted => {
-                    let why = if ctx.is_cancelled() {
-                        Abort::Cancelled
-                    } else {
-                        Abort::Timeout
-                    };
-                    return abort(
-                        terminals,
-                        why,
-                        peak_disjuncts,
-                        peak_bytes,
-                        iterations_completed,
-                    );
-                }
-                StepOut::Done {
-                    terminals: t,
-                    branches,
-                } => {
-                    terminals.extend(t);
-                    next.extend(branches);
-                }
-            }
+        let mut next: Vec<S> = Vec::new();
+        for s in stepped {
+            let Some(s) = s else {
+                out.aborted = Some(if ctx.is_cancelled() {
+                    Abort::Cancelled
+                } else {
+                    Abort::Timeout
+                });
+                return out;
+            };
+            out.terminals.extend(s.terminals);
+            next.extend(s.branches);
         }
-
-        // Disjunct-set hygiene: duplicates arise whenever several predicates
-        // induce the same restriction (common for binary features); the
-        // disjunctive join is set union, so deduplication is exact.
-        dedup_disjuncts(&mut next);
-        // Hash-cons the surviving bases: payloads seen in an earlier
-        // iteration (or under a different budget) are rewired to their
-        // canonical allocation, making later equality checks and memo
-        // probes pointer-fast. Runs in the sequential fold, so the hit
-        // count is thread-invariant.
-        intern(&mut next);
-        if subsume && domain != DomainKind::Box {
-            let pruned = prune_subsumed(&mut next, arena);
-            if pruned > 0 {
-                ctx.metrics()
-                    .record(Counter::DisjunctsSubsumed, pruned as u64);
-            }
-        }
-        if let DomainKind::Hybrid { max_disjuncts } = domain {
-            merge_down_to(ds, &mut next, max_disjuncts.max(1));
-        }
+        layer(&mut next);
 
         active = next;
-        iterations_completed += 1;
-        let live = active.len() + terminals.len();
-        peak_disjuncts = peak_disjuncts.max(live);
-        let bytes: usize = active
-            .iter()
-            .chain(&terminals)
-            .map(AbstractSet::approx_bytes)
-            .sum();
-        peak_bytes = peak_bytes.max(bytes);
+        out.iterations_completed += 1;
+        let live = active.len() + out.terminals.len();
+        out.peak_disjuncts = out.peak_disjuncts.max(live);
+        let bytes = active.iter().map(S::footprint).sum::<usize>()
+            + out.terminals.iter().map(T::footprint).sum::<usize>();
+        out.peak_bytes = out.peak_bytes.max(bytes);
         ctx.metrics()
-            .record(Counter::PeakDisjuncts, peak_disjuncts as u64);
-        ctx.metrics().record(Counter::PeakBytes, peak_bytes as u64);
+            .record(Counter::PeakDisjuncts, out.peak_disjuncts as u64);
+        ctx.metrics()
+            .record(Counter::PeakBytes, out.peak_bytes as u64);
         if ctx.over_disjunct_budget(live) {
-            return abort(
-                terminals,
-                Abort::DisjunctLimit,
-                peak_disjuncts,
-                peak_bytes,
-                iterations_completed,
-            );
+            out.aborted = Some(Abort::DisjunctLimit);
+            return out;
         }
     }
 
     // States that survive all d iterations reach the learner's output.
-    terminals.extend(active);
-    peak_disjuncts = peak_disjuncts.max(terminals.len());
+    out.terminals.extend(active.into_iter().map(T::from));
+    out.peak_disjuncts = out.peak_disjuncts.max(out.terminals.len());
     ctx.metrics()
-        .record(Counter::PeakDisjuncts, peak_disjuncts as u64);
-    RunOutput {
-        terminals,
-        aborted: None,
-        peak_disjuncts,
-        peak_bytes,
-        iterations_completed,
-    }
+        .record(Counter::PeakDisjuncts, out.peak_disjuncts as u64);
+    out
 }
 
 /// Removes exact duplicate learner states (same `(budget, subset)` key,

@@ -21,8 +21,8 @@
 //!   counterexample witnesses reused across sweep rungs;
 //! * [`memo`](mod@memo) — a session's `bestSplit#` memo: recurring
 //!   `⟨T, n⟩` frontier states across certify calls reuse the stored
-//!   candidate analysis (hash-consed keys; one-shot runs compute every
-//!   `bestSplit#` directly);
+//!   candidate analysis (hash-consed keys; one-shot and label-flip runs
+//!   compute every `bestSplit#` directly);
 //! * [`score`] — `score#` intervals and `bestSplit#` with the Φ∀/Φ∃
 //!   trivial-split analysis and minimal-interval selection (§4.6), using
 //!   symbolic real-valued predicates (§5.1, Appendix B);
@@ -30,10 +30,16 @@
 //!   abstractions of §4.7, over three state domains: the paper's
 //!   non-disjunctive *Box* (§4.3), the unbounded *Disjuncts* (§5.2), and a
 //!   *Hybrid* k-limited domain (the future-work direction of §6.3);
+//! * [`flip`] — the extension to **label-flip** poisoning: its own
+//!   per-state step and layer pass on the learner's one frontier loop,
+//!   and the removal certifier's verdict mapping;
 //! * [`verdict`] — interval dominance and the robustness verdict;
 //! * [`certify`] — the [`Certifier`] builder API;
 //! * [`sweep`](mod@sweep) — the evaluation protocol of §6.1 (n-doubling ladder with
-//!   binary-search refinement, timeouts, and resource accounting);
+//!   binary-search refinement, timeouts, and resource accounting), one
+//!   ladder for both threat models: [`sweep()`] proves each point with
+//!   the removal certifier, [`sweep::flip_sweep`] with
+//!   `certify_label_flips`;
 //! * [`sched`](mod@sched) — the adaptive probe scheduler behind the
 //!   sweep: verdict-interval priority ordering, one deadline/probe
 //!   budget shared across the whole ladder, and interval tightening with
@@ -91,7 +97,7 @@ pub use engine::{ExecContext, MetricsSnapshot, RunMetrics};
 pub use ensemble::{certify_forest, certify_forest_in, EnsembleConfig, EnsembleOutcome};
 pub use flip::certify_label_flips;
 pub use learner::DomainKind;
-pub use memo::{FlipSplitMemo, SharedLearner, SplitMemo};
+pub use memo::{SharedLearner, SplitMemo};
 pub use report::{explain, Explanation};
 pub use sched::{ProbeScheduler, RungPlan};
 pub use score::{best_split_abs, AbsSplitResult};

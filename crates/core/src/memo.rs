@@ -10,8 +10,9 @@
 //! deep fragments onto the same `n`. [`SplitMemo`] caches the full
 //! `bestSplit#` result per `(base, n)` for the session's whole lifetime,
 //! so recurring states skip the sweep entirely. A one-shot run (no
-//! [`SharedLearner`]) computes every `bestSplit#` directly: within one
-//! certify call the states recur too rarely to pay for the table.
+//! [`SharedLearner`]) and every label-flip run compute every `bestSplit#`
+//! directly: within one certify call the states recur too rarely to pay
+//! for a table.
 //!
 //! # Keying and soundness
 //!
@@ -44,37 +45,27 @@ use crate::engine::{Counter, RunMetrics};
 use crate::score::{best_split_abs, AbsSplitResult};
 use antidote_data::{Dataset, Subset};
 use antidote_domains::{AbstractSet, CprobTransformer};
-use antidote_tree::Predicate;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 
-/// A deterministic `(base, n) → value` table with reconciled hit/miss
-/// accounting (see the module docs). The value type is the memoized
-/// learner-step result; both learners instantiate it.
-#[derive(Debug)]
-struct KeyedMemo<V> {
-    table: Mutex<HashMap<(Subset, usize), Arc<V>>>,
+/// A deterministic `(base, n) → bestSplit#` table with reconciled
+/// hit/miss accounting (see the module docs).
+#[derive(Debug, Default)]
+struct KeyedMemo {
+    table: Mutex<HashMap<(Subset, usize), Arc<AbsSplitResult>>>,
 }
 
-impl<V> Default for KeyedMemo<V> {
-    fn default() -> Self {
-        KeyedMemo {
-            table: Mutex::new(HashMap::new()),
-        }
-    }
-}
-
-impl<V> KeyedMemo<V> {
-    /// Returns the memoized value for `key`, computing it with `compute`
+impl KeyedMemo {
+    /// Returns the memoized result for `key`, computing it with `compute`
     /// on the first probe. Hits and misses land on `metrics`
     /// deterministically (insert-time reconciliation).
-    fn get_or_compute<F: FnOnce() -> V>(
+    fn get_or_compute(
         &self,
         key: (Subset, usize),
-        compute: F,
+        compute: impl FnOnce() -> AbsSplitResult,
         metrics: &RunMetrics,
-    ) -> Arc<V> {
+    ) -> Arc<AbsSplitResult> {
         if let Some(hit) = self.table.lock().expect("memo lock poisoned").get(&key) {
             metrics.record(Counter::SplitMemoHits, 1);
             return hit.clone();
@@ -112,7 +103,7 @@ impl<V> KeyedMemo<V> {
 pub struct SplitMemo {
     transformer: CprobTransformer,
     epoch: u64,
-    inner: KeyedMemo<AbsSplitResult>,
+    inner: KeyedMemo,
 }
 
 impl SplitMemo {
@@ -253,64 +244,6 @@ impl SharedLearner {
     }
 }
 
-/// The flip-model analogue: memoizes `best_split_flip`'s
-/// `(kept predicates, diamond)` per `(carrier, flip budget)`. The flip
-/// score depends on nothing else, so the same purity argument applies —
-/// and the same epoch stamp guards against cross-mutation reuse.
-#[derive(Debug)]
-pub struct FlipSplitMemo {
-    epoch: u64,
-    inner: KeyedMemo<(Vec<Predicate>, bool)>,
-}
-
-impl FlipSplitMemo {
-    /// An empty memo for one flip-certification call over `ds`, stamped
-    /// with `ds`'s current epoch.
-    pub fn new(ds: &Dataset) -> Self {
-        FlipSplitMemo {
-            epoch: ds.epoch(),
-            inner: KeyedMemo::default(),
-        }
-    }
-
-    /// The dataset epoch this memo's entries are valid for.
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
-    /// `best_split_flip` through the memo (see [`SplitMemo::best_split`],
-    /// including the release-mode epoch check).
-    pub fn best_split(
-        &self,
-        ds: &Dataset,
-        f: &antidote_domains::flipset::FlipSet,
-        metrics: &RunMetrics,
-    ) -> Arc<(Vec<Predicate>, bool)> {
-        assert_eq!(
-            self.epoch,
-            ds.epoch(),
-            "FlipSplitMemo stamped for dataset epoch {} used against epoch {}",
-            self.epoch,
-            ds.epoch(),
-        );
-        self.inner.get_or_compute(
-            (f.subset().clone(), f.n()),
-            || crate::flip::best_split_flip(ds, f),
-            metrics,
-        )
-    }
-
-    /// Number of distinct `(carrier, n)` states memoized so far.
-    pub fn len(&self) -> usize {
-        self.inner.len()
-    }
-
-    /// Whether no state has been memoized yet.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -376,24 +309,6 @@ mod tests {
     }
 
     #[test]
-    fn flip_memo_matches_direct_best_split() {
-        use antidote_domains::flipset::FlipSet;
-        let ds = synth::figure2();
-        let memo = FlipSplitMemo::new(&ds);
-        let metrics = RunMetrics::default();
-        assert!(memo.is_empty());
-        let f = FlipSet::full(&ds, 2);
-        let memoized = memo.best_split(&ds, &f, &metrics);
-        let direct = crate::flip::best_split_flip(&ds, &f);
-        assert_eq!(*memoized, direct);
-        let again = memo.best_split(&ds, &f, &metrics);
-        assert!(Arc::ptr_eq(&memoized, &again));
-        assert_eq!(memo.len(), 1);
-        assert_eq!(metrics.split_memo_hits(), 1);
-        assert_eq!(metrics.split_memo_misses(), 1);
-    }
-
-    #[test]
     #[should_panic(expected = "SplitMemo stamped for dataset epoch 0 used against epoch 1")]
     fn split_memo_rejects_a_mutated_dataset() {
         let ds = synth::figure2();
@@ -404,19 +319,5 @@ mod tests {
             .unwrap();
         let a = AbstractSet::full(&mutated, 1);
         let _ = memo.best_split(&mutated, &a, &RunMetrics::default());
-    }
-
-    #[test]
-    #[should_panic(expected = "FlipSplitMemo stamped for dataset epoch 0 used against epoch 1")]
-    fn flip_memo_rejects_a_mutated_dataset() {
-        use antidote_domains::flipset::FlipSet;
-        let ds = synth::figure2();
-        let memo = FlipSplitMemo::new(&ds);
-        assert_eq!(memo.epoch(), 0);
-        let mutated = ds
-            .apply(antidote_data::DatasetDelta::new().remove(0))
-            .unwrap();
-        let f = FlipSet::full(&mutated, 1);
-        let _ = memo.best_split(&mutated, &f, &RunMetrics::default());
     }
 }

@@ -7,11 +7,14 @@
 //! budgets to localise the frontier. [`sweep`] implements that protocol for
 //! a whole test set at once and records, per probed `n`, the quantities the
 //! paper plots: the number verified, average certification time, and
-//! average peak memory (Figures 6–11).
+//! average peak memory (Figures 6–11). [`flip_sweep`] runs the same ladder
+//! body under the label-flip threat model; only the per-point prover
+//! differs.
 
 use crate::cache::CertCache;
-use crate::certify::{Certifier, Verdict};
+use crate::certify::{Certifier, Outcome, Verdict};
 use crate::engine::ExecContext;
+use crate::flip::certify_label_flips;
 use crate::learner::DomainKind;
 use crate::memo::SharedLearner;
 use crate::sched::ProbeScheduler;
@@ -237,7 +240,7 @@ fn sweep_body(
     sweep_shared(ds, test_points, &slots, cfg, parent, cache, None)
 }
 
-/// The fully general ladder body — the service-session entry point.
+/// The fully general removal ladder — the service-session entry point.
 ///
 /// `slots[i]` is the [`CertCache`] slot addressing test point `i`: a
 /// one-shot sweep owns its cache and uses identity slots, while a
@@ -276,6 +279,73 @@ pub(crate) fn sweep_shared(
     if let Some(s) = shared {
         certifier = certifier.shared_state(s);
     }
+    ladder(
+        ds,
+        test_points,
+        slots,
+        cfg,
+        parent,
+        cache,
+        |i, n, ctx| match cache {
+            // The sweep builds (or epoch-checks) its cache against `ds`
+            // itself, so a mismatch here is a sweep bug, not caller input.
+            Some(c) => certifier
+                .certify_cached(&test_points[i], n, slots[i], c, ctx)
+                .expect("sweep cache is stamped for its own dataset"),
+            None => certifier.certify_in(&test_points[i], n, ctx),
+        },
+    )
+}
+
+/// The §6.1 ladder under the **label-flip** threat model: the same
+/// ladder as [`sweep_in`], with [`certify_label_flips`] proving each
+/// point at depth `depth`, budgets capped at `max_n` (and `|T|`), fanned
+/// out across `parent`'s workers with one child context per instance.
+///
+/// Flip ladders run with no per-instance timeout or disjunct budget, no
+/// shared deadline or probe budget, binary search on, and no
+/// [`CertCache`] (so no witness search or tightening pass): the
+/// unbounded scheduler plans each rung whole, in pool order, and the
+/// ladder is thread-invariant. The flip learner is inherently
+/// disjunctive, so there is no domain knob.
+///
+/// Returns one [`SweepPoint`] per probed budget, ascending in `n`.
+pub fn flip_sweep(
+    ds: &Dataset,
+    test_points: &[Vec<f64>],
+    depth: usize,
+    max_n: usize,
+    parent: &ExecContext,
+) -> Vec<SweepPoint> {
+    let cfg = SweepConfig {
+        depth,
+        timeout: None,
+        max_live_disjuncts: None,
+        max_n: Some(max_n),
+        ..SweepConfig::default()
+    };
+    let slots: Vec<usize> = (0..test_points.len()).collect();
+    ladder(ds, test_points, &slots, &cfg, parent, None, |i, n, ctx| {
+        certify_label_flips(ds, &test_points[i], depth, n, ctx)
+    })
+}
+
+/// The §6.1 ladder body shared by both threat models: `prove(i, n, ctx)`
+/// certifies test point `i` at budget `n` under its own per-instance
+/// context. `cache` feeds the scheduler's priorities, the witness search
+/// and the tightening pass; the prover reads it on its own.
+fn ladder<P>(
+    ds: &Dataset,
+    test_points: &[Vec<f64>],
+    slots: &[usize],
+    cfg: &SweepConfig,
+    parent: &ExecContext,
+    cache: Option<&CertCache>,
+    prove: P,
+) -> Vec<SweepPoint>
+where
+    P: Fn(usize, usize, &ExecContext) -> Outcome + Sync,
+{
     let max_n = cfg.max_n.unwrap_or(ds.len()).min(ds.len());
     let total_points = test_points.len();
 
@@ -334,17 +404,7 @@ pub(crate) fn sweep_shared(
             break; // deadline/budget exhausted: degrade, don't stall
         }
         probed.insert(n);
-        let (point, verified_idx) = probe(
-            &certifier,
-            test_points,
-            slots,
-            &pool,
-            n,
-            total_points,
-            cfg,
-            cache,
-            exec,
-        );
+        let (point, verified_idx) = probe(&prove, &pool, n, total_points, cfg, exec);
         points.push(point);
         if partial {
             // A truncated rung cannot soundly drive the survivor
@@ -396,17 +456,7 @@ pub(crate) fn sweep_shared(
                             break;
                         }
                         probed.insert(mid);
-                        let (p, v) = probe(
-                            &certifier,
-                            test_points,
-                            slots,
-                            &refine,
-                            mid,
-                            total_points,
-                            cfg,
-                            cache,
-                            exec,
-                        );
+                        let (p, v) = probe(&prove, &refine, mid, total_points, cfg, exec);
                         points.push(p);
                         if refine_partial {
                             // An empty verdict over a partial pool says
@@ -473,17 +523,7 @@ pub(crate) fn sweep_shared(
                 // budget and a recorded verdict strictly shrinks the gap.
                 let mid = lo + (hi - lo) / 2;
                 let before = c.verdict_interval(slots[i]);
-                let (p, _) = probe(
-                    &certifier,
-                    test_points,
-                    slots,
-                    &[i],
-                    mid,
-                    total_points,
-                    cfg,
-                    cache,
-                    exec,
-                );
+                let (p, _) = probe(&prove, &[i], mid, total_points, cfg, exec);
                 // A tightening probe may revisit a budget the ladder
                 // already reported; fold it into the existing rung to
                 // keep the points-per-n invariant.
@@ -530,22 +570,21 @@ fn merge_rung(existing: &mut SweepPoint, extra: &SweepPoint) {
     existing.budget_exhausted += extra.budget_exhausted;
 }
 
-/// Runs all `pool` instances at budget `n` — fanned out across the
-/// parent context's workers, each under its own child context — and
-/// returns the aggregate point and the indices that verified.
-/// `slots[i]` addresses test point `i`'s cache entry.
-#[allow(clippy::too_many_arguments)]
-fn probe(
-    certifier: &Certifier<'_>,
-    test_points: &[Vec<f64>],
-    slots: &[usize],
+/// Runs all `pool` instances at budget `n` through `prove` — fanned out
+/// across the parent context's workers, each under its own child
+/// context carrying the per-instance limits — and returns the aggregate
+/// point and the indices that verified.
+fn probe<P>(
+    prove: &P,
     pool: &[usize],
     n: usize,
     total_points: usize,
     cfg: &SweepConfig,
-    cache: Option<&CertCache>,
     parent: &ExecContext,
-) -> (SweepPoint, Vec<usize>) {
+) -> (SweepPoint, Vec<usize>)
+where
+    P: Fn(usize, usize, &ExecContext) -> Outcome + Sync,
+{
     let inner_threads = parent.child_threads_for(pool.len());
     let outcomes = parent.par_map(pool, |_, &i| {
         let ctx = parent
@@ -553,14 +592,7 @@ fn probe(
             .threads(inner_threads)
             .maybe_timeout(cfg.timeout)
             .maybe_disjunct_budget(cfg.max_live_disjuncts);
-        match cache {
-            // The sweep builds (or epoch-checks) its cache against `ds`
-            // itself, so a mismatch here is a sweep bug, not caller input.
-            Some(c) => certifier
-                .certify_cached(&test_points[i], n, slots[i], c, &ctx)
-                .expect("sweep cache is stamped for its own dataset"),
-            None => certifier.certify_in(&test_points[i], n, &ctx),
-        }
+        prove(i, n, &ctx)
     });
 
     let mut verified = Vec::new();
@@ -808,17 +840,9 @@ mod tests {
         let ds = blobs();
         let certifier = Certifier::new(&ds).depth(1).domain(DomainKind::Disjuncts);
         let cfg = cfg(DomainKind::Disjuncts, true);
-        let (point, verified) = probe(
-            &certifier,
-            &blob_points(),
-            &[0, 1, 2],
-            &[],
-            4,
-            3,
-            &cfg,
-            None,
-            &ExecContext::sequential(),
-        );
+        let xs = blob_points();
+        let prove = |i: usize, n: usize, ctx: &ExecContext| certifier.certify_in(&xs[i], n, ctx);
+        let (point, verified) = probe(&prove, &[], 4, 3, &cfg, &ExecContext::sequential());
         assert!(verified.is_empty());
         assert_eq!(point.attempted, 0);
         assert_eq!(point.verified, 0);

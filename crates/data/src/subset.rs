@@ -509,10 +509,10 @@ impl Subset {
 /// view goes away.
 ///
 /// The table holds one canonical `Subset` per distinct payload and is
-/// scoped to a single certification run (the learner builds one per
-/// `run_abstract_shared` / `run_flip` call without session state), so
-/// its footprint is bounded by the number of distinct frontier states
-/// the run visits.
+/// scoped to a single certification run (the removal learner builds one
+/// per `run_abstract_shared` call without session state, the label-flip
+/// learner one per `certify_label_flips` call), so its footprint is
+/// bounded by the number of distinct frontier states the run visits.
 ///
 /// ```
 /// use antidote_data::{synth, Subset, SubsetInterner};

@@ -1,142 +1,30 @@
 //! The §6.1 evaluation ladder under the **label-flip** threat model.
 //!
-//! `antidote_core::sweep` runs the n-doubling ladder with binary-search
-//! refinement for the removal model; this module is the same protocol
-//! driving `certify_label_flips` instead of the removal certifier, so
-//! matrix cells report comparable [`SweepPoint`] ladders for both threat
+//! This is `antidote_core`'s one §6.1 ladder (the removal sweep's own
+//! body and probe scheduler) with `certify_label_flips` as the per-point
+//! prover, re-exported here so matrix cells report comparable
+//! [`SweepPoint`](antidote_core::SweepPoint) ladders for both threat
 //! axes. The flip learner is inherently disjunctive (relabelings of
-//! different carriers cannot be joined), so there is no domain knob here
-//! — a matrix cell's domain axis selects the removal semantics only and
-//! is recorded, unchanged, on flip cells.
+//! different carriers cannot be joined), so there is no domain knob — a
+//! matrix cell's domain axis selects the removal semantics only and is
+//! recorded, unchanged, on flip cells.
 //!
-//! Flip cells run without per-instance timeouts: ladders are then
-//! thread-invariant for the same reason removal sweeps are (the engine's
-//! ordered `par_map` fold), which the matrix determinism suite pins.
+//! Flip ladders run without per-instance timeouts, a shared deadline, a
+//! probe budget or a certification cache: the scheduler plans every
+//! rung whole and counts its probes, and ladders are thread-invariant
+//! for the same reason removal sweeps are (the engine's ordered
+//! `par_map` fold), which the matrix determinism suite pins.
 
-use antidote_core::engine::ExecContext;
-use antidote_core::flip::certify_label_flips;
-use antidote_core::{SweepPoint, Verdict};
-use antidote_data::Dataset;
-use std::collections::BTreeSet;
-use std::time::Duration;
-
-/// Runs the n-doubling flip ladder (with binary-search refinement) over
-/// `test_points`, probing budgets up to `max_n`, fanned out across
-/// `parent`'s workers with one child context per instance.
-///
-/// Returns one [`SweepPoint`] per probed budget, ascending in `n` — the
-/// exact shape `antidote_core::sweep` produces for the removal model.
-pub fn flip_sweep(
-    ds: &Dataset,
-    test_points: &[Vec<f64>],
-    depth: usize,
-    max_n: usize,
-    parent: &ExecContext,
-) -> Vec<SweepPoint> {
-    let max_n = max_n.min(ds.len());
-    let total_points = test_points.len();
-    let mut points: Vec<SweepPoint> = Vec::new();
-    let mut probed: BTreeSet<usize> = BTreeSet::new();
-    let mut survivors: Vec<usize> = (0..test_points.len()).collect();
-    let mut n = 1usize;
-    let mut last_success_n: Option<usize> = None;
-
-    while !survivors.is_empty() && n <= max_n {
-        if parent.should_stop() {
-            break;
-        }
-        probed.insert(n);
-        let (point, verified_idx) =
-            probe_flips(ds, test_points, &survivors, n, depth, total_points, parent);
-        points.push(point);
-        if verified_idx.is_empty() {
-            // Binary search in (n/2, n] for the frontier, as in §6.1 step 3.
-            if let Some(lo0) = last_success_n {
-                let mut lo = lo0;
-                let mut hi = n;
-                let mut pool = survivors.clone();
-                while hi - lo > 1 && !parent.should_stop() {
-                    let mid = lo + (hi - lo) / 2;
-                    if !probed.insert(mid) {
-                        break;
-                    }
-                    let (p, v) =
-                        probe_flips(ds, test_points, &pool, mid, depth, total_points, parent);
-                    points.push(p);
-                    if v.is_empty() {
-                        hi = mid;
-                    } else {
-                        lo = mid;
-                        pool = v;
-                    }
-                }
-            }
-            break;
-        }
-        last_success_n = Some(n);
-        survivors = verified_idx;
-        if n >= max_n {
-            break;
-        }
-        n = (n * 2).min(max_n);
-    }
-    points.sort_by_key(|p| p.n);
-    points
-}
-
-/// One flip-budget probe over `pool`, one child context per instance.
-fn probe_flips(
-    ds: &Dataset,
-    test_points: &[Vec<f64>],
-    pool: &[usize],
-    n: usize,
-    depth: usize,
-    total_points: usize,
-    parent: &ExecContext,
-) -> (SweepPoint, Vec<usize>) {
-    let inner_threads = parent.child_threads_for(pool.len());
-    let outcomes = parent.par_map(pool, |_, &i| {
-        let ctx = parent.child().threads(inner_threads);
-        certify_label_flips(ds, &test_points[i], depth, n, &ctx)
-    });
-    let mut verified = Vec::new();
-    let mut total_time = Duration::ZERO;
-    let mut total_bytes = 0usize;
-    let mut timeouts = 0usize;
-    let mut budget_exhausted = 0usize;
-    for (&i, out) in pool.iter().zip(&outcomes) {
-        total_time += out.stats.elapsed;
-        total_bytes += out.stats.peak_bytes;
-        match out.verdict {
-            Verdict::Robust => verified.push(i),
-            Verdict::Timeout | Verdict::Cancelled => timeouts += 1,
-            Verdict::DisjunctBudget => budget_exhausted += 1,
-            Verdict::Unknown => {}
-        }
-    }
-    let attempted = pool.len();
-    let (avg_time, avg_peak_bytes) = if attempted == 0 {
-        (Duration::ZERO, 0)
-    } else {
-        (total_time / attempted as u32, total_bytes / attempted)
-    };
-    let point = SweepPoint {
-        n,
-        attempted,
-        verified: verified.len(),
-        total_points,
-        avg_time,
-        avg_peak_bytes,
-        timeouts,
-        budget_exhausted,
-    };
-    (point, verified)
-}
+pub use antidote_core::sweep::flip_sweep;
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use antidote_core::engine::ExecContext;
+    use antidote_core::flip::certify_label_flips;
+    use antidote_core::SweepPoint;
     use antidote_data::synth::{gaussian_blobs, BlobSpec};
+    use antidote_data::Dataset;
 
     fn blobs() -> Dataset {
         gaussian_blobs(
@@ -154,7 +42,8 @@ mod tests {
     fn flip_ladder_shape() {
         let ds = blobs();
         let xs = vec![vec![0.5], vec![9.5], vec![5.1]];
-        let pts = flip_sweep(&ds, &xs, 1, 64, &ExecContext::sequential());
+        let ctx = ExecContext::sequential();
+        let pts = flip_sweep(&ds, &xs, 1, 64, &ctx);
         assert!(!pts.is_empty());
         assert_eq!(pts[0].n, 1);
         for w in pts.windows(2) {
@@ -164,6 +53,10 @@ mod tests {
         // The deep-in-class points survive at least one flip.
         assert!(pts[0].verified >= 2);
         assert_eq!(pts[0].total_points, 3);
+        // The unbounded scheduler plans every rung whole.
+        let attempted: usize = pts.iter().map(|p| p.attempted).sum();
+        assert_eq!(ctx.metrics().probes_scheduled(), attempted as u64);
+        assert_eq!(ctx.metrics().probes_deferred(), 0);
     }
 
     #[test]
@@ -195,9 +88,19 @@ mod tests {
                 .map(|p| (p.n, p.attempted, p.verified, p.timeouts, p.budget_exhausted))
                 .collect()
         };
-        let seq = flip_sweep(&ds, &xs, 1, 32, &ExecContext::sequential());
-        let par = flip_sweep(&ds, &xs, 1, 32, &ExecContext::new().threads(4));
+        let (seq_ctx, par_ctx) = (ExecContext::sequential(), ExecContext::new().threads(4));
+        let seq = flip_sweep(&ds, &xs, 1, 32, &seq_ctx);
+        let par = flip_sweep(&ds, &xs, 1, 32, &par_ctx);
         assert_eq!(key(&seq), key(&par), "flip ladder diverged across threads");
+        let work = |ctx: &ExecContext| {
+            let m = ctx.metrics();
+            (
+                m.disjuncts_processed(),
+                m.split_memo_misses(),
+                m.interner_hits(),
+            )
+        };
+        assert_eq!(work(&seq_ctx), work(&par_ctx), "flip work diverged");
     }
 
     #[test]
