@@ -365,8 +365,9 @@ mod tests {
 
     #[test]
     fn gate_catches_memo_and_interner_drift() {
-        // A change that silently disables a session's bestSplit# memo
-        // (hits fall to 0) or frontier hash-consing must fail the gate.
+        // A change that silently disables a ladder's or session's
+        // bestSplit# memo (hits fall to 0) or frontier hash-consing must
+        // fail the gate.
         let no_memo = DOC.replace("\"split_memo_hits\": 17", "\"split_memo_hits\": 0");
         let v = check_sweep_gate(DOC, &no_memo);
         assert_eq!(v.len(), 1);

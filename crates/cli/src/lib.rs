@@ -74,12 +74,14 @@ certify/sweep prune subsumed frontier disjuncts unless --no-subsume;
 sweep orders probes widest-verdict-interval first and shares --deadline
 (wall-clock, whole ladder) / --probe-budget (deterministic probe count)
 across the ladder unless --no-schedule disarms the scheduler (absent a
-binding deadline or budget, ladders are bit-identical either way);
+binding deadline or budget, ladders are bit-identical either way; only
+the scheduler carries them, so --no-schedule refuses both);
 drift replays a seeded mutation script (--steps deltas, each touching
 --mutate of the live rows; --ops removal keeps certificate transfer
 sound, mixed adds flips/appends that invalidate it) and re-runs the
 ladder each epoch, carrying certificates across mutations unless
---no-transfer (bit-identical verdicts, cold cache per epoch);
+--no-transfer (bit-identical verdicts, cold cache per epoch); its
+ladders run unbounded, so it refuses --deadline and --probe-budget;
 matrix runs every registered scenario x {remove,flip} x
 {box,disjuncts,hybrid8} and writes BENCH_<scenario>.json plus
 BENCH_matrix.json to --out-dir (default .); datasets: iris, mammo, wdbc,
@@ -295,7 +297,24 @@ fn cmd_tree(args: &Args) -> Result<(), CliError> {
     Ok(())
 }
 
+/// The ladder-wide bounds among `args`, as `--probe-budget and
+/// --deadline`. Only the probe scheduler carries them.
+fn ladder_bounds(args: &Args) -> Option<String> {
+    let given: Vec<String> = ["probe-budget", "deadline"]
+        .into_iter()
+        .filter(|k| args.options.contains_key(*k))
+        .map(|k| format!("--{k}"))
+        .collect();
+    (!given.is_empty()).then(|| given.join(" and "))
+}
+
 fn cmd_sweep(args: &Args) -> Result<(), CliError> {
+    if let (true, Some(bounds)) = (args.no_schedule(), ladder_bounds(args)) {
+        return Err(CliError(format!(
+            "--no-schedule cannot be combined with {bounds}: only the probe scheduler \
+             bounds a ladder"
+        )));
+    }
     let (train, test) = load(args)?;
     let depth = args.get_num("depth", 2usize)?;
     let points = args.get_num("points", test.len())?.min(test.len());
@@ -357,8 +376,9 @@ fn cmd_sweep(args: &Args) -> Result<(), CliError> {
         m.peak_disjuncts()
     );
     println!(
-        "# {} bestSplit# computation(s), {} interner hit(s)",
+        "# {} bestSplit# computation(s), {} memo hit(s), {} interner hit(s)",
         m.split_memo_misses(),
+        m.split_memo_hits(),
         m.interner_hits()
     );
     Ok(())
@@ -368,6 +388,11 @@ fn cmd_drift(args: &Args) -> Result<(), CliError> {
     use antidote_core::{drift_sweep_in, DriftConfig};
     use antidote_scenarios::MutationScript;
 
+    if let Some(bounds) = ladder_bounds(args) {
+        return Err(CliError(format!(
+            "drift does not take {bounds}: each epoch's ladder runs unbounded"
+        )));
+    }
     let (train, test) = load(args)?;
     let depth = args.get_num("depth", 2usize)?;
     let points = args.get_num("points", test.len())?.min(test.len());
@@ -681,6 +706,57 @@ mod tests {
         .is_ok());
         assert!(run(argv("sweep --dataset iris --probe-budget nope")).is_err());
         assert!(run(argv("certify --dataset iris --no-schedule nope")).is_err());
+    }
+
+    #[test]
+    fn ladder_bounds_the_ladder_cannot_honour_are_refused() {
+        // Only the probe scheduler carries --probe-budget and --deadline:
+        // a ladder without it would silently run unbounded.
+        for (cmd, bounds) in [
+            (
+                "sweep --dataset iris --points 8 --depth 2 --probe-budget 3 --no-schedule",
+                "--probe-budget",
+            ),
+            (
+                "sweep --dataset iris --points 8 --depth 2 --deadline 1 --no-schedule",
+                "--deadline",
+            ),
+            (
+                "sweep --dataset iris --no-schedule --probe-budget 3 --deadline 1",
+                "--probe-budget and --deadline",
+            ),
+        ] {
+            let err = run(argv(cmd)).unwrap_err().to_string();
+            assert_eq!(
+                err,
+                format!(
+                    "--no-schedule cannot be combined with {bounds}: only the probe \
+                     scheduler bounds a ladder"
+                ),
+                "{cmd}"
+            );
+        }
+        for (cmd, bounds) in [
+            (
+                "drift --dataset iris --depth 1 --points 2 --steps 1 --probe-budget 1",
+                "--probe-budget",
+            ),
+            (
+                "drift --dataset iris --depth 1 --points 2 --steps 1 --deadline 1",
+                "--deadline",
+            ),
+            (
+                "drift --dataset iris --depth 1 --points 2 --steps 1 --probe-budget 1 --deadline 1",
+                "--probe-budget and --deadline",
+            ),
+        ] {
+            let err = run(argv(cmd)).unwrap_err().to_string();
+            assert_eq!(
+                err,
+                format!("drift does not take {bounds}: each epoch's ladder runs unbounded"),
+                "{cmd}"
+            );
+        }
     }
 
     #[test]

@@ -1419,6 +1419,58 @@ mod tests {
     }
 
     #[test]
+    fn max_session_bytes_counts_each_sessions_split_memo() {
+        // Tenant "a"'s warm state, modelled outside the service: the same
+        // certify calls on the same snapshot fill an equal certificate
+        // cache and bestSplit# memo.
+        let ds = Benchmark::Iris.load(Scale::Small, 0).0;
+        let xs = [[5.0, 3.4, 1.5, 0.2], [6.7, 3.0, 5.2, 2.3]];
+        let learner = antidote_core::SharedLearner::new(&ds, SessionConfig::default().transformer);
+        let cache = antidote_core::CertCache::for_dataset(&ds, xs.len());
+        let certifier = antidote_core::Certifier::new(&ds)
+            .depth(2)
+            .domain(antidote_core::DomainKind::Disjuncts)
+            .shared_state(&learner);
+        for (slot, x) in xs.iter().enumerate() {
+            certifier
+                .certify_cached(x, 2, slot, &cache, &ExecContext::sequential())
+                .unwrap();
+        }
+        let memo = learner.memo().approx_bytes();
+        assert!(memo > 0);
+        // Both tenants' datasets and "a"'s cache; "b" loads cold. The
+        // watermark sits between that total and the total with the memo.
+        let without_memo = 2 * ds.approx_bytes() + cache.approx_bytes();
+        let mut svc = Service::new(1)
+            .no_share()
+            .max_session_bytes(without_memo + memo / 2);
+        let load = |h: &str| {
+            format!(
+                r#"{{"op":"load","handle":"{h}","dataset":"iris","depth":2,"domain":"disjuncts"}}"#
+            )
+        };
+        let certify =
+            |h: &str, x: &[f64; 4]| format!(r#"{{"op":"certify","handle":"{h}","x":{x:?},"n":2}}"#);
+        svc.handle_line(&load("a"));
+        for x in &xs {
+            let (r, _) = svc.handle_line(&certify("a", x));
+            assert!(r.contains("\"verdict\""), "{r}");
+        }
+        assert_eq!(
+            svc.resident_bytes(),
+            ds.approx_bytes() + cache.approx_bytes() + memo,
+            "the model holds exactly tenant a's warm state"
+        );
+        svc.handle_line(&load("b"));
+        let (a, _) = svc.handle_line(&certify("a", &xs[0]));
+        assert!(a.contains("no dataset loaded"), "{a}");
+        let (b, _) = svc.handle_line(&certify("b", &xs[0]));
+        assert!(b.contains("\"verdict\""), "{b}");
+        let (metrics, _) = svc.handle_line(r#"{"op":"metrics"}"#);
+        assert!(metrics.contains("\"sessions_evicted\":1"), "{metrics}");
+    }
+
+    #[test]
     fn cotenant_handles_share_one_warm_unit_unless_disarmed() {
         let load_a =
             r#"{"op":"load","handle":"a","dataset":"iris","depth":1,"domain":"disjuncts"}"#;

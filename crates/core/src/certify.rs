@@ -149,13 +149,12 @@ impl<'a> Certifier<'a> {
         self
     }
 
-    /// Borrows session-owned learner state: the abstract run probes the
-    /// given [`SharedLearner`]'s persistent `bestSplit#` memo and
-    /// hash-conses frontier bases through its long-lived interner
-    /// instead of computing every `bestSplit#` and interning through a
-    /// per-run table, so structure discovered by one request accelerates
-    /// every later request on the same `(dataset, config)`. Verdicts are
-    /// bit-identical either way.
+    /// Borrows a ladder's or session's learner state: the abstract run
+    /// probes the given [`SharedLearner`]'s `bestSplit#` memo instead of
+    /// computing every `bestSplit#`, so split analyses computed for one
+    /// point or request answer every later one on the same
+    /// `(dataset, config)`. Frontier hash-consing stays per run either
+    /// way. Verdicts are bit-identical with and without it.
     ///
     /// The shared state's epoch must match this certifier's dataset —
     /// `certify` panics otherwise (same hard stamp the memo itself

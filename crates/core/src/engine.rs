@@ -231,8 +231,9 @@ counters! {
     /// rows, or the removals exhausted the certified budget).
     CacheInvalidations cache_invalidations: Sum, metrics_op;
     /// `bestSplit#` memo hits: frontier disjuncts whose scored-candidate
-    /// sweep a session's memo answered (DESIGN.md §9.2). Always 0 on
-    /// one-shot removal runs and on label-flip runs.
+    /// sweep a removal ladder's or a session's memo answered (DESIGN.md
+    /// §9.2). Always 0 on single certify calls without shared learner
+    /// state and on label-flip runs.
     SplitMemoHits split_memo_hits: Sum, metrics_op;
     /// `bestSplit#` memo misses: `bestSplit#` computations, one per
     /// actual candidate sweep, on every path.

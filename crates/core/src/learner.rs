@@ -279,17 +279,16 @@ pub fn run_abstract(
 /// clamped to fewer than `n` rows — skips the pass and its scratch
 /// entirely (DESIGN.md §7.2).
 ///
-/// `shared` is a session's learner state (DESIGN.md §9.2, §12): the run
-/// probes its persistent [`SplitMemo`] and hash-conses frontier bases
-/// through its long-lived [`SubsetInterner`], so structure discovered by
-/// one request accelerates every later request on the same
-/// `(dataset, config)`. With `None` the run computes every `bestSplit#`
-/// directly and hash-conses through a per-run interner. Verdicts are
-/// unaffected either way: `bestSplit#` is a pure function of
-/// `(base, n, transformer)` and interner rewiring preserves value
-/// equality exactly, so shared and per-run state produce bit-identical
-/// `RunOutput`s (pinned in `tests/determinism.rs` and the session
-/// differential). Every `bestSplit#` computation lands on
+/// `shared` is a ladder's or session's learner state (DESIGN.md §9.2,
+/// §12): the run probes its [`SplitMemo`], so split analyses computed
+/// for one point or request answer every later one on the same
+/// `(dataset epoch, transformer)`. With `None` the run computes every
+/// `bestSplit#` directly. Either way the run hash-conses its frontier
+/// bases through its own per-run [`SubsetInterner`]. Verdicts are
+/// unaffected: `bestSplit#` is a pure function of
+/// `(base, n, transformer)`, so memoized and memo-free runs produce
+/// bit-identical `RunOutput`s (pinned in `tests/determinism.rs` and the
+/// session differential). Every `bestSplit#` computation lands on
 /// [`RunMetrics::split_memo_misses`](crate::engine::RunMetrics::split_memo_misses)
 /// and every memo answer on `split_memo_hits`; structure sharing lands
 /// on [`RunMetrics::interner_hits`](crate::engine::RunMetrics::interner_hits).
@@ -359,16 +358,10 @@ fn run_abstract_in(
     arena: &mut WordArena,
 ) -> RunOutput {
     let memo = shared.map(SharedLearner::memo);
-    // Hash-cons through the session's interner, under its lock, or a
-    // per-run one. Only which allocation becomes canonical differs; with
-    // shared state a payload first interned by an earlier request counts
-    // as a hit, and in aggregate the count stays order-invariant (total
-    // payloads interned − distinct payloads).
-    let mut local = SubsetInterner::new();
-    let mut intern = |disjuncts: &mut [AbstractSet]| match shared {
-        Some(s) => s.with_interner(|interner| intern_frontier(disjuncts, interner, ctx)),
-        None => intern_frontier(disjuncts, &mut local, ctx),
-    };
+    // Hash-cons through a table that lives exactly as long as this run,
+    // so its footprint is bounded by the states the run visits; only the
+    // memo outlives the run.
+    let mut interner = SubsetInterner::new();
     run_frontier(
         initial,
         depth,
@@ -384,7 +377,7 @@ fn run_abstract_in(
             // iteration (or under a different budget) are rewired to
             // their canonical allocation, making later equality checks
             // and memo probes pointer-fast.
-            intern(next);
+            intern_frontier(next, &mut interner, ctx);
             if subsume && domain != DomainKind::Box {
                 let pruned = prune_subsumed(next, arena);
                 if pruned > 0 {
@@ -1069,7 +1062,7 @@ mod tests {
             plain.split_memo_misses(),
             memo.split_memo_hits() + memo.split_memo_misses()
         );
-        // A fresh session interner shares exactly what a per-run one does.
+        // Both runs hash-cons through their own per-run interner.
         assert!(memo.interner_hits() > 0);
         assert_eq!(memo.interner_hits(), plain.interner_hits());
     }

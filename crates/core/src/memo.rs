@@ -1,29 +1,33 @@
-//! Session-shared memoization of `bestSplit#` (DESIGN.md §9.2).
+//! Ladder- and session-shared memoization of `bestSplit#` (DESIGN.md
+//! §9.2).
 //!
 //! The abstract learner's dominant cost is the per-feature
 //! scored-candidates sweep behind [`best_split_abs`], re-run for every
-//! live disjunct at every depth iteration. A service session answers a
-//! stream of certify calls against one training set, and identical
-//! `⟨T, n⟩` states recur **across** those calls — requests start from
-//! the same roots (one per budget), same-feature threshold restrictions
-//! compose (`T↓x≤a↓x≤b = T↓x≤min(a,b)`), and budget clamping collapses
-//! deep fragments onto the same `n`. [`SplitMemo`] caches the full
-//! `bestSplit#` result per `(base, n)` for the session's whole lifetime,
-//! so recurring states skip the sweep entirely. A one-shot run (no
-//! [`SharedLearner`]) and every label-flip run compute every `bestSplit#`
-//! directly: within one certify call the states recur too rarely to pay
-//! for a table.
+//! live disjunct at every depth iteration. `bestSplit#` reads only the
+//! abstract training set `⟨T, n⟩`; the test input `x` enters `filter#`
+//! alone (§4.7). So identical states recur **across** certify calls:
+//! every point of a §6.1 ladder rung asks the same root question, most
+//! layer-1 states recur from point to point, and a service session's
+//! requests start from the same roots (one per budget). Same-feature
+//! threshold restrictions compose (`T↓x≤a↓x≤b = T↓x≤min(a,b)`) and
+//! budget clamping collapses deep fragments onto the same `n`, so deeper
+//! states recur too. [`SplitMemo`] caches the full `bestSplit#` result
+//! per `(base, n)` for the life of one [`SharedLearner`] — one removal
+//! ladder, or one session epoch — so recurring states skip the sweep
+//! entirely. A single certify call without a [`SharedLearner`] and every
+//! label-flip run compute every `bestSplit#` directly: within one call
+//! the states recur too rarely to pay for a table.
 //!
 //! # Keying and soundness
 //!
-//! A table is built with the session's `cprob#` transformer fixed, so
-//! the effective key is `(interned base payload, n, transformer)`.
+//! A table is built with the ladder's or session's `cprob#` transformer
+//! fixed, so the effective key is `(base payload, n, transformer)`.
 //! `best_split_abs` is a *pure, deterministic* function of exactly that
 //! key (the test input `x` only enters `filter#`, after the split set is
 //! chosen), so a memo hit returns the bit-identical [`AbsSplitResult`] —
 //! same candidate order, same predicates, same ⋄ flag — that a recompute
-//! would produce. Session and one-shot runs therefore produce identical
-//! ladders and verdicts (pinned by the session-vs-one-shot rows of
+//! would produce. Memoized and memo-free runs therefore produce
+//! identical ladders and verdicts (pinned by the memo rows of
 //! `crates/core/tests/determinism.rs`).
 //!
 //! Keys are hash-consed [`Subset`]s (clone = refcount bump, `Hash` =
@@ -31,20 +35,20 @@
 //!
 //! # Deterministic hit/miss accounting
 //!
-//! Concurrent workers — of one run or of concurrent certify calls — can
-//! race on the same key. The table reconciles at insert time: a computed
-//! value that finds the key already present is counted as a **hit** (and
-//! the stored value returned), keeping the invariant *hits = probes −
-//! distinct keys* at every thread count and admission order, which the
-//! perf gate relies on. An admission guard (see
-//! [`SplitMemo::best_split`]) routes small-base probes around the table —
-//! those run the sweep directly and count as misses, exactly as a cold
-//! table would have charged them.
+//! Concurrent workers — of one run, of one ladder rung, or of concurrent
+//! certify calls — can race on the same key. The table reconciles at
+//! insert time: a computed value that finds the key already present is
+//! counted as a **hit** (and the stored value returned), keeping the
+//! invariant *hits = probes − distinct keys* at every thread count and
+//! admission order, which the perf gate relies on. An admission guard
+//! (see [`SplitMemo::best_split`]) routes small-base probes around the
+//! table — those run the sweep directly and count as misses, exactly as
+//! a cold table would have charged them.
 
 use crate::engine::{Counter, RunMetrics};
 use crate::score::{best_split_abs, AbsSplitResult};
 use antidote_data::{Dataset, Subset};
-use antidote_domains::{AbstractSet, CprobTransformer};
+use antidote_domains::{AbsPredicate, AbstractSet, CprobTransformer};
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
@@ -91,14 +95,28 @@ impl KeyedMemo {
     fn len(&self) -> usize {
         self.table.lock().expect("memo lock poisoned").len()
     }
+
+    /// Approximate bytes held, walked under the table's lock: each key's
+    /// subset payload and budget plus each result's predicates.
+    fn approx_bytes(&self) -> usize {
+        self.table
+            .lock()
+            .expect("memo lock poisoned")
+            .iter()
+            .map(|((base, _), result)| {
+                base.approx_bytes()
+                    + std::mem::size_of::<usize>()
+                    + result.preds.len() * std::mem::size_of::<AbsPredicate>()
+            })
+            .sum()
+    }
 }
 
-/// The removal-model `bestSplit#` memo of a session's
-/// [`SharedLearner`], with the session's transformer fixed at
-/// construction and the table stamped with the dataset epoch it was
-/// built against — memoized split results describe one training set,
-/// and consulting them across a mutation would be unsound (DESIGN.md
-/// §11).
+/// The removal-model `bestSplit#` memo of a [`SharedLearner`], with the
+/// ladder's or session's transformer fixed at construction and the table
+/// stamped with the dataset epoch it was built against — memoized split
+/// results describe one training set, and consulting them across a
+/// mutation would be unsound (DESIGN.md §11).
 #[derive(Debug)]
 pub struct SplitMemo {
     transformer: CprobTransformer,
@@ -107,7 +125,7 @@ pub struct SplitMemo {
 }
 
 impl SplitMemo {
-    /// An empty memo for a session's [`SharedLearner`] over `ds` under
+    /// An empty memo for a [`SharedLearner`] over `ds` under
     /// `transformer`, stamped with `ds`'s current epoch. Every admitted
     /// probe inserts, which keeps hit/miss accounting order-invariant
     /// across concurrent certify calls.
@@ -180,39 +198,47 @@ impl SplitMemo {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
+
+    /// Approximate heap footprint of the memoized states, in bytes: each
+    /// key's subset payload and budget plus each result's predicates.
+    /// Computed by walking the table under its lock; 0 when empty.
+    pub fn approx_bytes(&self) -> usize {
+        self.inner.approx_bytes()
+    }
 }
 
-/// Session-owned learner acceleration state shared **across** certify
-/// calls (DESIGN.md §12): one `bestSplit#` memo plus one frontier
-/// interner, both stamped for a single dataset epoch.
+/// Learner state shared **across** certify calls: one `bestSplit#`
+/// memo, stamped for a single dataset epoch.
 ///
-/// A one-shot run computes every `bestSplit#` directly and builds a
-/// [`SubsetInterner`](antidote_data::SubsetInterner) that it drops on
-/// return, so recurring `⟨T, n⟩` states across *requests* re-run the
-/// candidate sweep from scratch. A [`crate::session::Session`] instead
-/// owns one `SharedLearner` per (dataset epoch, config) and lends it to
-/// every certify call via `Certifier::shared_state`, so the memo and the
-/// hash-cons table warm up over the whole request stream.
+/// Every §6.1 removal ladder builds one `SharedLearner` for its whole
+/// run (`sweep_in`, `sweep_cached` and so each drift epoch, the matrix,
+/// the CLI), and a [`crate::session::Session`] owns one per (dataset
+/// epoch, config) for every request it serves. Either way it is lent to
+/// each certify call via `Certifier::shared_state`, so every point and
+/// rung of a ladder, and every request of a session, shares the memo.
+/// A single certify call without one computes every `bestSplit#`
+/// directly. Frontier hash-consing is always per run: each learner run
+/// interns through its own [`SubsetInterner`](antidote_data::SubsetInterner)
+/// and drops it on return, so nothing but the memo outlives a run.
 ///
 /// Sharing is sound and deterministic:
 ///
 /// * `bestSplit#` is a pure function of `(base, n, transformer)` on one
 ///   training set — the test input `x` never enters it — so entries
-///   written by one request's run are bit-identical to what any other
-///   request would compute ([`SplitMemo`] docs).
+///   written by one point's or request's run are bit-identical to what
+///   any other would compute ([`SplitMemo`] docs).
 /// * The epoch stamp is enforced by [`SplitMemo::best_split`]'s hard
-///   assert; sessions rebuild the shared state at every epoch advance.
-/// * Aggregate counters stay admission-order-invariant under concurrency:
-///   the memo reconciles at insert time (hits = probes − distinct keys)
-///   and interner hits are total interned payloads − distinct payloads —
-///   both order-free quantities. Per-*request* attribution of memo
-///   counters is **not** stable (whichever request touches a state first
-///   pays the miss), which is why the service's per-request isolation
-///   guarantees cover the certify/cache counters only.
+///   assert; sessions rebuild the shared state at every epoch advance,
+///   and `sweep_cached` builds one per call, so per drift epoch.
+/// * Aggregate counters stay admission-order-invariant under
+///   concurrency: the memo reconciles at insert time (hits = probes −
+///   distinct keys), an order-free quantity. Per-*request* attribution
+///   of memo counters is **not** stable (whichever request touches a
+///   state first pays the miss), which is why the service's per-request
+///   isolation guarantees cover the certify/cache counters only.
 #[derive(Debug)]
 pub struct SharedLearner {
     memo: SplitMemo,
-    interner: Mutex<antidote_data::SubsetInterner>,
 }
 
 impl SharedLearner {
@@ -220,7 +246,6 @@ impl SharedLearner {
     pub fn new(ds: &Dataset, transformer: CprobTransformer) -> Self {
         SharedLearner {
             memo: SplitMemo::new_shared(ds, transformer),
-            interner: Mutex::new(antidote_data::SubsetInterner::new()),
         }
     }
 
@@ -232,15 +257,6 @@ impl SharedLearner {
     /// The shared `bestSplit#` memo.
     pub fn memo(&self) -> &SplitMemo {
         &self.memo
-    }
-
-    /// Runs `f` under the shared interner's lock. The learner interns
-    /// each deduplicated frontier in one locked pass (sequential within a
-    /// run, serialized across concurrent runs), preserving the
-    /// order-invariant hit accounting described above.
-    pub fn with_interner<R>(&self, f: impl FnOnce(&mut antidote_data::SubsetInterner) -> R) -> R {
-        let mut interner = self.interner.lock().expect("interner lock poisoned");
-        f(&mut interner)
     }
 }
 
@@ -306,6 +322,36 @@ mod tests {
         assert_eq!(memo.len(), 1);
         assert_eq!(metrics.split_memo_hits(), 1);
         assert_eq!(metrics.split_memo_misses(), 3);
+    }
+
+    #[test]
+    fn byte_count_is_zero_when_empty_and_grows_with_each_key() {
+        let ds = synth::figure2();
+        let memo = SplitMemo::new_shared(&ds, CprobTransformer::Optimal);
+        let metrics = RunMetrics::default();
+        assert_eq!(memo.approx_bytes(), 0);
+        // A bypassed small base inserts nothing, so holds nothing.
+        let small = AbstractSet::new(Subset::from_indices(&ds, vec![0, 1, 2]), 1);
+        memo.best_split(&ds, &small, &metrics);
+        assert_eq!(memo.approx_bytes(), 0);
+        let root = AbstractSet::full(&ds, 1);
+        let result = memo.best_split(&ds, &root, &metrics);
+        let one = memo.approx_bytes();
+        assert_eq!(
+            one,
+            root.base().approx_bytes()
+                + std::mem::size_of::<usize>()
+                + result.preds.len() * std::mem::size_of::<AbsPredicate>()
+        );
+        // A hit adds no key; each new key adds its own bytes.
+        memo.best_split(&ds, &root, &metrics);
+        assert_eq!(memo.approx_bytes(), one);
+        memo.best_split(&ds, &root.with_budget(2), &metrics);
+        let two = memo.approx_bytes();
+        assert!(two > one);
+        memo.best_split(&ds, &root.with_budget(3), &metrics);
+        assert!(memo.approx_bytes() > two);
+        assert_eq!(memo.len(), 3);
     }
 
     #[test]

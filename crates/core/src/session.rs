@@ -4,12 +4,12 @@
 //! A one-shot pipeline run builds its caches, answers one question, and
 //! drops everything. The service inverts that ownership: a [`Session`]
 //! owns the per-`(dataset, config)` state that is worth keeping warm —
-//! the cross-rung [`CertCache`], the persistent `bestSplit#` memo, and
-//! the frontier interner ([`SharedLearner`]) — and every request
-//! *borrows* that state for the duration of one certification. Repeat
-//! questions are then answered from monotone verdict intervals without
-//! any abstract run, and even novel questions reuse the memoized
-//! concrete traces and split analyses of their predecessors.
+//! the cross-rung [`CertCache`] and the persistent `bestSplit#` memo
+//! ([`SharedLearner`]) — and every request *borrows* that state for the
+//! duration of one certification. Repeat questions are then answered
+//! from monotone verdict intervals without any abstract run, and even
+//! novel questions reuse the memoized concrete traces and split analyses
+//! of their predecessors.
 //!
 //! The [`RequestEngine`] sits in front: it admits a batch of
 //! certify/sweep requests (possibly across several sessions),
@@ -345,12 +345,13 @@ impl Session {
 
     /// Approximate bytes of warm state reachable from this session's
     /// current unit — the measure the service's byte-budget eviction
-    /// watermark sums. Dataset plus certificate cache; the learner
-    /// interner is bounded by the same dataset scale.
+    /// watermark sums: the dataset, the certificate cache and the
+    /// `bestSplit#` memo, whose entries accumulate over every request
+    /// of the epoch. Walks the cache and the memo under their locks.
     pub fn approx_bytes(&self) -> usize {
         let unit = self.unit();
         let st = unit.state.read().expect("session lock poisoned");
-        st.ds.approx_bytes() + st.cache.approx_bytes()
+        st.ds.approx_bytes() + st.cache.approx_bytes() + st.shared.memo().approx_bytes()
     }
 
     /// Number of distinct points this session has certified (its cache
@@ -465,7 +466,7 @@ impl Session {
             &cfg,
             &rctx,
             Some(&st.cache),
-            Some(&st.shared),
+            &st.shared,
         );
         let epoch = st.ds.epoch();
         drop(st);

@@ -228,7 +228,8 @@ pub fn sweep_cached(
 }
 
 /// The shared ladder body behind [`sweep_in`] and [`sweep_cached`]:
-/// [`sweep_shared`] with identity slot addressing and no session state.
+/// [`sweep_shared`] with identity slot addressing and learner state
+/// scoped to this one ladder.
 fn sweep_body(
     ds: &Dataset,
     test_points: &[Vec<f64>],
@@ -237,20 +238,25 @@ fn sweep_body(
     cache: Option<&CertCache>,
 ) -> Vec<SweepPoint> {
     let slots: Vec<usize> = (0..test_points.len()).collect();
-    sweep_shared(ds, test_points, &slots, cfg, parent, cache, None)
+    let shared = SharedLearner::new(ds, cfg.transformer);
+    sweep_shared(ds, test_points, &slots, cfg, parent, cache, &shared)
 }
 
-/// The fully general removal ladder — the service-session entry point.
+/// The fully general removal ladder, behind every one-shot ladder and
+/// the service session's.
 ///
 /// `slots[i]` is the [`CertCache`] slot addressing test point `i`: a
 /// one-shot sweep owns its cache and uses identity slots, while a
 /// session maps each distinct point to a stable slot in its long-lived
-/// cache so repeat requests land on warm entries. `shared`, when
-/// present, is the session's persistent learner state
-/// ([`Certifier::shared_state`]). Both knobs are observationally
-/// invisible to the ladder itself: the probed budgets and per-rung
-/// verdict counts are bit-identical to [`sweep_in`] (pinned in the
-/// session differential tests).
+/// cache so repeat requests land on warm entries. `shared` is the
+/// learner state every probe borrows ([`Certifier::shared_state`]): a
+/// one-shot ladder's own, or the session's persistent one. `bestSplit#`
+/// reads only `⟨T, n⟩`, never the test point, so every point of a rung
+/// asks the same root question and most layer-1 states recur from point
+/// to point; the shared memo computes each once per ladder. Neither
+/// knob changes the ladder itself: the probed budgets and per-rung
+/// verdict counts are those of memo-free certification (pinned in
+/// `tests/determinism.rs` and the session differential tests).
 ///
 /// # Panics
 ///
@@ -263,7 +269,7 @@ pub(crate) fn sweep_shared(
     cfg: &SweepConfig,
     parent: &ExecContext,
     cache: Option<&CertCache>,
-    shared: Option<&SharedLearner>,
+    shared: &SharedLearner,
 ) -> Vec<SweepPoint> {
     assert!(
         slots.len() >= test_points.len(),
@@ -271,14 +277,12 @@ pub(crate) fn sweep_shared(
         test_points.len(),
         slots.len(),
     );
-    let mut certifier = Certifier::new(ds)
+    let certifier = Certifier::new(ds)
         .depth(cfg.depth)
         .domain(cfg.domain)
         .transformer(cfg.transformer)
-        .subsume(cfg.subsume);
-    if let Some(s) = shared {
-        certifier = certifier.shared_state(s);
-    }
+        .subsume(cfg.subsume)
+        .shared_state(shared);
     ladder(
         ds,
         test_points,
@@ -829,6 +833,55 @@ mod tests {
         }
         ns.sort_unstable();
         ns
+    }
+
+    #[test]
+    fn a_ladder_shares_one_best_split_memo_across_its_points() {
+        // Cache-free, doubling-only ladder at n = 1, 2: every probe is a
+        // full abstract run, so the ladder's memo probes are exactly the
+        // bestSplit# computations of memo-free certify_in runs over every
+        // probed (point, n); the points of a rung share their states.
+        let ds = blobs();
+        let xs = blob_points();
+        let cfg = SweepConfig {
+            depth: 2,
+            cache: false,
+            max_n: Some(2),
+            ..cfg(DomainKind::Disjuncts, false)
+        };
+        let certifier = Certifier::new(&ds).depth(2).domain(DomainKind::Disjuncts);
+        let mut pool: Vec<usize> = (0..xs.len()).collect();
+        let mut probes = Vec::new();
+        let mut computed = 0;
+        for n in [1, 2] {
+            probes.push((n, pool.len()));
+            let mut verified = Vec::new();
+            for &i in &pool {
+                let ctx = ExecContext::sequential();
+                if certifier.certify_in(&xs[i], n, &ctx).is_robust() {
+                    verified.push(i);
+                }
+                assert_eq!(ctx.metrics().split_memo_hits(), 0);
+                computed += ctx.metrics().split_memo_misses();
+            }
+            pool = verified;
+        }
+        let mut counts = Vec::new();
+        for threads in [1, 4] {
+            let ctx = ExecContext::new().threads(threads);
+            let ladder = sweep_in(&ds, &xs, &cfg, &ctx);
+            let attempted: Vec<(usize, usize)> =
+                ladder.iter().map(|p| (p.n, p.attempted)).collect();
+            assert_eq!(attempted, probes, "{threads} thread(s)");
+            let (hits, misses) = (
+                ctx.metrics().split_memo_hits(),
+                ctx.metrics().split_memo_misses(),
+            );
+            assert_eq!(hits + misses, computed, "{threads} thread(s)");
+            assert!(hits > 0, "the points of a rung share their root question");
+            counts.push((hits, misses));
+        }
+        assert_eq!(counts[0], counts[1], "memo accounting is thread-invariant");
     }
 
     #[test]

@@ -278,13 +278,73 @@ fn probe_budget_cutoff_is_thread_invariant() {
     );
 }
 
+/// The §6.1 ladder replayed through plain `Certifier::certify_in` — no
+/// memo, no cache, no scheduler: `(n, attempted, verified)` per rung,
+/// ascending in `n`. Each rung re-certifies the pool the protocol
+/// attempts given the replay's own verdicts: every point at `n = 1`,
+/// each doubling rung's survivors, then the binary search between the
+/// last success and the first all-fail rung.
+fn memo_free_ladder(
+    ds: &Dataset,
+    xs: &[Vec<f64>],
+    depth: usize,
+    domain: DomainKind,
+) -> Vec<(usize, usize, usize)> {
+    let certifier = Certifier::new(ds).depth(depth).domain(domain);
+    let verify = |pool: &[usize], n: usize| -> Vec<usize> {
+        pool.iter()
+            .copied()
+            .filter(|&i| {
+                certifier
+                    .certify_in(&xs[i], n, &ExecContext::sequential())
+                    .is_robust()
+            })
+            .collect()
+    };
+    let max_n = ds.len();
+    let mut rungs = Vec::new();
+    let mut pool: Vec<usize> = (0..xs.len()).collect();
+    let (mut n, mut last_success) = (1, None);
+    while !pool.is_empty() && n <= max_n {
+        let verified = verify(&pool, n);
+        rungs.push((n, pool.len(), verified.len()));
+        if verified.is_empty() {
+            if let Some(mut lo) = last_success {
+                let mut hi = n;
+                while hi - lo > 1 {
+                    let mid = lo + (hi - lo) / 2;
+                    let v = verify(&pool, mid);
+                    rungs.push((mid, pool.len(), v.len()));
+                    if v.is_empty() {
+                        hi = mid;
+                    } else {
+                        lo = mid;
+                        pool = v;
+                    }
+                }
+            }
+            break;
+        }
+        last_success = Some(n);
+        pool = verified;
+        if n >= max_n {
+            break;
+        }
+        n = (n * 2).min(max_n);
+    }
+    rungs.sort_unstable();
+    rungs
+}
+
 #[test]
 fn memoized_best_split_is_observationally_invisible() {
-    // A session's bestSplit# memo must change nothing but work counts:
-    // session sweeps (memoized through their SharedLearner) and one-shot
-    // sweeps (every bestSplit# computed) produce bit-identical ladders
-    // for every domain × thread count, since the memoized result is a
-    // pure function of its (base, n, transformer) key.
+    // Every removal ladder shares one bestSplit# memo across its points
+    // and rungs: a one-shot ladder its own, a session its persistent
+    // one. The memo must change nothing but work counts, since the
+    // memoized result is a pure function of its (base, n, transformer)
+    // key: each rung's attempted pool, re-certified with plain
+    // memo-free certify_in, verifies the same count, for every
+    // domain × thread count on both ladders.
     let ds = blobs(60, 7);
     let xs = test_points(16);
     for domain in [
@@ -292,6 +352,7 @@ fn memoized_best_split_is_observationally_invisible() {
         DomainKind::Disjuncts,
         DomainKind::Hybrid { max_disjuncts: 8 },
     ] {
+        let reference = memo_free_ladder(&ds, &xs, 3, domain);
         let mut counts = Vec::new();
         for threads in [1usize, 4] {
             let cfg = SweepConfig {
@@ -302,8 +363,8 @@ fn memoized_best_split_is_observationally_invisible() {
                 threads,
                 ..SweepConfig::default()
             };
-            let plain_ctx = ExecContext::new().threads(threads);
-            let plain = antidote_core::sweep_in(&ds, &xs, &cfg, &plain_ctx);
+            let one_shot_ctx = ExecContext::new().threads(threads);
+            let one_shot = antidote_core::sweep_in(&ds, &xs, &cfg, &one_shot_ctx);
             let session = Session::new(
                 Arc::new(ds.clone()),
                 SessionConfig {
@@ -312,36 +373,48 @@ fn memoized_best_split_is_observationally_invisible() {
                     ..SessionConfig::default()
                 },
             );
-            let memo_ctx = ExecContext::new().threads(threads);
-            let (memoized, _) = session.sweep(&xs, None, &memo_ctx);
+            let session_ctx = ExecContext::new().threads(threads);
+            let (in_session, _) = session.sweep(&xs, None, &session_ctx);
+            for (name, ladder) in [("one-shot", &one_shot), ("session", &in_session)] {
+                let rungs: Vec<(usize, usize, usize)> = ladder
+                    .iter()
+                    .map(|p| (p.n, p.attempted, p.verified))
+                    .collect();
+                assert_eq!(
+                    rungs, reference,
+                    "{domain:?} @ {threads} thread(s): the {name} ladder diverged from \
+                     memo-free certify_in"
+                );
+                assert!(ladder
+                    .iter()
+                    .all(|p| p.timeouts == 0 && p.budget_exhausted == 0));
+            }
+            let counters = |ctx: &ExecContext| {
+                let m = ctx.metrics();
+                [
+                    m.split_memo_hits(),
+                    m.split_memo_misses(),
+                    m.interner_hits(),
+                ]
+            };
+            // Both ladders make the same certify calls, so they probe
+            // the memo with the same keys and intern the same frontiers.
             assert_eq!(
-                key(&memoized),
-                key(&plain),
-                "{domain:?} @ {threads} thread(s): session ladder diverged"
-            );
-            assert_eq!(
-                plain_ctx.metrics().split_memo_hits(),
-                0,
-                "a one-shot run computes every bestSplit#"
+                counters(&one_shot_ctx),
+                counters(&session_ctx),
+                "{domain:?} @ {threads} thread(s): one-shot and session memo counters differ"
             );
             if domain == DomainKind::Disjuncts {
                 assert!(
-                    memo_ctx.metrics().split_memo_hits() > 0,
-                    "sanity: recurring depth-3 frontier states must hit the memo"
+                    one_shot_ctx.metrics().split_memo_hits() > 0,
+                    "sanity: a one-shot ladder's points must share split analyses"
                 );
             }
-            let (p, m) = (plain_ctx.metrics(), memo_ctx.metrics());
-            counts.push([
-                p.split_memo_misses(),
-                p.interner_hits(),
-                m.split_memo_hits(),
-                m.split_memo_misses(),
-                m.interner_hits(),
-            ]);
+            counts.push(counters(&one_shot_ctx));
         }
-        // Hit/miss and interner accounting is thread-invariant on both
-        // paths (deterministic insert-time reconciliation), which the
-        // perf gate relies on.
+        // Hit/miss and interner accounting is thread-invariant
+        // (deterministic insert-time reconciliation), which the perf
+        // gate relies on.
         assert_eq!(
             counts[0], counts[1],
             "{domain:?}: memo/interner counters diverged across thread counts"

@@ -510,9 +510,10 @@ impl Subset {
 ///
 /// The table holds one canonical `Subset` per distinct payload and is
 /// scoped to a single certification run (the removal learner builds one
-/// per `run_abstract_shared` call without session state, the label-flip
-/// learner one per `certify_label_flips` call), so its footprint is
-/// bounded by the number of distinct frontier states the run visits.
+/// per `run_abstract_shared` call, with or without a ladder's or
+/// session's shared state, the label-flip learner one per
+/// `certify_label_flips` call), so its footprint is bounded by the
+/// number of distinct frontier states the run visits.
 ///
 /// ```
 /// use antidote_data::{synth, Subset, SubsetInterner};
