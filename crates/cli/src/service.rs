@@ -14,10 +14,11 @@
 //! transfer), `evict` (drop a handle's session and warm state),
 //! `metrics` (deterministic counter subset), `shutdown`. Errors answer
 //! `{"ok":false,"error":"..."}` and never kill the loop: lines that are
-//! not valid UTF-8, malformed JSON, non-finite numbers, nesting deeper
-//! than `MAX_DEPTH` levels, a `load` deeper than `MAX_TREE_DEPTH`, and
-//! points whose arity differs from the session dataset's feature count
-//! are all rejected before any certification runs.
+//! not valid UTF-8, lines longer than `MAX_LINE_BYTES`, malformed JSON,
+//! non-finite numbers, nesting deeper than `MAX_DEPTH` levels, a `load`
+//! deeper than `MAX_TREE_DEPTH`, and points whose arity differs from the
+//! session dataset's feature count are all rejected before any
+//! certification runs.
 //!
 //! Sessions opened by `load` share warm state through a process-wide
 //! [`WarmStateIndex`] (two handles on the same snapshot and config
@@ -39,7 +40,7 @@ use antidote_core::{
 };
 use antidote_data::{Benchmark, DatasetDelta, DatasetRegistry, Scale};
 use std::collections::BTreeMap;
-use std::io::{BufRead, Write};
+use std::io::{BufRead, Read, Write};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -90,6 +91,13 @@ impl Json {
 /// request (a `delta` append row) nests six levels; the cap keeps the
 /// recursive-descent parser's stack bounded on hostile input.
 const MAX_DEPTH: usize = 64;
+
+/// Longest request line `serve` accepts, newline excluded. A line is
+/// buffered whole until its newline arrives, so without a cap a client
+/// that never sends one grows the process without bound. 16 MiB is far
+/// above any real request: a replay certify line holds one point of at
+/// most 784 values.
+const MAX_LINE_BYTES: usize = 16 << 20;
 
 /// Deepest trace `load` accepts. `serve` has no deadline unless `load`
 /// sets one, and the abstract learner's cost grows with depth: on iris a
@@ -939,23 +947,39 @@ fn parse_request(obj: &BTreeMap<String, Json>) -> Result<(String, Request), Stri
 /// one line each and in admission order, until `shutdown` or EOF.
 /// Blank lines and `#` comment lines are skipped (so canned scripts can
 /// be annotated). Lines are read as bytes, so a line that is not valid
-/// UTF-8 gets one error response like any other malformed line.
+/// UTF-8 gets one error response like any other malformed line. A line
+/// longer than `MAX_LINE_BYTES` gets one error response too, and the
+/// rest of it is discarded without being buffered.
 pub fn serve_loop(
     service: &mut Service,
-    input: impl BufRead,
+    mut input: impl BufRead,
     mut output: impl Write,
 ) -> std::io::Result<()> {
-    for line in input.split(b'\n') {
-        let line = line?;
-        let (response, stop) = match std::str::from_utf8(&line) {
-            Ok(line) => {
-                let line = line.trim();
-                if line.is_empty() || line.starts_with('#') {
-                    continue;
+    let mut line = Vec::new();
+    loop {
+        line.clear();
+        let cap = MAX_LINE_BYTES as u64 + 1;
+        if (&mut input).take(cap).read_until(b'\n', &mut line)? == 0 {
+            break; // EOF
+        }
+        if line.last() == Some(&b'\n') {
+            line.pop();
+        }
+        let (response, stop) = if line.len() > MAX_LINE_BYTES {
+            skip_line(&mut input)?;
+            let error = format!("line exceeds {MAX_LINE_BYTES} bytes");
+            (error_line(&error), false)
+        } else {
+            match std::str::from_utf8(&line) {
+                Ok(line) => {
+                    let line = line.trim();
+                    if line.is_empty() || line.starts_with('#') {
+                        continue;
+                    }
+                    service.handle_line(line)
                 }
-                service.handle_line(line)
+                Err(e) => (error_line(&format!("line is not valid UTF-8: {e}")), false),
             }
-            Err(e) => (error_line(&format!("line is not valid UTF-8: {e}")), false),
         };
         writeln!(output, "{response}")?;
         output.flush()?;
@@ -964,6 +988,31 @@ pub fn serve_loop(
         }
     }
     Ok(())
+}
+
+/// Discards `input` up to and including the next newline (or to EOF),
+/// one buffer at a time.
+fn skip_line(input: &mut impl BufRead) -> std::io::Result<()> {
+    loop {
+        let buf = match input.fill_buf() {
+            Ok(buf) => buf,
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e),
+        };
+        if buf.is_empty() {
+            return Ok(());
+        }
+        match buf.iter().position(|&b| b == b'\n') {
+            Some(i) => {
+                input.consume(i + 1);
+                return Ok(());
+            }
+            None => {
+                let len = buf.len();
+                input.consume(len);
+            }
+        }
+    }
 }
 
 /// `antidote serve [--threads k] [--no-share] [--max-sessions n]
@@ -1234,6 +1283,26 @@ mod tests {
         assert_eq!(lines.len(), 2, "stopped at shutdown: {text}");
         assert!(lines[0].contains("\"op\":\"metrics\""));
         assert!(lines[1].contains("\"op\":\"shutdown\""));
+    }
+
+    #[test]
+    fn serve_loop_refuses_an_over_long_line_and_goes_on() {
+        let mut svc = Service::new(1);
+        let input = std::io::repeat(b' ')
+            .take(MAX_LINE_BYTES as u64 + 1)
+            .chain(&b"\n{\"op\":\"metrics\"}\n"[..]);
+        let mut out = Vec::new();
+        serve_loop(&mut svc, std::io::BufReader::new(input), &mut out).unwrap();
+        let text = String::from_utf8(out).unwrap();
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(lines.len(), 2, "{text}");
+        assert_eq!(
+            lines[0],
+            format!("{{\"ok\":false,\"error\":\"line exceeds {MAX_LINE_BYTES} bytes\"}}")
+        );
+        assert!(lines[1].contains("\"op\":\"metrics\""), "{}", lines[1]);
+        // Refusing the line touched no counter.
+        assert!(lines[1].contains("\"requests_served\":0"), "{}", lines[1]);
     }
 
     #[test]

@@ -1,48 +1,37 @@
 //! Incremental certification cache for the §6.1 sweep (DESIGN.md §6).
 //!
 //! The n-doubling ladder probes the *same* test point at many poisoning
-//! budgets, and between two rungs almost everything is unchanged: the
-//! training set, the point's concrete decision trace (budget-independent),
-//! and the base sets the abstract run is seeded from. [`CertCache`] keeps
-//! one entry per test point and lets the sweep reuse three kinds of state
-//! across rungs:
+//! budgets, and between two rungs the training set and the point's
+//! concrete reference label (budget-independent) do not change.
+//! [`CertCache`] keeps one entry per test point and lets the sweep reuse
+//! two kinds of state across rungs:
 //!
-//! 1. **Trace memoization** — the concrete `DTrace` run (reference label,
-//!    steps, per-node fragments) is derived once per point and resumed at
-//!    every later rung; the abstract run re-seeds from the cached root via
-//!    [`AbstractSet::with_budget`] instead of re-deriving it. These probes
-//!    are *incremental*: only the budget-dependent abstract interpretation
-//!    is executed.
+//! 1. **The reference label** — `DTrace(T, x)` is derived once per point
+//!    with [`dtrace_label`] and reused at every later rung, so a later
+//!    probe runs only the budget-dependent abstract interpretation.
 //! 2. **Verdict intervals** — DrewsAD20's robustness property is monotone
-//!    in `n` (robust at `n` implies robust at every `n' ≤ n`; a concrete
-//!    counterexample at `n` disproves robustness at every `n' ≥ n`). The
-//!    cache records `[max_robust, min_unknown]` per point and answers
-//!    monotone-implied budgets without invoking the certifier at all.
-//! 3. **Counterexample witnesses** — a validated removal set whose
-//!    deletion flips the concrete prediction refutes robustness at every
-//!    budget ≥ its size. Witness short-circuits are sound by construction
-//!    (the soundness theorem forbids the prover from certifying a budget
-//!    with a concrete counterexample), so they can never diverge from a
-//!    fresh run's `verified` counts.
+//!    in `n` (robust at `n` implies robust at every `n' ≤ n`). The cache
+//!    records `[max_robust, min_unknown]` and an exact memo of complete
+//!    verdicts per point, and answers monotone-implied budgets without
+//!    invoking the certifier at all.
 //!
-//! Why cached ladders stay bit-identical to fresh ones: the memoized
-//! trace is a deterministic function reused verbatim (identical label),
-//! the budget-widened seed equals the fresh initial state
-//! (`⟨T, 0⟩.with_budget(n) = ⟨T, n⟩`), witness short-circuits are sound as
-//! above, and interval short-circuits return exactly what a complete
-//! fresh run returns whenever the prover is monotone in `n` (property-
-//! tested in `crates/core/tests/monotonicity.rs`; within a single sweep
-//! the ladder only probes strictly inside each point's open verdict gap,
-//! so interval hits cannot fire there at all).
+//! Why cached ladders stay bit-identical to fresh ones: the label is a
+//! deterministic function reused verbatim, every abstract run starts
+//! from the same `⟨T, n⟩` a fresh run builds, and interval short-circuits
+//! return exactly what a complete fresh run returns whenever the prover
+//! is monotone in `n` (property-tested in
+//! `crates/core/tests/monotonicity.rs`). Within a single sweep the ladder
+//! only probes strictly inside each point's open verdict gap, so interval
+//! hits cannot fire there at all: the only short-circuits are interval
+//! hits across ladders or requests and transferred bounds.
 //!
 //! The caveat is per-instance *resource limits*: a short-circuit answers
 //! `Unknown` where a fresh probe would report `Timeout` or
-//! `DisjunctBudget`. The sweep therefore only arms witness
-//! short-circuits when no limit is configured — under a disjunct budget
-//! the cached ladder still runs every abstract interpretation (just
-//! incrementally) and stays bit-identical; under a wall-clock timeout
-//! the same timing caveat as the engine's thread-invariance contract
-//! applies (a faster cached probe can finish where a fresh one times
+//! `DisjunctBudget`. A sweep never short-circuits, so under a disjunct
+//! budget the cached ladder still runs every abstract interpretation and
+//! stays bit-identical; under a wall-clock timeout the same timing caveat
+//! as the engine's thread-invariance contract applies (a cached probe
+//! skips the concrete trace, so it can finish where a fresh one times
 //! out). Direct users of `Certifier::certify_cached` get short-circuits
 //! unconditionally: the answers are always *sound*, they just bypass
 //! resource accounting.
@@ -55,39 +44,23 @@
 //! carries what remains sound across the mutation: for a pure-removal
 //! delta `R`, a point certified `Robust(m)` at epoch `e` transfers to
 //! epoch `e+1` as `Robust(m − |R|)` (the removals already spent part of
-//! the budget). Everything else — traces, witnesses, `min_unknown`, exact
+//! the budget). Everything else — derived labels, `min_unknown`, exact
 //! memos, and any certificate crossing an append or label flip — is
 //! invalidated and re-proved fresh.
 
 use crate::certify::{Outcome, Verdict};
 use crate::engine::{Counter, RunMetrics};
-use antidote_data::{ClassId, Dataset, DeltaSummary, RowId, Subset};
-use antidote_domains::AbstractSet;
-use antidote_tree::dtrace::{dtrace_label, dtrace_recorded, TraceStep};
+use antidote_data::{ClassId, Dataset, DeltaSummary, Subset};
+use antidote_tree::dtrace::dtrace_label;
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::{Arc, Mutex};
-
-/// The memoized, budget-independent part of certifying one test point:
-/// the concrete `DTrace` run and the abstract seeds derived from it.
-#[derive(Debug, Clone)]
-pub struct CachedTrace {
-    /// The concrete reference label `DTrace(T, x)`.
-    pub label: ClassId,
-    /// The concrete trace steps (predicate + polarity).
-    pub steps: Vec<TraceStep>,
-    /// `⟨T, 0⟩` over the full training set; rung `n` re-seeds the abstract
-    /// run as `root.with_budget(n)` (bit-identical to `AbstractSet::full`).
-    pub root: AbstractSet,
-    /// `⟨fragment_i, 0⟩` after each trace step — the per-node seeds the
-    /// witness search (and future deeper resumes) draw candidates from.
-    pub step_seeds: Vec<AbstractSet>,
-}
+use std::sync::Mutex;
 
 /// Per-point cached certification state.
 #[derive(Debug, Default)]
 struct PointEntry {
-    trace: Option<Arc<CachedTrace>>,
+    /// The concrete reference label `DTrace(T, x)`, derived at this epoch.
+    label: Option<ClassId>,
     /// The `(x, depth)` this entry was first derived for — cached state
     /// is only valid for that pair, and reusing a key for a different
     /// input would return unsound verdicts (checked in debug builds).
@@ -96,26 +69,20 @@ struct PointEntry {
     max_robust: Option<usize>,
     /// Smallest budget with a complete non-robust (`Unknown`) verdict.
     min_unknown: Option<usize>,
-    /// Smallest validated concrete counterexample (removal row set).
-    witness: Option<Vec<RowId>>,
-    /// Whether the heuristic witness search already ran for this point.
-    witness_attempted: bool,
     /// Exact memo of complete verdicts per probed budget.
     verdicts: BTreeMap<usize, Verdict>,
     /// Reference label carried by [`CertCache::transfer`] — set only on
     /// entries whose `max_robust` is a transferred (not freshly proved)
-    /// bound, before any trace is derived at the new epoch.
+    /// bound, before any label is derived at the new epoch.
     transferred_label: Option<ClassId>,
 }
 
 impl PointEntry {
     /// Whether the entry carries any cached state at all.
     fn has_state(&self) -> bool {
-        self.trace.is_some()
+        self.label.is_some()
             || self.max_robust.is_some()
             || self.min_unknown.is_some()
-            || self.witness.is_some()
-            || self.witness_attempted
             || !self.verdicts.is_empty()
             || self.transferred_label.is_some()
     }
@@ -221,29 +188,17 @@ impl CertCache {
     }
 
     /// Approximate heap footprint of the cached state, in bytes — the
-    /// measure the service's byte-budget eviction watermark sums. Traces
-    /// and abstract seeds dominate; small per-entry scalars are counted
-    /// at struct size.
+    /// measure the service's byte-budget eviction watermark sums. Each
+    /// entry counts at struct size, plus its key's coordinates and its
+    /// exact verdict memo.
     pub fn approx_bytes(&self) -> usize {
         self.points
             .iter()
             .map(|p| {
                 let e = p.lock().expect("cache entry lock poisoned");
                 let mut bytes = std::mem::size_of::<PointEntry>();
-                if let Some(trace) = &e.trace {
-                    bytes += trace.root.approx_bytes()
-                        + trace
-                            .step_seeds
-                            .iter()
-                            .map(AbstractSet::approx_bytes)
-                            .sum::<usize>()
-                        + trace.steps.len() * std::mem::size_of::<TraceStep>();
-                }
                 if let Some((x, _)) = &e.key {
                     bytes += x.len() * std::mem::size_of::<f64>();
-                }
-                if let Some(w) = &e.witness {
-                    bytes += w.len() * std::mem::size_of::<RowId>();
                 }
                 bytes += e.verdicts.len() * std::mem::size_of::<(usize, Verdict)>();
                 bytes
@@ -268,12 +223,13 @@ impl CertCache {
             .expect("cache entry lock poisoned")
     }
 
-    /// The memoized trace for `point`, deriving it on first use.
+    /// The reference label `DTrace(T, x)` for `point`, deriving it with
+    /// [`dtrace_label`] on first use at this epoch.
     ///
     /// In debug builds, panics when `point` was previously used with a
     /// different `(x, depth)` — cached verdicts are only sound for the
     /// input they were derived from.
-    pub fn trace(&self, point: usize, ds: &Dataset, x: &[f64], depth: usize) -> Arc<CachedTrace> {
+    pub fn label(&self, point: usize, ds: &Dataset, x: &[f64], depth: usize) -> ClassId {
         let mut e = self.entry(point);
         debug_assert!(
             e.key
@@ -282,23 +238,13 @@ impl CertCache {
             "cache point {point} keyed for {:?} reused with ({x:?}, {depth})",
             e.key,
         );
-        if let Some(t) = &e.trace {
-            return t.clone();
+        if let Some(label) = e.label {
+            return label;
         }
         e.key = Some((x.to_vec(), depth));
-        let rec = dtrace_recorded(ds, &Subset::full(ds), x, depth);
-        let t = Arc::new(CachedTrace {
-            label: rec.result.label,
-            steps: rec.result.steps,
-            root: AbstractSet::full(ds, 0),
-            step_seeds: rec
-                .step_sets
-                .into_iter()
-                .map(|s| AbstractSet::new(s, 0))
-                .collect(),
-        });
-        e.trace = Some(t.clone());
-        t
+        let label = dtrace_label(ds, &Subset::full(ds), x, depth);
+        e.label = Some(label);
+        label
     }
 
     /// Debug-builds-only consistency check: asserts `point` is keyed by
@@ -314,15 +260,14 @@ impl CertCache {
         );
     }
 
-    /// The memoized trace for `point`, if one was derived already.
-    pub fn cached_trace(&self, point: usize) -> Option<Arc<CachedTrace>> {
-        self.entry(point).trace.clone()
+    /// The reference label of `point`, if one was derived at this epoch.
+    pub fn cached_label(&self, point: usize) -> Option<ClassId> {
+        self.entry(point).label
     }
 
     /// Answers budget `n` from cached state, if implied: an exact memo
-    /// hit, a monotone-implied `Robust` (`n ≤ max_robust`), a
-    /// monotone-implied `Unknown` (`n ≥ min_unknown`), or a witness-
-    /// implied `Unknown` (`n ≥ |witness|`).
+    /// hit, a monotone-implied `Robust` (`n ≤ max_robust`), or a
+    /// monotone-implied `Unknown` (`n ≥ min_unknown`).
     pub fn lookup(&self, point: usize, n: usize) -> Option<Verdict> {
         let e = self.entry(point);
         if let Some(&v) = e.verdicts.get(&n) {
@@ -334,14 +279,11 @@ impl CertCache {
         if e.min_unknown.is_some_and(|u| n >= u) {
             return Some(Verdict::Unknown);
         }
-        if e.witness.as_ref().is_some_and(|w| n >= w.len()) {
-            return Some(Verdict::Unknown);
-        }
         None
     }
 
     /// Answers budget `n` from a *transferred* `Robust` bound, before any
-    /// trace exists at this epoch: returns the verdict together with the
+    /// label is derived at this epoch: returns the verdict together with the
     /// carried reference label (sound for the new dataset because the
     /// transfer rule itself guarantees the label survives the removal —
     /// see [`CertCache::transfer`]).
@@ -364,8 +306,8 @@ impl CertCache {
     /// within the old budget, so the reference label is preserved too.
     /// Deltas that append or flip labels transfer nothing (an appended or
     /// relabelled row can change verdicts in either direction), and no
-    /// other state is carried: traces, witnesses, `min_unknown`, and
-    /// exact memos all describe the old training set.
+    /// other state is carried: derived labels, `min_unknown`, and exact
+    /// memos all describe the old training set.
     ///
     /// Each carried point counts one `cache_transfers`; each point whose
     /// state is dropped counts one `cache_invalidations`.
@@ -455,7 +397,7 @@ impl CertCache {
         let fresh = CertCache::with_epoch(new_ds.epoch(), self.points.len());
         for (point, slot) in self.points.iter().enumerate() {
             let e = slot.lock().expect("cache entry lock poisoned");
-            let label = e.trace.as_ref().map(|t| t.label).or(e.transferred_label);
+            let label = e.label.or(e.transferred_label);
             let carried = match (pure_removal, label, e.max_robust) {
                 (true, Some(label), Some(m)) if m >= shrink => Some((label, m - shrink)),
                 _ => None,
@@ -484,10 +426,6 @@ impl CertCache {
         let mut e = self.entry(point);
         match out.verdict {
             Verdict::Robust => {
-                debug_assert!(
-                    e.witness.as_ref().is_none_or(|w| w.len() > n),
-                    "a witness of size ≤ {n} contradicts a Robust verdict at {n}"
-                );
                 e.max_robust = Some(e.max_robust.map_or(n, |r| r.max(n)));
                 e.verdicts.insert(n, Verdict::Robust);
             }
@@ -504,128 +442,6 @@ impl CertCache {
         let e = self.entry(point);
         (e.max_robust, e.min_unknown)
     }
-
-    /// The smallest known counterexample witness for `point`, if any.
-    pub fn witness(&self, point: usize) -> Option<Vec<RowId>> {
-        self.entry(point).witness.clone()
-    }
-
-    /// Validates `rows` as a concrete counterexample for `point` —
-    /// retrains on `T ∖ rows` and checks the prediction flips — and
-    /// records it when valid and smaller than the current witness.
-    /// Returns whether the witness was accepted.
-    pub fn record_witness(
-        &self,
-        point: usize,
-        ds: &Dataset,
-        x: &[f64],
-        depth: usize,
-        rows: &[RowId],
-    ) -> bool {
-        let label = self.trace(point, ds, x, depth).label;
-        if !removal_flips(ds, x, depth, label, rows) {
-            return false;
-        }
-        let mut e = self.entry(point);
-        debug_assert!(
-            e.max_robust.is_none_or(|r| r < rows.len()),
-            "a Robust verdict at ≥ {} contradicts this witness",
-            rows.len()
-        );
-        if e.witness.as_ref().is_none_or(|w| rows.len() < w.len()) {
-            e.witness = Some(rows.to_vec());
-        }
-        true
-    }
-
-    /// Runs the heuristic witness search for `point` at `budget`, at most
-    /// once per point per cache. Candidates are drawn from the memoized
-    /// trace's per-node fragments; any hit is validated concretely before
-    /// being recorded, so a `true` return is always sound.
-    pub fn try_find_witness(
-        &self,
-        point: usize,
-        ds: &Dataset,
-        x: &[f64],
-        depth: usize,
-        budget: usize,
-    ) -> bool {
-        let trace = self.trace(point, ds, x, depth);
-        {
-            let mut e = self.entry(point);
-            if e.witness_attempted {
-                return e.witness.is_some();
-            }
-            e.witness_attempted = true;
-        }
-        match find_removal_witness(ds, x, depth, budget, &trace) {
-            Some(w) => self.record_witness(point, ds, x, depth, &w),
-            None => false,
-        }
-    }
-}
-
-/// Whether removing `rows` from the full training set flips the concrete
-/// prediction away from `label`. Removing everything is not a flip — the
-/// concrete semantics is undefined on an empty training set.
-fn removal_flips(ds: &Dataset, x: &[f64], depth: usize, label: ClassId, rows: &[RowId]) -> bool {
-    if rows.is_empty() || rows.len() >= ds.len() {
-        return false;
-    }
-    let keep: Vec<RowId> = ds.rows().filter(|r| !rows.contains(r)).collect();
-    if keep.len() + rows.len() != ds.len() {
-        return false; // `rows` had duplicates or out-of-range ids
-    }
-    let poisoned = Subset::from_indices(ds, keep);
-    dtrace_label(ds, &poisoned, x, depth) != label
-}
-
-/// Heuristic counterexample search: for each fragment along the cached
-/// trace (final first — smallest and most decisive), try removing up to
-/// `budget` rows of the reference-label class, validate by retraining,
-/// and shrink a flipping set to a short validated prefix. Every returned
-/// witness has been checked concretely; `None` just means the heuristic
-/// found nothing within `budget`.
-fn find_removal_witness(
-    ds: &Dataset,
-    x: &[f64],
-    depth: usize,
-    budget: usize,
-    trace: &CachedTrace,
-) -> Option<Vec<RowId>> {
-    if budget == 0 {
-        return None;
-    }
-    let fragments = trace
-        .step_seeds
-        .iter()
-        .rev()
-        .map(AbstractSet::base)
-        .chain(std::iter::once(trace.root.base()));
-    for frag in fragments {
-        let candidate: Vec<RowId> = frag
-            .iter()
-            .filter(|&r| ds.label(r) == trace.label)
-            .take(budget)
-            .collect();
-        if !removal_flips(ds, x, depth, trace.label, &candidate) {
-            continue;
-        }
-        // Shrink to the shortest validated flipping prefix (binary search;
-        // every probe is a concrete retrain, so the result is sound even
-        // if flipping is not monotone in the prefix length).
-        let (mut lo, mut hi) = (1usize, candidate.len());
-        while lo < hi {
-            let mid = lo + (hi - lo) / 2;
-            if removal_flips(ds, x, depth, trace.label, &candidate[..mid]) {
-                hi = mid;
-            } else {
-                lo = mid + 1;
-            }
-        }
-        return Some(candidate[..hi].to_vec());
-    }
-    None
 }
 
 #[cfg(test)]
@@ -645,17 +461,19 @@ mod tests {
     #[test]
     fn trace_is_memoized_and_matches_dtrace() {
         let ds = synth::figure2();
+        let full = Subset::full(&ds);
         let cache = CertCache::new(2);
-        assert!(cache.cached_trace(0).is_none());
-        let t = cache.trace(0, &ds, &[5.0], 1);
-        let again = cache.trace(0, &ds, &[5.0], 1);
-        assert!(Arc::ptr_eq(&t, &again), "second call reuses the Arc");
-        let plain = antidote_tree::dtrace(&ds, &Subset::full(&ds), &[5.0], 1);
-        assert_eq!(t.label, plain.label);
-        assert_eq!(t.steps, plain.steps);
-        assert_eq!(t.step_seeds.len(), plain.steps.len());
-        assert_eq!(t.root.with_budget(3), AbstractSet::full(&ds, 3));
-        assert!(cache.cached_trace(1).is_none(), "entries are independent");
+        assert_eq!(cache.cached_label(0), None);
+        let label = cache.label(0, &ds, &[5.0], 1);
+        assert_eq!(label, antidote_tree::dtrace(&ds, &full, &[5.0], 1).label);
+        assert_eq!(cache.cached_label(0), Some(label), "memoized on first use");
+        assert_eq!(cache.label(0, &ds, &[5.0], 1), label);
+        assert_eq!(cache.cached_label(1), None, "entries are independent");
+        // Point 1 derives its own label (x = 18 is black, x = 5 white).
+        let other = cache.label(1, &ds, &[18.0], 1);
+        assert_eq!(other, antidote_tree::dtrace(&ds, &full, &[18.0], 1).label);
+        assert_ne!(other, label);
+        assert_eq!(cache.cached_label(0), Some(label));
     }
 
     /// Release builds skip the key check by design, so the panic test
@@ -666,9 +484,9 @@ mod tests {
     fn mis_keyed_point_panics_in_debug_builds() {
         let ds = synth::figure2();
         let cache = CertCache::new(1);
-        let _ = cache.trace(0, &ds, &[5.0], 1);
+        let _ = cache.label(0, &ds, &[5.0], 1);
         // Same key, different input: unsound reuse, caught in debug.
-        let _ = cache.trace(0, &ds, &[18.0], 1);
+        let _ = cache.label(0, &ds, &[18.0], 1);
     }
 
     #[test]
@@ -705,58 +523,6 @@ mod tests {
     }
 
     #[test]
-    fn witnesses_are_validated_before_acceptance() {
-        // figure2 at depth 0 classifies by majority (7 white vs 6 black):
-        // removing two white rows flips the majority to black.
-        let ds = synth::figure2();
-        let cache = CertCache::new(1);
-        assert!(!cache.record_witness(0, &ds, &[5.0], 0, &[9]), "black row");
-        // One white removal leaves a 6v6 tie, which breaks toward white.
-        assert!(!cache.record_witness(0, &ds, &[5.0], 0, &[1]));
-        assert!(cache.record_witness(0, &ds, &[5.0], 0, &[1, 2]));
-        assert_eq!(cache.witness(0), Some(vec![1, 2]));
-        assert_eq!(cache.lookup(0, 2), Some(Verdict::Unknown));
-        assert_eq!(cache.lookup(0, 1), None);
-        // A larger witness never replaces a smaller one.
-        assert!(cache.record_witness(0, &ds, &[5.0], 0, &[1, 2, 3]));
-        assert_eq!(cache.witness(0), Some(vec![1, 2]));
-        // Degenerate sets are rejected outright.
-        assert!(!cache.record_witness(0, &ds, &[5.0], 0, &[]));
-        let all: Vec<RowId> = (0..13).collect();
-        assert!(!cache.record_witness(0, &ds, &[5.0], 0, &all));
-    }
-
-    #[test]
-    fn witness_search_finds_and_shrinks_a_flip() {
-        let ds = synth::figure2();
-        let cache = CertCache::new(1);
-        // Majority vote at depth 0 flips after removing 2 white rows; the
-        // search must find a witness within budget and shrink it.
-        assert!(cache.try_find_witness(0, &ds, &[5.0], 0, 13));
-        let w = cache.witness(0).expect("witness recorded");
-        assert_eq!(w.len(), 2, "minimal flip at depth 0 removes 2 whites");
-        let label = cache.trace(0, &ds, &[5.0], 0).label;
-        assert!(removal_flips(&ds, &[5.0], 0, label, &w));
-        // The search runs once per point; later calls reuse the result.
-        assert!(cache.try_find_witness(0, &ds, &[5.0], 0, 1));
-    }
-
-    #[test]
-    fn witness_search_respects_budget() {
-        let ds = synth::figure2();
-        let cache = CertCache::new(1);
-        assert!(
-            !cache.try_find_witness(0, &ds, &[5.0], 0, 1),
-            "1 < flip size"
-        );
-        assert!(cache.witness(0).is_none());
-        // …and the attempt is not repeated even with a larger budget
-        // (bounded cost per sweep); record_witness still accepts directly.
-        assert!(!cache.try_find_witness(0, &ds, &[5.0], 0, 13));
-        assert!(cache.record_witness(0, &ds, &[5.0], 0, &[1, 2]));
-    }
-
-    #[test]
     fn epoch_stamps_follow_the_dataset() {
         let ds = synth::figure2();
         assert_eq!(CertCache::new(3).epoch(), 0);
@@ -770,11 +536,11 @@ mod tests {
     fn transfer_carries_pure_removal_robust_bounds() {
         let ds = synth::figure2();
         let cache = CertCache::for_dataset(&ds, 3);
-        // Point 0: trace + full verdict interval + witness state.
-        let label = cache.trace(0, &ds, &[5.0], 1).label;
+        // Point 0: label + full verdict interval.
+        let label = cache.label(0, &ds, &[5.0], 1);
         cache.record(0, 4, &outcome(Verdict::Robust, label));
         cache.record(0, 9, &outcome(Verdict::Unknown, label));
-        // Point 1: a bound with no label source (no trace) cannot carry.
+        // Point 1: a bound with no label source cannot carry.
         cache.record(1, 6, &outcome(Verdict::Robust, 0));
         // Point 2: empty — counts toward neither counter.
         let (next, summary) = ds
@@ -794,7 +560,10 @@ mod tests {
         // …but not beyond, and nothing else crossed the epoch.
         assert_eq!(moved.transferred_lookup(0, 3), None);
         assert_eq!(moved.lookup(0, 9), None, "min_unknown does not transfer");
-        assert!(moved.cached_trace(0).is_none(), "traces do not transfer");
+        assert!(
+            moved.cached_label(0).is_none(),
+            "derived labels stay behind"
+        );
         assert_eq!(moved.transferred_lookup(1, 1), None);
         assert_eq!(moved.transferred_lookup(2, 0), None);
     }
@@ -807,7 +576,7 @@ mod tests {
             DatasetDelta::new().flip_label(0, 0).clone(), // row 0 is black
         ] {
             let cache = CertCache::for_dataset(&ds, 2);
-            let label = cache.trace(0, &ds, &[5.0], 1).label;
+            let label = cache.label(0, &ds, &[5.0], 1);
             cache.record(0, 5, &outcome(Verdict::Robust, label));
             let (next, summary) = ds.apply_summarized(&delta).unwrap();
             assert!(!summary.pure_removal());
@@ -824,7 +593,7 @@ mod tests {
     fn transfer_drops_bounds_smaller_than_the_removal() {
         let ds = synth::figure2();
         let cache = CertCache::for_dataset(&ds, 1);
-        let label = cache.trace(0, &ds, &[5.0], 1).label;
+        let label = cache.label(0, &ds, &[5.0], 1);
         cache.record(0, 1, &outcome(Verdict::Robust, label));
         let (next, summary) = ds
             .apply_summarized(DatasetDelta::new().remove(0).remove(1))
@@ -840,12 +609,12 @@ mod tests {
     fn chained_transfers_keep_shrinking_the_bound() {
         let ds = synth::figure2();
         let cache = CertCache::for_dataset(&ds, 1);
-        let label = cache.trace(0, &ds, &[5.0], 1).label;
+        let label = cache.label(0, &ds, &[5.0], 1);
         cache.record(0, 3, &outcome(Verdict::Robust, label));
         let metrics = RunMetrics::default();
         let (e1, s1) = ds.apply_summarized(DatasetDelta::new().remove(0)).unwrap();
         let c1 = cache.transfer(&s1, &e1, &metrics);
-        // A transferred bound (label from `transferred_label`, no trace)
+        // A transferred bound (label from `transferred_label`, none derived)
         // itself transfers across the next pure removal.
         let (e2, s2) = e1.apply_summarized(DatasetDelta::new().remove(1)).unwrap();
         let c2 = c1.transfer(&s2, &e2, &metrics);
@@ -862,8 +631,8 @@ mod tests {
         // transfers — same carried labels, same bounds, at every budget.
         let ds = synth::figure2();
         let cache = CertCache::for_dataset(&ds, 2);
-        let l0 = cache.trace(0, &ds, &[5.0], 1).label;
-        let l1 = cache.trace(1, &ds, &[0.5], 1).label;
+        let l0 = cache.label(0, &ds, &[5.0], 1);
+        let l1 = cache.label(1, &ds, &[0.5], 1);
         cache.record(0, 4, &outcome(Verdict::Robust, l0));
         cache.record(1, 2, &outcome(Verdict::Robust, l1)); // dies mid-chain
         let (e1, s1) = ds.apply_summarized(DatasetDelta::new().remove(0)).unwrap();
@@ -912,7 +681,7 @@ mod tests {
         // its first epoch was pure.
         let ds = synth::figure2();
         let cache = CertCache::for_dataset(&ds, 1);
-        let label = cache.trace(0, &ds, &[5.0], 1).label;
+        let label = cache.label(0, &ds, &[5.0], 1);
         cache.record(0, 5, &outcome(Verdict::Robust, label));
         let (e1, s1) = ds.apply_summarized(DatasetDelta::new().remove(0)).unwrap();
         let (e2, s2) = e1
@@ -947,7 +716,7 @@ mod tests {
     fn ensure_slots_grows_without_touching_existing_entries() {
         let ds = synth::figure2();
         let mut cache = CertCache::for_dataset(&ds, 1);
-        let label = cache.trace(0, &ds, &[5.0], 1).label;
+        let label = cache.label(0, &ds, &[5.0], 1);
         cache.record(0, 2, &outcome(Verdict::Robust, label));
         cache.ensure_slots(3);
         assert_eq!(cache.len(), 3);

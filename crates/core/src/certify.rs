@@ -1,6 +1,6 @@
 //! The certification front-end: [`Certifier`] and [`Outcome`].
 
-use crate::cache::{CachedTrace, CertCache, EpochMismatch};
+use crate::cache::{CertCache, EpochMismatch};
 use crate::engine::{Counter, ExecContext};
 use crate::learner::{run_abstract_shared, Abort, DomainKind, RunOutput};
 use crate::memo::SharedLearner;
@@ -229,13 +229,12 @@ impl<'a> Certifier<'a> {
     /// [`CertCache`] — the incremental entry point the §6.1 sweep uses.
     /// `point` indexes this input's entry in `cache`.
     ///
-    /// The first probe of a point is a **miss**: the concrete trace is
-    /// derived, memoized, and a fresh abstract run decides the verdict.
-    /// Every later probe is a **hit** — either a full short-circuit (the
-    /// budget is answered by the cached verdict interval or a validated
-    /// counterexample witness; no abstract run at all) or an incremental
-    /// resume (cached trace + budget-widened seed; only the abstract run
-    /// executes). Hit/miss/short-circuit counts land on
+    /// The first probe of a point is a **miss**: the reference label is
+    /// derived and memoized, and a fresh abstract run decides the
+    /// verdict. Every later probe is a **hit** — either a full
+    /// short-circuit (the budget is answered by the cached verdict
+    /// interval; no abstract run at all) or an abstract run from `⟨T, n⟩`
+    /// under the memoized label. Hit/miss/short-circuit counts land on
     /// [`ctx.metrics()`](ExecContext::metrics).
     ///
     /// Complete verdicts (`Robust`/`Unknown`) are recorded back into the
@@ -244,7 +243,7 @@ impl<'a> Certifier<'a> {
     /// to [`certify_in`](Certifier::certify_in) (see `cache` module docs
     /// for the argument). A cache carried across a mutation by
     /// [`CertCache::transfer`] additionally answers budgets inside the
-    /// transferred `Robust` bound as short-circuits before any trace is
+    /// transferred `Robust` bound as short-circuits before any label is
     /// derived at the new epoch.
     ///
     /// # Errors
@@ -274,51 +273,49 @@ impl<'a> Certifier<'a> {
                 dataset_epoch: self.ds.epoch(),
             });
         }
-        if let Some(trace) = cache.cached_trace(point) {
-            cache.debug_check_key(point, x, self.depth);
-            if let Some(verdict) = cache.lookup(point, n) {
-                ctx.metrics().record(Counter::CacheHits, 1);
-                ctx.metrics().record(Counter::CacheShortcircuits, 1);
-                return Ok(Outcome {
-                    verdict,
-                    label: trace.label,
-                    stats: RunStats::default(),
-                });
-            }
+        cache.debug_check_key(point, x, self.depth);
+        let cached = cache.cached_label(point);
+        // A label derived at this epoch comes with the verdict interval;
+        // before one exists, only a transferred bound can answer.
+        let answer = match cached {
+            Some(label) => cache.lookup(point, n).map(|verdict| (verdict, label)),
+            None => cache.transferred_lookup(point, n),
+        };
+        if let Some((verdict, label)) = answer {
             ctx.metrics().record(Counter::CacheHits, 1);
-            let out = self.certify_inner(x, n, ctx, Some(&trace));
-            cache.record(point, n, &out);
-            Ok(out)
-        } else {
-            if let Some((verdict, label)) = cache.transferred_lookup(point, n) {
-                ctx.metrics().record(Counter::CacheHits, 1);
-                ctx.metrics().record(Counter::CacheShortcircuits, 1);
-                return Ok(Outcome {
-                    verdict,
-                    label,
-                    stats: RunStats::default(),
-                });
-            }
-            ctx.metrics().record(Counter::CacheMisses, 1);
-            ctx.metrics().record(Counter::CertifyCalls, 1);
-            let trace = cache.trace(point, self.ds, x, self.depth);
-            let out = self.certify_inner(x, n, ctx, Some(&trace));
-            cache.record(point, n, &out);
-            Ok(out)
+            ctx.metrics().record(Counter::CacheShortcircuits, 1);
+            return Ok(Outcome {
+                verdict,
+                label,
+                stats: RunStats::default(),
+            });
         }
+        let label = match cached {
+            Some(label) => {
+                ctx.metrics().record(Counter::CacheHits, 1);
+                label
+            }
+            None => {
+                ctx.metrics().record(Counter::CacheMisses, 1);
+                ctx.metrics().record(Counter::CertifyCalls, 1);
+                cache.label(point, self.ds, x, self.depth)
+            }
+        };
+        let out = self.certify_inner(x, n, ctx, Some(label));
+        cache.record(point, n, &out);
+        Ok(out)
     }
 
-    /// The shared certification body. `cached` supplies the memoized
-    /// concrete trace when resuming from a [`CertCache`]: the reference
-    /// label is reused verbatim and the abstract run re-seeds from the
-    /// cached root via `with_budget` — both bit-identical to the fresh
-    /// derivation.
+    /// The shared certification body. `label` is the reference label
+    /// when the caller already holds it (a [`CertCache`] entry's), reused
+    /// verbatim; `None` derives it. The abstract run always starts from
+    /// `⟨T, n⟩`.
     fn certify_inner(
         &self,
         x: &[f64],
         n: usize,
         ctx: &ExecContext,
-        cached: Option<&CachedTrace>,
+        label: Option<ClassId>,
     ) -> Outcome {
         let filled;
         let ctx = if (ctx.deadline_at().is_none() && self.timeout.is_some())
@@ -341,12 +338,10 @@ impl<'a> Certifier<'a> {
             ctx
         };
         let start = Instant::now();
-        let label = cached.map_or_else(|| self.reference_label(x), |t| t.label);
-        let initial =
-            cached.map_or_else(|| AbstractSet::full(self.ds, n), |t| t.root.with_budget(n));
+        let label = label.unwrap_or_else(|| self.reference_label(x));
         let out = run_abstract_shared(
             self.ds,
-            initial,
+            AbstractSet::full(self.ds, n),
             x,
             self.depth,
             self.domain,
@@ -559,7 +554,7 @@ mod tests {
             assert_eq!(cached.label, fresh.label);
         }
         // One full derivation; every later ladder budget reuses the
-        // memoized trace (incrementally or via a monotone short-circuit).
+        // memoized label (in an abstract run or a monotone short-circuit).
         assert_eq!(ctx.metrics().certify_calls(), 1);
         assert_eq!(ctx.metrics().cache_misses(), 1);
         assert_eq!(ctx.metrics().cache_hits(), 6);

@@ -234,7 +234,7 @@ mod tests {
         }
         // The saving shows up as abstract runs: every probe not answered
         // by a short-circuit executes the abstract learner (as a fresh
-        // derivation or an incremental resume). Transferred bounds turn
+        // derivation or under a memoized label). Transferred bounds turn
         // warm-epoch rungs inside the carried interval into
         // certifier-free short-circuits.
         let runs =

@@ -208,19 +208,20 @@ counters! {
     /// `cross_request_hit_rate`.
     CrossRequestCacheHits cross_request_cache_hits: Sum, metrics_op;
     /// Full certifier invocations: a from-scratch derivation of the
-    /// concrete reference trace plus a fresh abstract run. Resumed or
-    /// short-circuited cache probes are not counted here.
+    /// concrete reference label plus a fresh abstract run. Cache hits,
+    /// whether they run the abstract interpreter or not, are not counted
+    /// here.
     CertifyCalls certify_calls: Sum, metrics_op;
-    /// Cache hits: probes answered with cached state, either
-    /// incrementally (cached trace + budget-widened seed, abstract run
-    /// only) or fully (no abstract run: also a `cache_shortcircuits`).
+    /// Cache hits: probes answered with cached state, either by an
+    /// abstract run under the memoized reference label or fully (no
+    /// abstract run: also a `cache_shortcircuits`).
     CacheHits cache_hits: Sum, metrics_op;
     /// Cache misses: probes for a point with no cached state yet (each
     /// also a `certify_calls`).
     CacheMisses cache_misses: Sum, metrics_op;
     /// Full short-circuits: probes answered from the verdict intervals
-    /// or a counterexample witness without running the abstract
-    /// interpreter (each also a `cache_hits`).
+    /// or a transferred bound without running the abstract interpreter
+    /// (each also a `cache_hits`).
     CacheShortcircuits cache_shortcircuits: Sum, metrics_op;
     /// Certificates transferred: per-point verdict bounds carried from a
     /// cache at epoch `e` into its successor under the sound pure-removal

@@ -17,8 +17,8 @@
 //!   cooperative cancellation flag, metrics, and thread count, and its
 //!   order-preserving `par_map` fans work out on scoped threads;
 //! * [`cache`](mod@cache) — the incremental certification cache:
-//!   memoized concrete traces, monotone verdict intervals, and validated
-//!   counterexample witnesses reused across sweep rungs;
+//!   memoized reference labels and monotone verdict intervals reused
+//!   across sweep rungs;
 //! * [`memo`](mod@memo) — a session's `bestSplit#` memo: recurring
 //!   `⟨T, n⟩` frontier states across certify calls reuse the stored
 //!   candidate analysis (hash-consed keys; one-shot and label-flip runs
@@ -90,7 +90,7 @@ pub mod session;
 pub mod sweep;
 pub mod verdict;
 
-pub use cache::{CachedTrace, CertCache, EpochMismatch};
+pub use cache::{CertCache, EpochMismatch};
 pub use certify::{Certifier, Outcome, RunStats, Verdict};
 pub use drift::{drift_sweep, drift_sweep_in, DriftConfig, EpochReport};
 pub use engine::{ExecContext, MetricsSnapshot, RunMetrics};

@@ -286,7 +286,7 @@ mod tests {
         assert!(Arc::ptr_eq(&first, &third));
         assert_eq!(metrics.split_memo_hits(), 2);
         // ...while a different budget is a distinct key.
-        let wide = a.with_budget(3);
+        let wide = AbstractSet::full(&ds, 3);
         let other = memo.best_split(&ds, &wide, &metrics);
         assert!(!Arc::ptr_eq(&first, &other));
         assert_eq!(memo.len(), 2);
@@ -346,10 +346,10 @@ mod tests {
         // A hit adds no key; each new key adds its own bytes.
         memo.best_split(&ds, &root, &metrics);
         assert_eq!(memo.approx_bytes(), one);
-        memo.best_split(&ds, &root.with_budget(2), &metrics);
+        memo.best_split(&ds, &AbstractSet::full(&ds, 2), &metrics);
         let two = memo.approx_bytes();
         assert!(two > one);
-        memo.best_split(&ds, &root.with_budget(3), &metrics);
+        memo.best_split(&ds, &AbstractSet::full(&ds, 3), &metrics);
         assert!(memo.approx_bytes() > two);
         assert_eq!(memo.len(), 3);
     }

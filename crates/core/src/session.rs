@@ -8,8 +8,8 @@
 //! ([`SharedLearner`]) — and every request *borrows* that state for the
 //! duration of one certification. Repeat questions are then answered
 //! from monotone verdict intervals without any abstract run, and even
-//! novel questions reuse the memoized concrete traces and split analyses
-//! of their predecessors.
+//! novel questions reuse the memoized reference labels and split
+//! analyses of their predecessors.
 //!
 //! The [`RequestEngine`] sits in front: it admits a batch of
 //! certify/sweep requests (possibly across several sessions),
@@ -76,7 +76,7 @@ pub struct SessionConfig {
     /// `cprob#` transformer.
     pub transformer: CprobTransformer,
     /// Per-instance timeout (`None` = unlimited; the service default,
-    /// so witness short-circuits stay armed in session sweeps).
+    /// under which verdicts are total and sessions may share warm state).
     pub timeout: Option<Duration>,
     /// Per-instance disjunct budget (out-of-memory stand-in).
     pub max_live_disjuncts: Option<usize>,
@@ -269,7 +269,8 @@ pub struct Session {
 
 /// `x` keyed by exact bit pattern — the same identity
 /// [`CertCache::debug_check_key`] checks, so two requests share a slot
-/// iff the cache may legally answer one with the other's trace.
+/// iff the cache may legally answer one with the other's label and
+/// verdicts.
 fn point_key(x: &[f64]) -> Vec<u64> {
     x.iter().map(|v| v.to_bits()).collect()
 }

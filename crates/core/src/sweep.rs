@@ -57,10 +57,10 @@ pub struct SweepConfig {
     /// (default: on; `false` is the `--no-cache` escape hatch restoring
     /// from-scratch certification at every probe). Cached and fresh
     /// sweeps produce bit-identical ladders — verified/attempted/
-    /// timeout/budget counts per rung — the cached ladder just invokes
-    /// the full certifier far fewer times. The sweep enables
-    /// certifier-free witness short-circuits only when no per-instance
-    /// resource limit is configured, so the identity holds under a
+    /// timeout/budget counts per rung — the cached ladder just derives
+    /// each point's reference label once instead of once per probe.
+    /// Within one ladder every probe lies inside its point's open verdict
+    /// gap, so none is short-circuited and the identity holds under a
     /// disjunct budget too; a wall-clock `timeout` retains the same
     /// timing caveat as thread invariance (a faster cached probe can
     /// finish where a fresh one times out).
@@ -308,10 +308,10 @@ pub(crate) fn sweep_shared(
 ///
 /// Flip ladders run with no per-instance timeout or disjunct budget, no
 /// shared deadline or probe budget, binary search on, and no
-/// [`CertCache`] (so no witness search or tightening pass): the
-/// unbounded scheduler plans each rung whole, in pool order, and the
-/// ladder is thread-invariant. The flip learner is inherently
-/// disjunctive, so there is no domain knob.
+/// [`CertCache`] (so no tightening pass): the unbounded scheduler plans
+/// each rung whole, in pool order, and the ladder is thread-invariant.
+/// The flip learner is inherently disjunctive, so there is no domain
+/// knob.
 ///
 /// Returns one [`SweepPoint`] per probed budget, ascending in `n`.
 pub fn flip_sweep(
@@ -336,8 +336,8 @@ pub fn flip_sweep(
 
 /// The §6.1 ladder body shared by both threat models: `prove(i, n, ctx)`
 /// certifies test point `i` at budget `n` under its own per-instance
-/// context. `cache` feeds the scheduler's priorities, the witness search
-/// and the tightening pass; the prover reads it on its own.
+/// context. `cache` feeds the scheduler's priorities and the tightening
+/// pass; the prover reads it on its own.
 fn ladder<P>(
     ds: &Dataset,
     test_points: &[Vec<f64>],
@@ -421,25 +421,7 @@ where
             // §6.1 step 3: binary search in (n/2, n) for budgets where some
             // survivor still verifies.
             if cfg.binary_search {
-                if let Some(lo0) = last_success_n {
-                    // Before refining, try once per survivor to extract a
-                    // concrete counterexample witness from the cached
-                    // trace: a witness of size w refutes every budget
-                    // ≥ w, so refinement probes above it become
-                    // certifier-free cache hits (soundly — the prover can
-                    // never certify a concretely broken budget). Only
-                    // when no per-instance resource limit is configured:
-                    // a short-circuit answers `Unknown` where a fresh
-                    // probe would deterministically report `Timeout` /
-                    // `DisjunctBudget`, and those rung counts must stay
-                    // bit-identical to the `--no-cache` path.
-                    let limits = cfg.timeout.is_some() || cfg.max_live_disjuncts.is_some();
-                    if let (Some(c), false) = (cache, limits) {
-                        for &i in &survivors {
-                            c.try_find_witness(slots[i], ds, &test_points[i], cfg.depth, n);
-                        }
-                    }
-                    let mut lo = lo0;
+                if let Some(mut lo) = last_success_n {
                     let mut hi = n;
                     let mut pool = survivors.clone();
                     while hi - lo > 1 && !parent.should_stop() {
@@ -498,9 +480,8 @@ where
         if s.bounded() {
             // Points whose latest tightening probe left their interval
             // unchanged (a transient Timeout/Cancelled/DisjunctBudget
-            // verdict, which the cache soundly refuses to record, or a
-            // witness short-circuit): probing the same midpoint again
-            // would loop forever.
+            // verdict, which the cache soundly refuses to record):
+            // probing the same midpoint again would loop forever.
             let mut stuck: BTreeSet<usize> = BTreeSet::new();
             while !parent.should_stop() {
                 let mut widest: Option<(usize, usize, usize, usize)> = None; // (gap, i, lo, hi)
@@ -748,31 +729,46 @@ mod tests {
     fn cached_sweep_is_bit_identical_and_cheaper() {
         let ds = blobs();
         let xs = blob_points();
-        let cached_cfg = cfg(DomainKind::Disjuncts, true);
-        let fresh_cfg = SweepConfig {
-            cache: false,
-            ..cached_cfg.clone()
-        };
-        let fresh_ctx = ExecContext::sequential();
-        let fresh = sweep_in(&ds, &xs, &fresh_cfg, &fresh_ctx);
-        let cached_ctx = ExecContext::sequential();
-        let cached = sweep_in(&ds, &xs, &cached_cfg, &cached_ctx);
-        assert_eq!(key(&fresh), key(&cached), "ladders must be bit-identical");
-        // Fresh mode derives everything per probe and never touches a cache.
-        let total_probes: u64 = fresh.iter().map(|p| p.attempted as u64).sum();
-        assert_eq!(fresh_ctx.metrics().certify_calls(), total_probes);
-        assert_eq!(fresh_ctx.metrics().cache_hits(), 0);
-        assert_eq!(fresh_ctx.metrics().cache_misses(), 0);
-        // Cached mode pays one full derivation per test point; every other
-        // probe is a hit.
-        assert_eq!(cached_ctx.metrics().certify_calls(), xs.len() as u64);
-        assert_eq!(cached_ctx.metrics().cache_misses(), xs.len() as u64);
-        assert_eq!(
-            cached_ctx.metrics().cache_hits(),
-            total_probes - xs.len() as u64
-        );
-        assert!(cached_ctx.metrics().certify_calls() < fresh_ctx.metrics().certify_calls());
-        assert!(cached_ctx.metrics().cache_hit_rate() > 0.0);
+        // The default disjunct budget, and none at all.
+        for max_live_disjuncts in [SweepConfig::default().max_live_disjuncts, None] {
+            for domain in [
+                DomainKind::Box,
+                DomainKind::Disjuncts,
+                DomainKind::Hybrid { max_disjuncts: 8 },
+            ] {
+                let case = format!("{domain:?}, max_live_disjuncts {max_live_disjuncts:?}");
+                let cached_cfg = SweepConfig {
+                    max_live_disjuncts,
+                    ..cfg(domain, true)
+                };
+                let fresh_cfg = SweepConfig {
+                    cache: false,
+                    ..cached_cfg.clone()
+                };
+                let fresh_ctx = ExecContext::sequential();
+                let fresh = sweep_in(&ds, &xs, &fresh_cfg, &fresh_ctx);
+                let cached_ctx = ExecContext::sequential();
+                let cached = sweep_in(&ds, &xs, &cached_cfg, &cached_ctx);
+                assert_eq!(key(&fresh), key(&cached), "ladders diverged: {case}");
+                // Fresh mode derives everything per probe and never
+                // touches a cache.
+                let total_probes: u64 = fresh.iter().map(|p| p.attempted as u64).sum();
+                let (fm, cm) = (fresh_ctx.metrics(), cached_ctx.metrics());
+                assert_eq!(fm.certify_calls(), total_probes, "{case}");
+                assert_eq!(fm.cache_hits(), 0, "{case}");
+                assert_eq!(fm.cache_misses(), 0, "{case}");
+                // Cached mode pays one full derivation per test point;
+                // every other probe is a hit.
+                assert_eq!(cm.certify_calls(), xs.len() as u64, "{case}");
+                assert_eq!(cm.cache_misses(), xs.len() as u64, "{case}");
+                assert_eq!(cm.cache_hits(), total_probes - xs.len() as u64, "{case}");
+                assert!(cm.certify_calls() < fm.certify_calls(), "{case}");
+                assert!(cm.cache_hit_rate() > 0.0, "{case}");
+                // Inside one ladder every probe lies in its point's open
+                // verdict gap, so the cache never answers one outright.
+                assert_eq!(cm.cache_shortcircuits(), 0, "{case}");
+            }
+        }
     }
 
     #[test]

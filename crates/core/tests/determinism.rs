@@ -510,8 +510,8 @@ fn cached_sweep_is_bit_identical_under_a_binding_disjunct_budget() {
     // With a small disjunct budget some probes deterministically abort
     // with `DisjunctBudget`. The cached sweep must report the exact same
     // per-rung budget_exhausted/verified counts as --no-cache: every
-    // probe still runs its (incremental) abstract interpretation, and
-    // witness short-circuits stay disarmed while a limit is configured.
+    // probe lies inside its point's open verdict gap, so each one still
+    // runs its abstract interpretation under the memoized label.
     let ds = blobs(60, 7);
     let xs = test_points(16);
     let cfg = |cache: bool| SweepConfig {

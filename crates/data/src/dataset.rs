@@ -12,8 +12,8 @@
 //! stamp, and [`Dataset::apply`] turns a [`DatasetDelta`] (appends, row
 //! removals, label flips) into a **new** dataset at `epoch + 1` without
 //! touching — or rebuilding — the original. Row ids are *stable slots*:
-//! a removed row's id is never reused and never remapped, so certificates,
-//! witnesses, and caches keyed by row id stay meaningful across epochs.
+//! a removed row's id is never reused and never remapped, so a delta, and
+//! anything else that names rows by id, stays meaningful across epochs.
 //! Dead slots keep their storage but are excluded from the live-row mask,
 //! the class masks, and every subset built via [`crate::Subset::full`];
 //! the split sweeps filter the per-feature orders by subset membership, so

@@ -22,9 +22,8 @@
 //! The payload (words + counts) lives behind an `Arc<SubsetRepr>` carrying
 //! a **precomputed 64-bit content hash**, so:
 //!
-//! * `clone` is a reference-count bump — the disjunct frontier, the sweep
-//!   cache's budget-widened re-seeds, and a session's `bestSplit#` memo
-//!   keys all share one allocation per distinct row set;
+//! * `clone` is a reference-count bump — the disjunct frontier and the
+//!   `bestSplit#` memo keys share one allocation per distinct row set;
 //! * `Hash` writes the precomputed hash (O(1));
 //! * `Eq` short-circuits on pointer identity, then on hash inequality,
 //!   and only falls back to a word compare on a (conjectural) collision —
@@ -38,8 +37,8 @@
 //!
 //! Iteration order is unchanged from the historical sorted-`Vec`
 //! representation: [`Subset::iter`] yields row ids in strictly increasing
-//! order, so trace recording, counterexample minimality, and every
-//! deterministic fold downstream are bit-identical to the old backend
+//! order, so counterexample minimality and every deterministic fold
+//! downstream are bit-identical to the old backend
 //! (pinned by `crates/data/tests/subset_equiv.rs`).
 //!
 //! The word vector is kept *canonical* — no trailing zero words — so

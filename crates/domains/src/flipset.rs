@@ -49,14 +49,6 @@ impl FlipSet {
         FlipSet::new(Subset::full(ds), n)
     }
 
-    /// The same carrier under a different flip budget (clamped like
-    /// [`FlipSet::new`]) — the flip-model analogue of
-    /// `AbstractSet::with_budget`, sharing the index vector so a cached
-    /// element can be re-seeded at a larger budget without re-filtering.
-    pub fn with_budget(&self, n: usize) -> FlipSet {
-        FlipSet::new(self.subset.clone(), n)
-    }
-
     /// The carrier rows.
     pub fn subset(&self) -> &Subset {
         &self.subset
@@ -212,12 +204,11 @@ mod tests {
     fn with_budget_shares_carrier() {
         let ds = synth::figure2();
         let f = FlipSet::full(&ds, 1);
-        let wide = f.with_budget(4);
+        let wide = FlipSet::full(&ds, 4);
         assert_eq!(wide.subset(), f.subset());
         assert_eq!(wide.n(), 4);
-        assert_eq!(wide, FlipSet::full(&ds, 4), "widening ≡ fresh build");
-        assert_eq!(f.with_budget(99).n(), 13, "budget clamps to |T|");
-        // Widening only loosens the intervals.
+        assert_eq!(FlipSet::full(&ds, 99).n(), 13, "budget clamps to |T|");
+        // Widening the budget only loosens the intervals.
         for (tight, loose) in f.cprob_intervals().iter().zip(wide.cprob_intervals()) {
             assert!(loose.encloses(tight));
         }

@@ -60,19 +60,6 @@ impl AbstractSet {
         }
     }
 
-    /// The same base set under a different poisoning budget:
-    /// `⟨T, n⟩ → ⟨T, n'⟩` (clamped like [`AbstractSet::new`]).
-    ///
-    /// This is the cross-rung reuse hook of the incremental sweep cache:
-    /// rung `n'` of an n-doubling ladder re-seeds from rung `n`'s cached
-    /// element by widening only the budget word, sharing the (already
-    /// filtered) index vector instead of re-deriving it. Widening is
-    /// sound — `n ≤ n'` gives `γ(⟨T,n⟩) ⊆ γ(⟨T,n'⟩)` — and narrowing is
-    /// exact by construction.
-    pub fn with_budget(&self, n: usize) -> AbstractSet {
-        AbstractSet::new(self.base.clone(), n)
-    }
-
     /// The base set `T`.
     pub fn base(&self) -> &Subset {
         &self.base
@@ -382,17 +369,17 @@ mod tests {
     #[test]
     fn with_budget_widens_and_narrows() {
         let (ds, a) = figure2_full(2);
-        let wide = a.with_budget(5);
+        let wide = AbstractSet::full(&ds, 5);
         assert_eq!(wide.base(), a.base());
         assert_eq!(wide.n(), 5);
-        assert_eq!(wide, AbstractSet::full(&ds, 5), "widening ≡ fresh build");
-        // Widening only grows the concretization.
+        // Widening the budget only grows the concretization.
         let minus5 = Subset::from_indices(&ds, (5..13).collect());
         assert!(!a.concretizes(&minus5) && wide.concretizes(&minus5));
         assert!(a.le(&wide));
-        // Narrowing and clamping behave like the constructor.
-        assert_eq!(wide.with_budget(0).n(), 0);
-        assert_eq!(a.with_budget(99).n(), 13);
+        // Narrowing reverses the order; the budget clamps to |T|.
+        let narrow = AbstractSet::full(&ds, 0);
+        assert!(narrow.le(&a) && !wide.le(&a));
+        assert_eq!(AbstractSet::full(&ds, 99).n(), 13);
     }
 
     #[test]

@@ -36,19 +36,6 @@ pub struct TraceResult {
     pub final_set: Subset,
 }
 
-/// A [`TraceResult`] plus the training-set fragment after *every* filter
-/// step — the reusable per-node seeds the incremental certification cache
-/// (`antidote-core::cache`) resumes from across sweep rungs, instead of
-/// re-deriving the whole trace at each probed poisoning budget.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RecordedTrace {
-    /// The ordinary trace result.
-    pub result: TraceResult,
-    /// The fragment after step `i` (parallel to `result.steps`; the last
-    /// entry equals `result.final_set` whenever any step was taken).
-    pub step_sets: Vec<Subset>,
-}
-
 /// Runs `DTrace` on training fragment `initial` and input `x`, with at most
 /// `depth` calls to `bestSplit`.
 ///
@@ -62,31 +49,6 @@ pub struct RecordedTrace {
 /// Panics if `initial` is empty (the concrete semantics is undefined there)
 /// or if `x` has fewer features than the dataset.
 pub fn dtrace(ds: &Dataset, initial: &Subset, x: &[f64], depth: usize) -> TraceResult {
-    dtrace_impl(ds, initial, x, depth, |_| ())
-}
-
-/// [`dtrace`] that additionally records the fragment after each step, for
-/// callers (the certification cache) that reuse the trace across runs.
-/// `dtrace_recorded(..).result` is always identical to `dtrace(..)`.
-///
-/// # Panics
-///
-/// Panics under the same conditions as [`dtrace`].
-pub fn dtrace_recorded(ds: &Dataset, initial: &Subset, x: &[f64], depth: usize) -> RecordedTrace {
-    let mut step_sets = Vec::new();
-    let result = dtrace_impl(ds, initial, x, depth, |t| step_sets.push(t.clone()));
-    RecordedTrace { result, step_sets }
-}
-
-/// Shared Fig. 4 loop; `on_step` observes the fragment after each filter
-/// (a no-op for the plain entry point, so recording costs nothing there).
-fn dtrace_impl<F: FnMut(&Subset)>(
-    ds: &Dataset,
-    initial: &Subset,
-    x: &[f64],
-    depth: usize,
-    mut on_step: F,
-) -> TraceResult {
     assert!(
         !initial.is_empty(),
         "DTrace is undefined on an empty training set"
@@ -121,7 +83,6 @@ fn dtrace_impl<F: FnMut(&Subset)>(
             choice.predicate.threshold,
             cmp,
         );
-        on_step(&t);
         steps.push(TraceStep {
             predicate: choice.predicate,
             satisfied,
@@ -245,30 +206,6 @@ mod tests {
     fn empty_initial_panics() {
         let ds = synth::figure2();
         let _ = dtrace(&ds, &Subset::empty(2), &[0.0], 1);
-    }
-
-    #[test]
-    fn recorded_trace_matches_plain_dtrace() {
-        let ds = synth::iris_like(3);
-        let full = Subset::full(&ds);
-        for r in [0u32, 5, 17] {
-            let x = ds.row_values(r);
-            for depth in 0..=3 {
-                let plain = dtrace(&ds, &full, &x, depth);
-                let rec = dtrace_recorded(&ds, &full, &x, depth);
-                assert_eq!(rec.result, plain);
-                assert_eq!(rec.step_sets.len(), plain.steps.len());
-                if let Some(last) = rec.step_sets.last() {
-                    assert_eq!(last, &plain.final_set);
-                }
-                // Fragments shrink monotonically along the trace.
-                let mut prev = full.len();
-                for s in &rec.step_sets {
-                    assert!(s.len() <= prev);
-                    prev = s.len();
-                }
-            }
-        }
     }
 
     #[test]

@@ -45,7 +45,7 @@ pub mod predicate;
 pub mod split;
 pub mod viz;
 
-pub use dtrace::{dtrace, dtrace_recorded, RecordedTrace, TraceResult, TraceStep};
+pub use dtrace::{dtrace, TraceResult, TraceStep};
 pub use forest::{learn_forest, Forest, ForestConfig};
 pub use learner::{learn_tree, DecisionTree};
 pub use predicate::Predicate;

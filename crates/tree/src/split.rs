@@ -82,8 +82,11 @@ pub struct SplitChoice {
 /// stable precomputed order restricted to a subset equals a stable sort
 /// of that subset, so both paths produce the identical visit sequence.
 ///
-/// Both the concrete search here and the abstract `bestSplit#` in
-/// `antidote-core` are built on this sweep.
+/// The concrete search here and the flip learner are built on this
+/// sweep. The abstract `bestSplit#` in `antidote-core` walks the same
+/// value order with its own copy of the loop (`score::sweep_with`),
+/// sharing only [`dense_enough`]; merging the two walks is an open
+/// ROADMAP item.
 pub fn sweep_feature<F>(ds: &Dataset, subset: &Subset, feature: usize, mut visit: F)
 where
     F: FnMut(f64, &[u32], usize),

@@ -201,8 +201,8 @@ fn flip_verdicts_match_flip_enumeration() {
 
 /// Brute-force soundness oracle for the *cached* certification path: on
 /// tiny datasets (≤ 8 rows) and budgets `n ≤ 3`, every `Robust` verdict a
-/// [`CertCache`]-backed probe returns — whether freshly derived, resumed
-/// incrementally, or answered by a monotone/witness short-circuit — is
+/// [`CertCache`]-backed probe returns — whether freshly derived, run
+/// under a memoized label, or answered by a monotone short-circuit — is
 /// checked against exhaustive enumeration of all ≤ n-row removals with
 /// concrete retraining. Probes run in a shuffled budget order so the
 /// interval short-circuits actually fire; every answer must also equal
@@ -281,8 +281,7 @@ fn cached_robust_verdicts_survive_the_brute_force_oracle() {
 
 /// The cached sweep's per-rung `verified` counts agree with fresh
 /// per-point certification on tiny datasets — the ladder-level view of
-/// the oracle above, including the witness search the sweep triggers
-/// before binary-search refinement.
+/// the oracle above, binary-search refinement included.
 #[test]
 fn cached_sweep_rungs_match_fresh_certification() {
     use antidote::core::{sweep_in, SweepConfig};
