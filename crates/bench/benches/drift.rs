@@ -12,8 +12,8 @@
 //!
 //! Per rep the bench runs three ladders over the same mutation: the cold
 //! epoch-0 sweep, the warm epoch-1 sweep behind `CertCache::transfer`,
-//! and the same epoch-1 sweep from a cold cache (the `--no-transfer`
-//! regime). It asserts the two epoch-1 ladders are bitwise identical —
+//! and the same epoch-1 sweep from a cold cache (the reference). It
+//! asserts the two epoch-1 ladders are bitwise identical —
 //! the transfer changes cost, never verdicts — that certificates
 //! actually transferred, and that the warm sweep's abstract-run count
 //! (certify calls plus incremental cache resumes) is at most 25% of the
@@ -176,7 +176,7 @@ fn main() {
         t_warm = t_warm.min(t.elapsed());
         warm = ctx.metrics().snapshot();
 
-        // The same epoch-1 sweep from a cold cache (--no-transfer).
+        // The same epoch-1 sweep from a cold cache: the reference.
         let ctx = ExecContext::new().threads(1);
         let cache_off = CertCache::for_dataset(&ds1, xs.len());
         let t = Instant::now();

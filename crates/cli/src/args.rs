@@ -57,14 +57,7 @@ impl Args {
     ];
 
     /// Boolean flags: present or absent, never followed by a value.
-    pub(crate) const BOOL_FLAGS: &'static [&'static str] = &[
-        "no-cache",
-        "no-subsume",
-        "no-schedule",
-        "no-transfer",
-        "no-share",
-        "list",
-    ];
+    pub(crate) const BOOL_FLAGS: &'static [&'static str] = &["list"];
 
     /// Parses `argv` (without the program name).
     ///
@@ -196,46 +189,6 @@ impl Args {
     /// scenarios instead of running the grid).
     pub fn list(&self) -> bool {
         self.options.contains_key("list")
-    }
-
-    /// Whether `--no-cache` was given: disables the cross-rung
-    /// certification cache and re-derives every probe from scratch.
-    pub fn no_cache(&self) -> bool {
-        self.options.contains_key("no-cache")
-    }
-
-    /// Whether `--no-subsume` was given: disables frontier subsumption
-    /// pruning in the abstract runs (the escape hatch mirroring
-    /// `--no-cache`).
-    pub fn no_subsume(&self) -> bool {
-        self.options.contains_key("no-subsume")
-    }
-
-    /// Whether `--no-schedule` was given: disarms the adaptive probe
-    /// scheduler, restoring the fixed §6.1 rung order with no shared
-    /// ladder deadline/budget and no interval tightening (the escape
-    /// hatch mirroring `--no-cache`; absent a binding deadline, ladders
-    /// are bit-identical either way).
-    pub fn no_schedule(&self) -> bool {
-        self.options.contains_key("no-schedule")
-    }
-
-    /// Whether `--no-transfer` was given: disables cross-epoch
-    /// certificate transfer in `antidote drift`, re-certifying every
-    /// epoch from a cold cache (the escape hatch mirroring
-    /// `--no-cache`; verdicts must be bit-identical either way).
-    pub fn no_transfer(&self) -> bool {
-        self.options.contains_key("no-transfer")
-    }
-
-    /// Whether `--no-share` was given: disables cross-session
-    /// warm-state sharing in `antidote serve`, giving every loaded
-    /// handle a private warm unit even when another handle certifies
-    /// the identical dataset snapshot under the identical config
-    /// (responses are byte-identical either way; the escape hatch
-    /// mirroring `--no-cache`).
-    pub fn no_share(&self) -> bool {
-        self.options.contains_key("no-share")
     }
 }
 
@@ -382,124 +335,80 @@ mod tests {
         assert!(Args::parse(argv("matrix --list true")).is_err());
     }
 
-    #[test]
-    fn no_cache_flag_takes_no_value() {
-        let a = Args::parse(argv("sweep")).unwrap();
-        assert!(!a.no_cache(), "cache is on by default");
-        let a = Args::parse(argv("sweep --no-cache")).unwrap();
-        assert!(a.no_cache());
-        // The flag composes with value options on either side.
-        let a = Args::parse(argv("sweep --no-cache --threads 2")).unwrap();
-        assert!(a.no_cache());
-        assert_eq!(a.threads().unwrap(), 2);
-        let a = Args::parse(argv("sweep --threads 2 --no-cache")).unwrap();
-        assert!(a.no_cache());
-        // A stray value after the flag is still a positional error.
-        assert!(Args::parse(argv("sweep --no-cache true")).is_err());
-    }
+    /// The deleted switches, each with the subcommand it used to serve.
+    const DELETED_FLAGS: [(&str, &str); 7] = [
+        ("no-memo", "sweep"),
+        ("no-simd", "sweep"),
+        ("no-cache", "sweep"),
+        ("no-subsume", "certify"),
+        ("no-schedule", "sweep"),
+        ("no-transfer", "drift"),
+        ("no-share", "serve"),
+    ];
 
-    #[test]
-    fn no_subsume_flag_takes_no_value() {
-        let a = Args::parse(argv("sweep")).unwrap();
-        assert!(!a.no_subsume(), "subsumption pruning is on by default");
-        let a = Args::parse(argv("sweep --no-subsume")).unwrap();
-        assert!(a.no_subsume());
-        // Composes with the sibling escape hatch and value options.
-        let a = Args::parse(argv("sweep --no-cache --no-subsume --threads 2")).unwrap();
-        assert!(a.no_cache() && a.no_subsume());
-        assert_eq!(a.threads().unwrap(), 2);
-        assert!(Args::parse(argv("sweep --no-subsume true")).is_err());
+    /// A deleted switch is refused by name wherever it stands and never
+    /// takes the next argument as its value: alone, before a stray
+    /// value, before a value option, and on the subcommand it served.
+    fn assert_refused(flag: &str) {
+        let (_, home) = DELETED_FLAGS
+            .iter()
+            .find(|(f, _)| *f == flag)
+            .expect("a deleted flag");
+        for cmd in [
+            format!("sweep --{flag}"),
+            format!("sweep --{flag} true"),
+            format!("sweep --{flag} --threads 2"),
+            format!("{home} --{flag}"),
+        ] {
+            let err = Args::parse(argv(&cmd)).unwrap_err();
+            assert_eq!(err.to_string(), format!("unknown option --{flag}"), "{cmd}");
+        }
     }
 
     #[test]
     fn no_memo_flag_takes_no_value() {
-        // `--no-memo` is deleted. It is refused by name wherever it stands
-        // and never takes the next argument as its value.
-        for cmd in [
-            "sweep --no-memo",
-            "sweep --no-memo true",
-            "sweep --no-memo --no-cache",
-            "sweep --no-cache --no-subsume --no-memo --threads 2",
-        ] {
-            let err = Args::parse(argv(cmd)).unwrap_err();
-            assert_eq!(err.to_string(), "unknown option --no-memo", "{cmd}");
-        }
-        // The surviving escape hatches compose without it.
-        let a = Args::parse(argv("sweep --no-cache --no-subsume --threads 2")).unwrap();
-        assert!(a.no_cache() && a.no_subsume());
-        assert_eq!(a.threads().unwrap(), 2);
+        assert_refused("no-memo");
     }
 
     #[test]
     fn no_simd_flag_takes_no_value() {
-        // `--no-simd` is deleted: kernel dispatch is a build-time choice.
-        // The flag is refused by name and never swallows the next argument.
-        for cmd in [
-            "sweep --no-simd",
-            "sweep --no-simd true",
-            "sweep --no-simd --no-cache",
-            "sweep --no-cache --no-subsume --no-simd --threads 2",
-        ] {
-            let err = Args::parse(argv(cmd)).unwrap_err();
-            assert_eq!(err.to_string(), "unknown option --no-simd", "{cmd}");
-        }
-        let a = Args::parse(argv("sweep --no-cache --no-subsume --threads 2")).unwrap();
-        assert!(a.no_cache() && a.no_subsume());
-        assert_eq!(a.threads().unwrap(), 2);
+        assert_refused("no-simd");
+    }
+
+    #[test]
+    fn no_cache_flag_takes_no_value() {
+        assert_refused("no-cache");
+    }
+
+    #[test]
+    fn no_subsume_flag_takes_no_value() {
+        assert_refused("no-subsume");
     }
 
     #[test]
     fn no_schedule_flag_takes_no_value() {
-        let a = Args::parse(argv("sweep")).unwrap();
-        assert!(!a.no_schedule(), "the probe scheduler is armed by default");
-        let a = Args::parse(argv("sweep --no-schedule")).unwrap();
-        assert!(a.no_schedule());
-        // All three sweep escape hatches compose.
-        let a = Args::parse(argv(
-            "sweep --no-cache --no-subsume --no-schedule --threads 2",
-        ))
-        .unwrap();
-        assert!(a.no_cache() && a.no_subsume() && a.no_schedule());
-        assert_eq!(a.threads().unwrap(), 2);
-        assert!(Args::parse(argv("sweep --no-schedule true")).is_err());
-    }
-
-    #[test]
-    fn no_share_flag_takes_no_value() {
-        let a = Args::parse(argv("serve")).unwrap();
-        assert!(!a.no_share(), "warm-state sharing is on by default");
-        let a = Args::parse(argv("serve --no-share")).unwrap();
-        assert!(a.no_share());
-        // Composes with the service's value options.
-        let a = Args::parse(argv("serve --no-share --max-sessions 4 --threads 2")).unwrap();
-        assert!(a.no_share());
-        assert_eq!(a.get_num("max-sessions", 0usize).unwrap(), 4);
-        assert_eq!(a.threads().unwrap(), 2);
-        assert!(Args::parse(argv("serve --no-share true")).is_err());
+        assert_refused("no-schedule");
     }
 
     #[test]
     fn no_transfer_flag_takes_no_value() {
-        let a = Args::parse(argv("drift")).unwrap();
-        assert!(!a.no_transfer(), "certificate transfer is on by default");
-        let a = Args::parse(argv("drift --no-transfer")).unwrap();
-        assert!(a.no_transfer());
-        // Composes with the sibling escape hatches and value options.
-        let a = Args::parse(argv("drift --no-transfer --no-subsume --threads 2")).unwrap();
-        assert!(a.no_transfer() && a.no_subsume());
-        assert_eq!(a.threads().unwrap(), 2);
-        assert!(Args::parse(argv("drift --no-transfer true")).is_err());
+        assert_refused("no-transfer");
+    }
+
+    #[test]
+    fn no_share_flag_takes_no_value() {
+        assert_refused("no-share");
     }
 
     #[test]
     fn unknown_options_are_refused() {
         // Storing an unknown option would ignore it and swallow the next
-        // argument as its value (`--no-memmo --no-cache` would leave the
-        // cache on). The deleted `--no-memo` and `--no-simd` have tests of
+        // argument as its value (`--no-memmo --list` would run the matrix
+        // grid instead of listing it). The deleted flags have tests of
         // their own above.
         for (cmd, key) in [
             ("sweep --dataset iris --depht 1 --points 2", "depht"),
-            ("sweep --no-memmo --no-cache", "no-memmo"),
+            ("matrix --no-memmo --list", "no-memmo"),
         ] {
             let err = Args::parse(argv(cmd)).unwrap_err();
             assert_eq!(err.to_string(), format!("unknown option --{key}"), "{cmd}");

@@ -7,7 +7,7 @@
 //! ```text
 //! antidote certify  --dataset wdbc --depth 2 --n 8 --domain disjuncts [--index 0]
 //! antidote sweep    --dataset iris --depth 2 --domain box [--points 30] [--timeout 10]
-//! antidote drift    --dataset iris --depth 2 --steps 3 --mutate 0.01 [--ops removal|mixed] [--no-transfer]
+//! antidote drift    --dataset iris --depth 2 --steps 3 --mutate 0.01 [--ops removal|mixed]
 //! antidote matrix   [--scenarios blobs,onehot] [--threads 4] [--out-dir bench-out]
 //! antidote accuracy --dataset mnist17-binary [--scale paper]
 //! antidote attack   --dataset mammo --depth 2 --budget 16 [--index 0]
@@ -54,33 +54,30 @@ pub fn cli_main() {
 }
 
 const USAGE: &str = "usage:
-  antidote certify  --dataset <id> --depth <d> --n <n> [--domain box|disjuncts|hybridK] [--index i] [--timeout secs] [--no-subsume]
+  antidote certify  --dataset <id> --depth <d> --n <n> [--domain box|disjuncts|hybridK] [--index i] [--timeout secs]
   antidote flip     --dataset <id> --depth <d> --n <n> [--index i] [--timeout secs]
   antidote forest   --dataset <id> --depth <d> --n <n> [--trees t] [--features f] [--index i]
   antidote tree     --dataset <id> --depth <d> [--dot true]
-  antidote sweep    --dataset <id> --depth <d> [--domain ...] [--points k] [--timeout secs] [--deadline secs] [--probe-budget k] [--no-cache] [--no-subsume] [--no-schedule]
-  antidote drift    --dataset <id> --depth <d> [--steps k] [--mutate frac] [--ops removal|mixed] [--points k] [--timeout secs] [--no-transfer]
+  antidote sweep    --dataset <id> --depth <d> [--domain ...] [--points k] [--timeout secs] [--deadline secs] [--probe-budget k]
+  antidote drift    --dataset <id> --depth <d> [--steps k] [--mutate frac] [--ops removal|mixed] [--points k] [--timeout secs]
   antidote matrix   [--scenarios a,b,...] [--out-dir dir] [--seed s] [--list]
   antidote accuracy --dataset <id> [--scale small|paper]
   antidote attack   --dataset <id> --depth <d> --budget <n> [--index i]
   antidote stats    --dataset <id>
   antidote headline [--scale small|paper]
-  antidote serve    [--threads k] [--no-share] [--max-sessions n] [--max-session-bytes b]
+  antidote serve    [--threads k] [--max-sessions n] [--max-session-bytes b]
   antidote client   --script <path> [--threads k]
 certify/flip/forest/sweep/attack/matrix also accept --threads <k>, k >= 1
-(default: all cores; 1 = sequential); sweep reuses certificates across
-ladder rungs unless --no-cache re-derives every probe from scratch;
-certify/sweep prune subsumed frontier disjuncts unless --no-subsume;
-sweep orders probes widest-verdict-interval first and shares --deadline
+(default: all cores; 1 = sequential); certify/sweep prune subsumed
+frontier disjuncts; sweep reuses certificates across ladder rungs,
+orders probes widest-verdict-interval first and shares --deadline
 (wall-clock, whole ladder) / --probe-budget (deterministic probe count)
-across the ladder unless --no-schedule disarms the scheduler (absent a
-binding deadline or budget, ladders are bit-identical either way; only
-the scheduler carries them, so --no-schedule refuses both);
+across the ladder (absent either bound, ladders are bit-identical to
+per-probe certification);
 drift replays a seeded mutation script (--steps deltas, each touching
 --mutate of the live rows; --ops removal keeps certificate transfer
 sound, mixed adds flips/appends that invalidate it) and re-runs the
-ladder each epoch, carrying certificates across mutations unless
---no-transfer (bit-identical verdicts, cold cache per epoch); its
+ladder each epoch, carrying certificates across every mutation; its
 ladders run unbounded, so it refuses --deadline and --probe-budget;
 matrix runs every registered scenario x {remove,flip} x
 {box,disjuncts,hybrid8} and writes BENCH_<scenario>.json plus
@@ -90,8 +87,7 @@ serve runs the certification service: line-delimited JSON requests on
 stdin, one response per line on stdout (ops: load, certify, sweep,
 batch, delta, evict, metrics, shutdown; see DESIGN.md sections 12 and
 14), answered one line at a time in admission order; tenants loading
-the same dataset snapshot under the same config share one warm unit
-unless --no-share (byte-identical responses either way);
+the same dataset snapshot under the same config share one warm unit;
 --max-sessions / --max-session-bytes evict the
 least-recently-used session when the count/byte watermark is crossed;
 client replays a request script against an in-process service and
@@ -150,8 +146,7 @@ fn cmd_certify(args: &Args) -> Result<(), CliError> {
     let mut certifier = Certifier::new(&train)
         .depth(depth)
         .domain(args.domain()?)
-        .threads(args.threads()?)
-        .subsume(!args.no_subsume());
+        .threads(args.threads()?);
     let timeout = args.get_num("timeout", 0u64)?;
     if timeout > 0 {
         certifier = certifier.timeout(Duration::from_secs(timeout));
@@ -189,7 +184,6 @@ fn cmd_certify(args: &Args) -> Result<(), CliError> {
             n,
             args.domain()?,
             antidote_domains::CprobTransformer::Optimal,
-            !args.no_subsume(),
         );
         if let Some(worst) = e.worst_blocker() {
             println!(
@@ -298,7 +292,7 @@ fn cmd_tree(args: &Args) -> Result<(), CliError> {
 }
 
 /// The ladder-wide bounds among `args`, as `--probe-budget and
-/// --deadline`. Only the probe scheduler carries them.
+/// --deadline`: the ones `drift`, whose epochs run unbounded, refuses.
 fn ladder_bounds(args: &Args) -> Option<String> {
     let given: Vec<String> = ["probe-budget", "deadline"]
         .into_iter()
@@ -309,12 +303,6 @@ fn ladder_bounds(args: &Args) -> Option<String> {
 }
 
 fn cmd_sweep(args: &Args) -> Result<(), CliError> {
-    if let (true, Some(bounds)) = (args.no_schedule(), ladder_bounds(args)) {
-        return Err(CliError(format!(
-            "--no-schedule cannot be combined with {bounds}: only the probe scheduler \
-             bounds a ladder"
-        )));
-    }
     let (train, test) = load(args)?;
     let depth = args.get_num("depth", 2usize)?;
     let points = args.get_num("points", test.len())?.min(test.len());
@@ -324,9 +312,6 @@ fn cmd_sweep(args: &Args) -> Result<(), CliError> {
         domain: args.domain()?,
         timeout: (timeout > 0).then(|| Duration::from_secs(timeout)),
         threads: args.threads()?,
-        cache: !args.no_cache(),
-        subsume: !args.no_subsume(),
-        schedule: !args.no_schedule(),
         deadline: {
             let secs = args.get_num("deadline", 0u64)?;
             (secs > 0).then(|| Duration::from_secs(secs))
@@ -340,12 +325,11 @@ fn cmd_sweep(args: &Args) -> Result<(), CliError> {
     let xs: Vec<Vec<f64>> = (0..points as u32).map(|r| test.row_values(r)).collect();
     let parent = antidote_core::ExecContext::new().threads(cfg.threads);
     println!(
-        "# sweep: dataset |T|={}, {} test points, depth {depth}, domain {}, {} worker(s), cache {}",
+        "# sweep: dataset |T|={}, {} test points, depth {depth}, domain {}, {} worker(s)",
         train.len(),
         points,
         cfg.domain.id(),
         parent.effective_threads(),
-        if cfg.cache { "on" } else { "off" }
     );
     println!(
         "{:>8} {:>9} {:>9} {:>10} {:>12} {:>9}",
@@ -385,7 +369,7 @@ fn cmd_sweep(args: &Args) -> Result<(), CliError> {
 }
 
 fn cmd_drift(args: &Args) -> Result<(), CliError> {
-    use antidote_core::{drift_sweep_in, DriftConfig};
+    use antidote_core::drift_sweep_in;
     use antidote_scenarios::MutationScript;
 
     if let Some(bounds) = ladder_bounds(args) {
@@ -417,30 +401,24 @@ fn cmd_drift(args: &Args) -> Result<(), CliError> {
         }
     };
     let deltas = script.generate(&train);
-    let cfg = DriftConfig {
-        sweep: SweepConfig {
-            depth,
-            domain: args.domain()?,
-            timeout: (timeout > 0).then(|| Duration::from_secs(timeout)),
-            threads: args.threads()?,
-            subsume: !args.no_subsume(),
-            schedule: !args.no_schedule(),
-            ..SweepConfig::default()
-        },
-        transfer: !args.no_transfer(),
+    let cfg = SweepConfig {
+        depth,
+        domain: args.domain()?,
+        timeout: (timeout > 0).then(|| Duration::from_secs(timeout)),
+        threads: args.threads()?,
+        ..SweepConfig::default()
     };
     let xs: Vec<Vec<f64>> = (0..points as u32).map(|r| test.row_values(r)).collect();
-    let parent = antidote_core::ExecContext::new().threads(cfg.sweep.threads);
+    let parent = antidote_core::ExecContext::new().threads(cfg.threads);
     println!(
         "# drift: dataset |T|={}, {} test points, depth {depth}, domain {}, {} mutation epoch(s) \
-         ({} of rows per epoch, {} ops), transfer {}",
+         ({} of rows per epoch, {} ops)",
         train.len(),
         points,
-        cfg.sweep.domain.id(),
+        cfg.domain.id(),
         deltas.len(),
         fraction,
         args.get_or("ops", "removal"),
-        if cfg.transfer { "on" } else { "off" }
     );
     println!(
         "{:>6} {:>6} {:>14} {:>8} {:>10} {:>13} {:>13}",
@@ -684,58 +662,16 @@ mod tests {
     }
 
     #[test]
-    fn no_cache_flag_reaches_the_sweep() {
-        assert!(run(argv(
-            "sweep --dataset iris --depth 1 --points 4 --threads 1 --timeout 0 --no-cache"
-        ))
-        .is_ok());
-        assert!(run(argv("certify --dataset iris --no-cache nope")).is_err());
-    }
-
-    #[test]
-    fn no_schedule_flag_reaches_the_sweep() {
-        assert!(run(argv(
-            "sweep --dataset iris --depth 1 --points 4 --threads 1 --timeout 0 --no-schedule"
-        ))
-        .is_ok());
-        // The scheduler's shared ladder bounds parse and compose.
+    fn ladder_bounds_the_ladder_cannot_honour_are_refused() {
+        // The sweep's probe scheduler carries --probe-budget and
+        // --deadline; drift's epochs run unbounded, so it refuses them
+        // instead of silently dropping them.
         assert!(run(argv(
             "sweep --dataset iris --depth 1 --points 4 --threads 1 --timeout 0 \
              --deadline 60 --probe-budget 64"
         ))
         .is_ok());
         assert!(run(argv("sweep --dataset iris --probe-budget nope")).is_err());
-        assert!(run(argv("certify --dataset iris --no-schedule nope")).is_err());
-    }
-
-    #[test]
-    fn ladder_bounds_the_ladder_cannot_honour_are_refused() {
-        // Only the probe scheduler carries --probe-budget and --deadline:
-        // a ladder without it would silently run unbounded.
-        for (cmd, bounds) in [
-            (
-                "sweep --dataset iris --points 8 --depth 2 --probe-budget 3 --no-schedule",
-                "--probe-budget",
-            ),
-            (
-                "sweep --dataset iris --points 8 --depth 2 --deadline 1 --no-schedule",
-                "--deadline",
-            ),
-            (
-                "sweep --dataset iris --no-schedule --probe-budget 3 --deadline 1",
-                "--probe-budget and --deadline",
-            ),
-        ] {
-            let err = run(argv(cmd)).unwrap_err().to_string();
-            assert_eq!(
-                err,
-                format!(
-                    "--no-schedule cannot be combined with {bounds}: only the probe \
-                     scheduler bounds a ladder"
-                ),
-                "{cmd}"
-            );
-        }
         for (cmd, bounds) in [
             (
                 "drift --dataset iris --depth 1 --points 2 --steps 1 --probe-budget 1",
@@ -760,16 +696,6 @@ mod tests {
     }
 
     #[test]
-    fn no_subsume_flag_reaches_certifier_and_sweep() {
-        assert!(run(argv("certify --dataset iris --depth 1 --n 1 --no-subsume")).is_ok());
-        assert!(run(argv(
-            "sweep --dataset iris --depth 1 --points 4 --threads 1 --timeout 0 --no-subsume"
-        ))
-        .is_ok());
-        assert!(run(argv("sweep --dataset iris --no-subsume nope")).is_err());
-    }
-
-    #[test]
     fn accuracy_runs() {
         assert!(run(argv("accuracy --dataset iris")).is_ok());
     }
@@ -778,11 +704,6 @@ mod tests {
     fn drift_runs_end_to_end() {
         assert!(run(argv(
             "drift --dataset iris --depth 1 --points 3 --steps 2 --threads 1 --timeout 0"
-        ))
-        .is_ok());
-        assert!(run(argv(
-            "drift --dataset iris --depth 1 --points 3 --steps 2 --threads 1 --timeout 0 \
-             --no-transfer"
         ))
         .is_ok());
         assert!(run(argv(

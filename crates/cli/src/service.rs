@@ -20,12 +20,11 @@
 //! session dataset's feature count are all rejected before any
 //! certification runs.
 //!
-//! Sessions opened by `load` share warm state through a process-wide
-//! [`WarmStateIndex`] (two handles on the same snapshot and config
-//! join one warm unit; `--no-share` disarms it), and the service keeps
-//! memory bounded: `--max-sessions` / `--max-session-bytes` evict the
-//! least-recently-used session at load time, counted in
-//! `sessions_evicted`.
+//! Every session `load` opens goes through the service's
+//! [`WarmStateIndex`] (two handles on the same snapshot and config join
+//! one warm unit), and the service keeps memory bounded:
+//! `--max-sessions` / `--max-session-bytes` evict the least-recently-used
+//! session at load time, counted in `sessions_evicted`.
 //!
 //! [`serve_loop`] reads, executes, and writes strictly one line at a
 //! time, so responses come out in admission order. Responses carry no
@@ -468,9 +467,8 @@ pub struct Service {
     sessions: BTreeMap<String, Arc<Session>>,
     engine: RequestEngine,
     ctx: ExecContext,
-    /// The process-wide warm-state index `load` opens sessions through
-    /// (`None` = `--no-share`: every handle gets a private warm unit).
-    share: Option<Arc<WarmStateIndex>>,
+    /// The warm-state index every `load` opens its session through.
+    index: Arc<WarmStateIndex>,
     /// Handle → last-used tick, driving LRU eviction order.
     lru: BTreeMap<String, u64>,
     tick: u64,
@@ -484,27 +482,20 @@ pub struct Service {
 }
 
 impl Service {
-    /// A service with `threads` engine workers, warm-state sharing
-    /// armed, and no memory bounds.
+    /// A service with `threads` engine workers, warm-state sharing across
+    /// its handles, and no memory bounds.
     pub fn new(threads: usize) -> Service {
         Service {
             registry: DatasetRegistry::new(),
             sessions: BTreeMap::new(),
             engine: RequestEngine::new(),
             ctx: ExecContext::new().threads(threads),
-            share: Some(Arc::new(WarmStateIndex::new())),
+            index: Arc::new(WarmStateIndex::new()),
             lru: BTreeMap::new(),
             tick: 0,
             max_sessions: None,
             max_session_bytes: None,
         }
-    }
-
-    /// Disarms cross-session warm-state sharing (`--no-share`): every
-    /// loaded handle gets a private warm unit.
-    pub fn no_share(mut self) -> Self {
-        self.share = None;
-        self
     }
 
     /// Bounds the number of resident sessions (`--max-sessions`): after
@@ -686,15 +677,12 @@ impl Service {
         };
         let rows = ds.len();
         let stored = self.registry.load(handle, ds);
-        let session = match &self.share {
-            Some(index) => Arc::new(Session::open_shared(
-                index,
-                Arc::clone(&stored),
-                cfg,
-                self.ctx.metrics(),
-            )),
-            None => Arc::new(Session::new(Arc::clone(&stored), cfg)),
-        };
+        let session = Arc::new(Session::open_shared(
+            &self.index,
+            Arc::clone(&stored),
+            cfg,
+            self.ctx.metrics(),
+        ));
         self.sessions.insert(handle.to_string(), session);
         self.touch(handle);
         self.enforce_memory_bounds();
@@ -1015,13 +1003,10 @@ fn skip_line(input: &mut impl BufRead) -> std::io::Result<()> {
     }
 }
 
-/// `antidote serve [--threads k] [--no-share] [--max-sessions n]
+/// `antidote serve [--threads k] [--max-sessions n]
 /// [--max-session-bytes b]` — JSONL over stdin/stdout.
 pub(crate) fn cmd_serve(args: &Args) -> Result<(), CliError> {
     let mut service = Service::new(args.threads()?);
-    if args.no_share() {
-        service = service.no_share();
-    }
     if args.options.contains_key("max-sessions") {
         let n: usize = args.get_num("max-sessions", 0)?;
         if n == 0 {
@@ -1507,20 +1492,19 @@ mod tests {
         }
         let memo = learner.memo().approx_bytes();
         assert!(memo > 0);
-        // Both tenants' datasets and "a"'s cache; "b" loads cold. The
+        // Both tenants' datasets and "a"'s cache; "b" loads cold under
+        // another domain, so it does not join "a"'s warm unit. The
         // watermark sits between that total and the total with the memo.
         let without_memo = 2 * ds.approx_bytes() + cache.approx_bytes();
-        let mut svc = Service::new(1)
-            .no_share()
-            .max_session_bytes(without_memo + memo / 2);
-        let load = |h: &str| {
+        let mut svc = Service::new(1).max_session_bytes(without_memo + memo / 2);
+        let load = |h: &str, domain: &str| {
             format!(
-                r#"{{"op":"load","handle":"{h}","dataset":"iris","depth":2,"domain":"disjuncts"}}"#
+                r#"{{"op":"load","handle":"{h}","dataset":"iris","depth":2,"domain":"{domain}"}}"#
             )
         };
         let certify =
             |h: &str, x: &[f64; 4]| format!(r#"{{"op":"certify","handle":"{h}","x":{x:?},"n":2}}"#);
-        svc.handle_line(&load("a"));
+        svc.handle_line(&load("a", "disjuncts"));
         for x in &xs {
             let (r, _) = svc.handle_line(&certify("a", x));
             assert!(r.contains("\"verdict\""), "{r}");
@@ -1530,7 +1514,7 @@ mod tests {
             ds.approx_bytes() + cache.approx_bytes() + memo,
             "the model holds exactly tenant a's warm state"
         );
-        svc.handle_line(&load("b"));
+        svc.handle_line(&load("b", "box"));
         let (a, _) = svc.handle_line(&certify("a", &xs[0]));
         assert!(a.contains("no dataset loaded"), "{a}");
         let (b, _) = svc.handle_line(&certify("b", &xs[0]));
@@ -1563,16 +1547,16 @@ mod tests {
         // The second tenant rides the first tenant's warm cache.
         assert!(m.contains("\"cross_request_cache_hits\":1"), "{m}");
 
-        let mut private = Service::new(1).no_share();
-        private.handle_line(load_a);
-        private.handle_line(load_b);
-        let (pa, _) = private.handle_line(&rq("a"));
-        let (pb, _) = private.handle_line(&rq("b"));
-        assert_eq!(pa, ra, "sharing must not change response bytes");
-        assert_eq!(pb, rb);
-        let (pm, _) = private.handle_line(r#"{"op":"metrics"}"#);
-        assert!(pm.contains("\"warm_state_shared_hits\":0"), "{pm}");
-        assert!(pm.contains("\"cross_request_cache_hits\":0"), "{pm}");
+        // The private reference: each handle alone in a fresh service.
+        for (load, h, shared_response) in [(load_a, "a", &ra), (load_b, "b", &rb)] {
+            let mut private = Service::new(1);
+            private.handle_line(load);
+            let (p, _) = private.handle_line(&rq(h));
+            assert_eq!(
+                &p, shared_response,
+                "sharing must not change response bytes"
+            );
+        }
     }
 
     #[test]

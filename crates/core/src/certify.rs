@@ -88,7 +88,6 @@ pub struct Certifier<'a> {
     timeout: Option<Duration>,
     max_live_disjuncts: Option<usize>,
     threads: usize,
-    subsume: bool,
     shared: Option<&'a SharedLearner>,
 }
 
@@ -105,7 +104,6 @@ impl<'a> Certifier<'a> {
             timeout: None,
             max_live_disjuncts: None,
             threads: 1,
-            subsume: true,
             shared: None,
         }
     }
@@ -137,15 +135,6 @@ impl<'a> Certifier<'a> {
     /// Sets a disjunct budget (the out-of-memory stand-in).
     pub fn max_live_disjuncts(mut self, max: usize) -> Self {
         self.max_live_disjuncts = Some(max);
-        self
-    }
-
-    /// Enables or disables frontier subsumption pruning (default: on).
-    /// `false` is the `--no-subsume` escape hatch: the Disjuncts/Hybrid
-    /// frontier keeps dominated disjuncts exactly as before the pruning
-    /// pass existed. See DESIGN.md §7 for the soundness argument.
-    pub fn subsume(mut self, on: bool) -> Self {
-        self.subsume = on;
         self
     }
 
@@ -346,7 +335,7 @@ impl<'a> Certifier<'a> {
             self.depth,
             self.domain,
             self.transformer,
-            self.subsume,
+            true,
             self.shared,
             ctx,
         );

@@ -11,36 +11,15 @@
 //! small fraction of a cold sweep — and any delta with appends or label
 //! flips invalidates the carried state, falling back to fresh
 //! certification (the only sound option; see the transfer rule's
-//! soundness argument on [`CertCache::transfer`]).
+//! soundness argument on [`CertCache::transfer`]). Every epoch transfers:
+//! a cold [`sweep_in`](crate::sweep::sweep_in) on the epoch's dataset is
+//! the reference the differentials compare each warm ladder against,
+//! rung for rung.
 
 use crate::cache::CertCache;
 use crate::engine::{ExecContext, MetricsSnapshot};
 use crate::sweep::{sweep_cached, SweepConfig, SweepPoint};
 use antidote_data::{DataError, Dataset, DatasetDelta, DeltaSummary};
-
-/// Configuration for one drift run: a per-epoch ladder config plus the
-/// transfer switch.
-#[derive(Debug, Clone)]
-pub struct DriftConfig {
-    /// Ladder configuration used at every epoch. `sweep.cache` is
-    /// ignored: the driver always threads its own cross-epoch cache.
-    pub sweep: SweepConfig,
-    /// Whether sound certificates are carried across each mutation via
-    /// [`CertCache::transfer`]. `false` is the `--no-transfer` escape
-    /// hatch mirroring `--no-cache`: every epoch then starts from a cold
-    /// cache, and the ladders must be bit-identical either way (the
-    /// transfer-on/off differential in `tests/soundness.rs` pins this).
-    pub transfer: bool,
-}
-
-impl Default for DriftConfig {
-    fn default() -> Self {
-        DriftConfig {
-            sweep: SweepConfig::default(),
-            transfer: true,
-        }
-    }
-}
 
 /// One epoch's re-certification results.
 #[derive(Debug, Clone)]
@@ -62,8 +41,8 @@ pub struct EpochReport {
 
 impl EpochReport {
     /// The verdict-relevant projection of the ladder — rung identities
-    /// and counts, excluding timings — used by the transfer-on/off
-    /// differential.
+    /// and counts, excluding timings — which the transfer differentials
+    /// compare with a cold ladder on the same epoch.
     pub fn ladder_key(&self) -> Vec<(usize, usize, usize, usize, usize)> {
         self.ladder
             .iter()
@@ -72,10 +51,10 @@ impl EpochReport {
     }
 }
 
-/// Replays `deltas` against `base`, running one ladder per epoch
+/// Replays `deltas` against `base`, running one `cfg` ladder per epoch
 /// (including the initial cold one) and carrying certificates across
-/// mutations per `cfg.transfer`. Returns one [`EpochReport`] per epoch,
-/// in order.
+/// every mutation with [`CertCache::transfer`]. Returns one
+/// [`EpochReport`] per epoch, in order.
 ///
 /// # Errors
 ///
@@ -86,14 +65,14 @@ pub fn drift_sweep(
     base: &Dataset,
     test_points: &[Vec<f64>],
     deltas: &[DatasetDelta],
-    cfg: &DriftConfig,
+    cfg: &SweepConfig,
 ) -> Result<Vec<EpochReport>, DataError> {
     drift_sweep_in(
         base,
         test_points,
         deltas,
         cfg,
-        &ExecContext::new().threads(cfg.sweep.threads),
+        &ExecContext::new().threads(cfg.threads),
     )
 }
 
@@ -109,7 +88,7 @@ pub fn drift_sweep_in(
     base: &Dataset,
     test_points: &[Vec<f64>],
     deltas: &[DatasetDelta],
-    cfg: &DriftConfig,
+    cfg: &SweepConfig,
     parent: &ExecContext,
 ) -> Result<Vec<EpochReport>, DataError> {
     let mut reports = Vec::with_capacity(deltas.len() + 1);
@@ -120,7 +99,7 @@ pub fn drift_sweep_in(
     // `cache_transfers` describes the mutation that produced it.
     let run_epoch =
         |ds: &Dataset, cache: &CertCache, summary: Option<DeltaSummary>, ctx: &ExecContext| {
-            let ladder = sweep_cached(ds, test_points, &cfg.sweep, ctx, cache);
+            let ladder = sweep_cached(ds, test_points, cfg, ctx, cache);
             let metrics = ctx.metrics().snapshot();
             parent.metrics().absorb(&metrics);
             EpochReport {
@@ -140,11 +119,7 @@ pub fn drift_sweep_in(
     for delta in deltas {
         let (next, summary) = ds.apply_summarized(delta)?;
         let ctx = parent.child().fresh_metrics();
-        cache = if cfg.transfer {
-            cache.transfer(&summary, &next, ctx.metrics())
-        } else {
-            CertCache::for_dataset(&next, test_points.len())
-        };
+        cache = cache.transfer(&summary, &next, ctx.metrics());
         ds = next;
         reports.push(run_epoch(&ds, &cache, Some(summary), &ctx));
     }
@@ -177,16 +152,13 @@ mod tests {
         d
     }
 
-    fn cfg(transfer: bool) -> DriftConfig {
-        DriftConfig {
-            sweep: SweepConfig {
-                depth: 1,
-                threads: 1,
-                timeout: None,
-                max_live_disjuncts: None,
-                ..SweepConfig::default()
-            },
-            transfer,
+    fn cfg() -> SweepConfig {
+        SweepConfig {
+            depth: 1,
+            threads: 1,
+            timeout: None,
+            max_live_disjuncts: None,
+            ..SweepConfig::default()
         }
     }
 
@@ -195,7 +167,7 @@ mod tests {
         let ds = blobs();
         let xs = vec![vec![0.5], vec![9.5]];
         let deltas = [removal(&[0, 1]), removal(&[2])];
-        let reports = drift_sweep(&ds, &xs, &deltas, &cfg(true)).unwrap();
+        let reports = drift_sweep(&ds, &xs, &deltas, &cfg()).unwrap();
         assert_eq!(reports.len(), 3);
         assert_eq!(
             reports.iter().map(|r| r.epoch).collect::<Vec<_>>(),
@@ -225,25 +197,34 @@ mod tests {
         let ds = blobs();
         let xs = vec![vec![0.5], vec![9.5], vec![5.0]];
         let deltas = [removal(&[0]), removal(&[1, 2])];
-        let on = drift_sweep(&ds, &xs, &deltas, &cfg(true)).unwrap();
-        let off = drift_sweep(&ds, &xs, &deltas, &cfg(false)).unwrap();
-        assert_eq!(on.len(), off.len());
-        for (a, b) in on.iter().zip(&off) {
-            assert_eq!(a.ladder_key(), b.ladder_key(), "epoch {}", a.epoch);
-            assert_eq!(b.metrics.cache_transfers, 0, "no-transfer never carries");
+        let on = drift_sweep(&ds, &xs, &deltas, &cfg()).unwrap();
+        assert_eq!(on.len(), deltas.len() + 1);
+        // The reference: a cold ladder on each epoch's dataset.
+        let mut epoch_ds = ds.clone();
+        let mut cold_runs = 0;
+        for (i, report) in on.iter().enumerate() {
+            if i > 0 {
+                epoch_ds = epoch_ds.apply(&deltas[i - 1]).unwrap();
+            }
+            let ctx = ExecContext::sequential();
+            let cold: Vec<_> = crate::sweep::sweep_in(&epoch_ds, &xs, &cfg(), &ctx)
+                .iter()
+                .map(|p| (p.n, p.attempted, p.verified, p.timeouts, p.budget_exhausted))
+                .collect();
+            assert_eq!(report.ladder_key(), cold, "epoch {}", report.epoch);
+            if i > 0 {
+                cold_runs += ctx.metrics().snapshot().abstract_runs();
+            }
         }
         // The saving shows up as abstract runs: every probe not answered
         // by a short-circuit executes the abstract learner (as a fresh
         // derivation or under a memoized label). Transferred bounds turn
         // warm-epoch rungs inside the carried interval into
         // certifier-free short-circuits.
-        let runs =
-            |rs: &[EpochReport]| -> u64 { rs[1..].iter().map(|r| r.metrics.abstract_runs()).sum() };
+        let warm_runs: u64 = on[1..].iter().map(|r| r.metrics.abstract_runs()).sum();
         assert!(
-            runs(&on) < runs(&off),
-            "transferred bounds must save warm-epoch abstract runs ({} vs {})",
-            runs(&on),
-            runs(&off),
+            warm_runs < cold_runs,
+            "transferred bounds must save warm-epoch abstract runs ({warm_runs} vs {cold_runs})",
         );
     }
 
@@ -253,7 +234,7 @@ mod tests {
         let xs = vec![vec![0.5]];
         let mut delta = DatasetDelta::new();
         delta.append(&[0.3], 0).append(&[9.9], 1);
-        let reports = drift_sweep(&ds, &xs, &[delta], &cfg(true)).unwrap();
+        let reports = drift_sweep(&ds, &xs, &[delta], &cfg()).unwrap();
         assert_eq!(reports[1].metrics.cache_transfers, 0);
         assert!(reports[1].metrics.cache_invalidations > 0);
         assert!(
@@ -266,7 +247,7 @@ mod tests {
     #[test]
     fn invalid_deltas_propagate_the_data_error() {
         let ds = blobs();
-        let err = drift_sweep(&ds, &[vec![0.5]], &[removal(&[10_000])], &cfg(true)).unwrap_err();
+        let err = drift_sweep(&ds, &[vec![0.5]], &[removal(&[10_000])], &cfg()).unwrap_err();
         assert!(matches!(err, DataError::InvalidDelta { .. }));
     }
 }

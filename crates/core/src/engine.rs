@@ -262,7 +262,7 @@ counters! {
     /// Frontier disjuncts processed.
     DisjunctsProcessed disjuncts_processed: Sum;
     /// Frontier disjuncts dropped because another disjunct dominates them
-    /// under the `⟨T,n⟩` partial order (`--no-subsume` disarms it).
+    /// under the `⟨T,n⟩` partial order.
     DisjunctsSubsumed disjuncts_subsumed: Sum;
     /// Arena run boundaries: one per abstract-learner run, wherever it
     /// executes.

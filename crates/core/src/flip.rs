@@ -77,18 +77,15 @@ impl Footprint for FlipTerminal {
 /// the carrier admits no non-trivial split (identical to the concrete ⋄).
 pub fn best_split_flip(ds: &Dataset, f: &FlipSet) -> (Vec<Predicate>, bool) {
     let total = f.subset().class_counts().to_vec();
-    let total_len = f.len();
     let n = f.n();
     let mut cands: Vec<(Predicate, f64, f64)> = Vec::new(); // (pred, lb, ub)
     let mut right = vec![0u32; total.len()];
     for feature in 0..ds.n_features() {
-        sweep_feature(ds, f.subset(), feature, |threshold, left, left_len| {
+        sweep_feature(ds, f.subset(), feature, |threshold, left, _left_len| {
             for (r, (&t, &l)) in right.iter_mut().zip(total.iter().zip(left)) {
                 *r = t - l;
             }
             let iv = score_interval_flip(left, &right, n);
-            let _ = left_len;
-            let _ = total_len;
             cands.push((Predicate { feature, threshold }, iv.lb(), iv.ub()));
         });
     }

@@ -272,8 +272,9 @@ pub fn run_abstract(
 /// iteration's dedup, disjuncts dominated under the `⟨T,n⟩` partial order
 /// by another frontier element are dropped before the Hybrid merge.
 /// Pruning is sound for every domain (see `prune_subsumed`) and is a
-/// no-op for `Box` (a single state cannot dominate itself); `false` is
-/// the `--no-subsume` escape hatch restoring the unpruned frontier.
+/// no-op for `Box` (a single state cannot dominate itself). Every
+/// certification prunes; `false` keeps the unpruned frontier, the
+/// reference the differentials in `tests/determinism.rs` compare against.
 /// Only a strictly larger budget can dominate, so a frontier whose
 /// disjuncts share one budget — every frontier until some branch is
 /// clamped to fewer than `n` rows — skips the pass and its scratch
@@ -568,8 +569,8 @@ fn intern_frontier(
 /// row bitsets only span that prefix. The kept set is exactly the
 /// all-pairs one (the order is a linearisation of ⊑, see the proof notes
 /// inline), so ladders, verdicts, and prune counts stay bit-identical
-/// (pinned by the `--no-subsume` differential in `tests/determinism.rs`
-/// and the all-pairs differential below).
+/// (pinned by the unpruned-reference differentials in
+/// `tests/determinism.rs` and the all-pairs differential below).
 fn prune_subsumed(disjuncts: &mut Vec<AbstractSet>, arena: &mut WordArena) -> usize {
     let budgets = disjuncts.iter().map(AbstractSet::n);
     let (Some(bottom), Some(top)) = (budgets.clone().min(), budgets.max()) else {
@@ -992,8 +993,8 @@ mod tests {
         // On a frontier wide enough to contain dominated disjuncts, the
         // pruned and unpruned runs must still agree on coverage-relevant
         // outputs (terminal coverage is property-tested end-to-end in
-        // tests/soundness.rs; here we pin that the escape hatch actually
-        // changes the processed-disjunct count when pruning fires).
+        // tests/soundness.rs; here we pin that the unpruned reference
+        // the differentials use really keeps what pruning drops).
         let ds = synth::iris_like(0);
         let run = |subsume: bool, ctx: &ExecContext| {
             run_abstract_shared(

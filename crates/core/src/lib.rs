@@ -19,9 +19,10 @@
 //! * [`cache`](mod@cache) — the incremental certification cache:
 //!   memoized reference labels and monotone verdict intervals reused
 //!   across sweep rungs;
-//! * [`memo`](mod@memo) — a session's `bestSplit#` memo: recurring
-//!   `⟨T, n⟩` frontier states across certify calls reuse the stored
-//!   candidate analysis (hash-consed keys; one-shot and label-flip runs
+//! * [`memo`](mod@memo) — the `bestSplit#` memo one removal ladder or
+//!   one session shares: recurring `⟨T, n⟩` frontier states across its
+//!   points, rungs and requests reuse the stored candidate analysis
+//!   (hash-consed keys; a lone certify call and the label-flip learner
 //!   compute every `bestSplit#` directly);
 //! * [`score`] — `score#` intervals and `bestSplit#` with the Φ∀/Φ∃
 //!   trivial-split analysis and minimal-interval selection (§4.6), using
@@ -43,11 +44,12 @@
 //! * [`sched`](mod@sched) — the adaptive probe scheduler behind the
 //!   sweep: verdict-interval priority ordering, one deadline/probe
 //!   budget shared across the whole ladder, and interval tightening with
-//!   whatever budget the ladder saved (DESIGN.md §13, `--no-schedule`
-//!   escape hatch);
+//!   whatever budget the ladder saved; every ladder runs under one
+//!   (DESIGN.md §13);
 //! * [`drift`](mod@drift) — incremental re-certification under dataset
 //!   drift: ladders replayed across epoch-stamped mutations, with sound
-//!   certificate transfer across pure-removal deltas (DESIGN.md §11);
+//!   certificate transfer across pure-removal deltas at every epoch
+//!   (DESIGN.md §11);
 //! * [`session`](mod@session) — the certification service layer:
 //!   long-lived [`Session`]s owning per-`(dataset, config)` caches that
 //!   requests borrow, and the deduplicating, batching [`RequestEngine`]
@@ -92,7 +94,7 @@ pub mod verdict;
 
 pub use cache::{CertCache, EpochMismatch};
 pub use certify::{Certifier, Outcome, RunStats, Verdict};
-pub use drift::{drift_sweep, drift_sweep_in, DriftConfig, EpochReport};
+pub use drift::{drift_sweep, drift_sweep_in, EpochReport};
 pub use engine::{ExecContext, MetricsSnapshot, RunMetrics};
 pub use ensemble::{certify_forest, certify_forest_in, EnsembleConfig, EnsembleOutcome};
 pub use flip::certify_label_flips;

@@ -72,10 +72,7 @@ fn overlap_margin(t: &TerminalReport, reference: ClassId) -> f64 {
 }
 
 /// Re-runs `DTrace#` and produces a full [`Explanation`] of the verdict.
-///
-/// `subsume` must match the run being explained (a `--no-subsume` verdict
-/// explained with pruning enabled could describe terminals the original
-/// run never produced, and vice versa).
+/// The run prunes subsumed disjuncts, as every certification does.
 ///
 /// # Panics
 ///
@@ -87,7 +84,6 @@ pub fn explain(
     n: usize,
     domain: DomainKind,
     transformer: CprobTransformer,
-    subsume: bool,
 ) -> Explanation {
     let reference = dtrace_label(ds, &Subset::full(ds), x, depth);
     let out = run_abstract_shared(
@@ -97,7 +93,7 @@ pub fn explain(
         depth,
         domain,
         transformer,
-        subsume,
+        true,
         None,
         &ExecContext::sequential(),
     );
@@ -192,7 +188,6 @@ mod tests {
             8,
             DomainKind::Disjuncts,
             CprobTransformer::Optimal,
-            true,
         );
         assert!(e.robust);
         assert!(e.blockers.is_empty());
@@ -214,7 +209,6 @@ mod tests {
             150,
             DomainKind::Disjuncts,
             CprobTransformer::Optimal,
-            true,
         );
         assert!(!e.robust);
         assert!(!e.blockers.is_empty());
@@ -236,7 +230,7 @@ mod tests {
                     .depth(1)
                     .domain(domain)
                     .certify(&[0.5], n);
-                let e = explain(&ds, &[0.5], 1, n, domain, CprobTransformer::Optimal, true);
+                let e = explain(&ds, &[0.5], 1, n, domain, CprobTransformer::Optimal);
                 assert_eq!(cert.is_robust(), e.robust, "n={n} {domain:?}");
                 assert_eq!(cert.label, e.reference);
             }
@@ -253,7 +247,6 @@ mod tests {
             0,
             DomainKind::Box,
             CprobTransformer::Optimal,
-            true,
         );
         assert!(e.robust);
         assert_eq!(e.terminals.len(), 1);

@@ -23,16 +23,16 @@
 //!    spent probing the midpoint of the loosest surviving interval,
 //!    widest gap first, until every gap is closed or the budget is gone.
 //!
-//! **Observational invisibility.** With no deadline and no probe budget
-//! configured, the scheduler never defers and never tightens, and
-//! reordering a rung's pool is invisible: [`ExecContext::par_map`]
-//! returns results in input order, per-rung aggregates are
-//! order-invariant sums, and each point's cache entry is touched
-//! independently. `SweepConfig::schedule = false` (`--no-schedule`)
-//! disarms the scheduler entirely; the on/off differential in
-//! `tests/determinism.rs` pins bit-identical ladders, and the
-//! binding-deadline oracle in `tests/soundness.rs` pins that degraded
-//! points still report sound verdicts.
+//! **Observational invisibility.** Every §6.1 ladder runs under a
+//! scheduler. With no deadline and no probe budget configured, it never
+//! defers and never tightens, and reordering a rung's pool is invisible:
+//! [`ExecContext::par_map`] returns results in input order, per-rung
+//! aggregates are order-invariant sums, and each point's cache entry is
+//! touched independently. `tests/determinism.rs` pins unbounded ladders
+//! bit-identical to the same protocol replayed probe by probe through
+//! plain `Certifier::certify_in`, and the binding-deadline oracle in
+//! `tests/soundness.rs` pins that degraded points still report sound
+//! verdicts.
 //!
 //! [`ExecContext`]: crate::engine::ExecContext
 //! [`ExecContext::par_map`]: crate::engine::ExecContext::par_map

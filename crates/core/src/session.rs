@@ -466,7 +466,7 @@ impl Session {
             &slots,
             &cfg,
             &rctx,
-            Some(&st.cache),
+            &st.cache,
             &st.shared,
         );
         let epoch = st.ds.epoch();

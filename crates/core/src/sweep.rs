@@ -10,6 +10,12 @@
 //! average peak memory (Figures 6–11). [`flip_sweep`] runs the same ladder
 //! body under the label-flip threat model; only the per-point prover
 //! differs.
+//!
+//! Every removal ladder threads a [`CertCache`] through its rungs and
+//! shares one `bestSplit#` memo across its points, and every ladder lets
+//! a [`ProbeScheduler`] plan its rungs. None of them moves a ladder: the
+//! probed budgets and per-rung counts equal those of per-probe
+//! [`Certifier::certify_in`] (pinned in `tests/determinism.rs`).
 
 use crate::cache::CertCache;
 use crate::certify::{Certifier, Outcome, Verdict};
@@ -53,38 +59,6 @@ pub struct SweepConfig {
     /// timeout, instances near the deadline can tip either way as core
     /// contention shifts timings.
     pub threads: usize,
-    /// Whether to thread a cross-rung [`CertCache`] through the ladder
-    /// (default: on; `false` is the `--no-cache` escape hatch restoring
-    /// from-scratch certification at every probe). Cached and fresh
-    /// sweeps produce bit-identical ladders — verified/attempted/
-    /// timeout/budget counts per rung — the cached ladder just derives
-    /// each point's reference label once instead of once per probe.
-    /// Within one ladder every probe lies inside its point's open verdict
-    /// gap, so none is short-circuited and the identity holds under a
-    /// disjunct budget too; a wall-clock `timeout` retains the same
-    /// timing caveat as thread invariance (a faster cached probe can
-    /// finish where a fresh one times out).
-    pub cache: bool,
-    /// Whether the abstract runs prune subsumed frontier disjuncts
-    /// (default: on; `false` is the `--no-subsume` escape hatch mirroring
-    /// `--no-cache`). Pruning is sound — a dominated disjunct's
-    /// concretizations are already covered by its dominator — and on the
-    /// stock configurations produces ladders bit-identical to the
-    /// unpruned frontier (pinned in `tests/determinism.rs`).
-    pub subsume: bool,
-    /// Whether the adaptive [`ProbeScheduler`] steers the ladder
-    /// (default: on; `false` is the `--no-schedule` escape hatch
-    /// mirroring `--no-cache`). The scheduler orders each rung's probes
-    /// widest-verdict-interval first (tie-broken by point index), shares
-    /// [`deadline`](SweepConfig::deadline) /
-    /// [`probe_budget`](SweepConfig::probe_budget) across the whole
-    /// ladder, and spends leftover budget tightening the loosest
-    /// surviving intervals. With neither bound configured it never
-    /// defers or tightens, and reordering a rung is observationally
-    /// invisible: ladders and verdict keys are bit-identical to
-    /// `schedule: false` (pinned in `tests/determinism.rs`; DESIGN.md
-    /// §13).
-    pub schedule: bool,
     /// One wall-clock deadline shared by the *whole* ladder (default:
     /// none), as opposed to the per-instance
     /// [`timeout`](SweepConfig::timeout). When it binds, pending probes
@@ -92,11 +66,10 @@ pub struct SweepConfig {
     /// still sound, verdict intervals instead of stalling the sweep —
     /// and in-flight probes are bounded through the [`ExecContext`]
     /// ancestor-deadline chain, so the sweep never overruns the deadline
-    /// by more than one cooperative cancellation check. Requires
-    /// `schedule`; like `timeout`, a binding deadline trades the
-    /// bit-for-bit determinism contract for bounded latency (reported
-    /// intervals remain sound either way; pinned in
-    /// `tests/soundness.rs`).
+    /// by more than one cooperative cancellation check. Like `timeout`,
+    /// a binding deadline trades the bit-for-bit determinism contract
+    /// for bounded latency (reported intervals remain sound either way;
+    /// pinned in `tests/soundness.rs`).
     pub deadline: Option<Duration>,
     /// A probe-count budget shared by the whole ladder (default: none):
     /// the deterministic counterpart of
@@ -105,7 +78,7 @@ pub struct SweepConfig {
     /// exactly as under a binding deadline, but the cutoff is a pure
     /// function of config and cache state — never of timing — so
     /// truncated ladders stay bit-identical across runs and thread
-    /// counts. Requires `schedule`.
+    /// counts.
     pub probe_budget: Option<u64>,
 }
 
@@ -121,9 +94,6 @@ impl Default for SweepConfig {
             max_n: None,
             binary_search: true,
             threads: 0,
-            cache: true,
-            subsume: true,
-            schedule: true,
             deadline: None,
             probe_budget: None,
         }
@@ -185,23 +155,24 @@ pub fn sweep(ds: &Dataset, test_points: &[Vec<f64>], cfg: &SweepConfig) -> Vec<S
 /// [`sweep`] under a caller-provided parent context (cancellation scope
 /// and metrics). `parent`'s thread count is used as-is; its deadline, if
 /// any, bounds the whole sweep while `cfg.timeout` bounds each instance.
+/// The ladder threads a fresh [`CertCache`] through its rungs:
+/// [`sweep_cached`] against a cache of its own.
 pub fn sweep_in(
     ds: &Dataset,
     test_points: &[Vec<f64>],
     cfg: &SweepConfig,
     parent: &ExecContext,
 ) -> Vec<SweepPoint> {
-    let cache = cfg
-        .cache
-        .then(|| CertCache::for_dataset(ds, test_points.len()));
-    sweep_body(ds, test_points, cfg, parent, cache.as_ref())
+    let cache = CertCache::for_dataset(ds, test_points.len());
+    sweep_cached(ds, test_points, cfg, parent, &cache)
 }
 
 /// [`sweep_in`] against a caller-provided [`CertCache`] — the drift
 /// re-certification entry point. The cache outlives the sweep, so a
 /// ladder can warm it and a later ladder (or a cache carried across a
-/// mutation by [`CertCache::transfer`]) can reuse it; `cfg.cache` is
-/// ignored (the supplied cache is always used).
+/// mutation by [`CertCache::transfer`]) can reuse it. Slots address
+/// test points by index, and the ladder's learner state lives exactly
+/// as long as this one ladder.
 ///
 /// # Panics
 ///
@@ -224,19 +195,6 @@ pub fn sweep_cached(
         cache.epoch(),
         ds.epoch(),
     );
-    sweep_body(ds, test_points, cfg, parent, Some(cache))
-}
-
-/// The shared ladder body behind [`sweep_in`] and [`sweep_cached`]:
-/// [`sweep_shared`] with identity slot addressing and learner state
-/// scoped to this one ladder.
-fn sweep_body(
-    ds: &Dataset,
-    test_points: &[Vec<f64>],
-    cfg: &SweepConfig,
-    parent: &ExecContext,
-    cache: Option<&CertCache>,
-) -> Vec<SweepPoint> {
     let slots: Vec<usize> = (0..test_points.len()).collect();
     let shared = SharedLearner::new(ds, cfg.transformer);
     sweep_shared(ds, test_points, &slots, cfg, parent, cache, &shared)
@@ -253,10 +211,11 @@ fn sweep_body(
 /// one-shot ladder's own, or the session's persistent one. `bestSplit#`
 /// reads only `⟨T, n⟩`, never the test point, so every point of a rung
 /// asks the same root question and most layer-1 states recur from point
-/// to point; the shared memo computes each once per ladder. Neither
-/// knob changes the ladder itself: the probed budgets and per-rung
-/// verdict counts are those of memo-free certification (pinned in
-/// `tests/determinism.rs` and the session differential tests).
+/// to point; the shared memo computes each once per ladder. Neither the
+/// cache nor the memo changes the ladder itself: the probed budgets and
+/// per-rung verdict counts are those of memo-free, cache-free
+/// certification (pinned in `tests/determinism.rs` and the session
+/// differential tests).
 ///
 /// # Panics
 ///
@@ -268,7 +227,7 @@ pub(crate) fn sweep_shared(
     slots: &[usize],
     cfg: &SweepConfig,
     parent: &ExecContext,
-    cache: Option<&CertCache>,
+    cache: &CertCache,
     shared: &SharedLearner,
 ) -> Vec<SweepPoint> {
     assert!(
@@ -281,7 +240,6 @@ pub(crate) fn sweep_shared(
         .depth(cfg.depth)
         .domain(cfg.domain)
         .transformer(cfg.transformer)
-        .subsume(cfg.subsume)
         .shared_state(shared);
     ladder(
         ds,
@@ -289,14 +247,13 @@ pub(crate) fn sweep_shared(
         slots,
         cfg,
         parent,
-        cache,
-        |i, n, ctx| match cache {
-            // The sweep builds (or epoch-checks) its cache against `ds`
-            // itself, so a mismatch here is a sweep bug, not caller input.
-            Some(c) => certifier
-                .certify_cached(&test_points[i], n, slots[i], c, ctx)
-                .expect("sweep cache is stamped for its own dataset"),
-            None => certifier.certify_in(&test_points[i], n, ctx),
+        Some(cache),
+        // Every caller builds (or epoch-checks) the cache against `ds`,
+        // so a mismatch here is a sweep bug, not caller input.
+        |i, n, ctx| {
+            certifier
+                .certify_cached(&test_points[i], n, slots[i], cache, ctx)
+                .expect("sweep cache is stamped for its own dataset")
         },
     )
 }
@@ -353,9 +310,7 @@ where
     let max_n = cfg.max_n.unwrap_or(ds.len()).min(ds.len());
     let total_points = test_points.len();
 
-    let mut sched = cfg
-        .schedule
-        .then(|| ProbeScheduler::new(cfg.deadline, cfg.probe_budget, max_n));
+    let mut sched = ProbeScheduler::new(cfg.deadline, cfg.probe_budget, max_n);
     // When the scheduler carries a wall-clock deadline, every probe runs
     // under one bounded child context: its deadline joins the ancestor
     // chain of each probe's own per-instance context, so in-flight work
@@ -366,7 +321,7 @@ where
     // `parent`: deadline expiry is the scheduler's to handle, via
     // `plan`, which counts the degraded points.
     let bounded;
-    let exec: &ExecContext = match sched.as_ref().and_then(ProbeScheduler::deadline_at) {
+    let exec: &ExecContext = match sched.deadline_at() {
         Some(at) => {
             bounded = parent.child().deadline(at);
             &bounded
@@ -397,13 +352,8 @@ where
         // pool and the reorder is invisible: `par_map` returns results
         // in input order and every rung aggregate is an order-invariant
         // sum.
-        let (pool, partial) = match sched.as_mut() {
-            Some(s) => {
-                let plan = s.plan(&survivors, slots, cache, parent.metrics());
-                (plan.issue, !plan.deferred.is_empty())
-            }
-            None => (survivors.clone(), false),
-        };
+        let plan = sched.plan(&survivors, slots, cache, parent.metrics());
+        let (pool, partial) = (plan.issue, !plan.deferred.is_empty());
         if pool.is_empty() {
             break; // deadline/budget exhausted: degrade, don't stall
         }
@@ -431,13 +381,8 @@ where
                         }
                         // Refinement rungs draw on the same shared
                         // deadline/budget as the doubling rungs.
-                        let (refine, refine_partial) = match sched.as_mut() {
-                            Some(s) => {
-                                let plan = s.plan(&pool, slots, cache, parent.metrics());
-                                (plan.issue, !plan.deferred.is_empty())
-                            }
-                            None => (pool.clone(), false),
-                        };
+                        let plan = sched.plan(&pool, slots, cache, parent.metrics());
+                        let (refine, refine_partial) = (plan.issue, !plan.deferred.is_empty());
                         if refine.is_empty() {
                             break;
                         }
@@ -476,52 +421,49 @@ where
     // deadline and no probe budget the ladder was never truncated, there
     // is nothing "saved" to spend, and the scheduler must stay
     // observationally invisible.
-    if let (Some(s), Some(c)) = (sched.as_mut(), cache) {
-        if s.bounded() {
-            // Points whose latest tightening probe left their interval
-            // unchanged (a transient Timeout/Cancelled/DisjunctBudget
-            // verdict, which the cache soundly refuses to record):
-            // probing the same midpoint again would loop forever.
-            let mut stuck: BTreeSet<usize> = BTreeSet::new();
-            while !parent.should_stop() {
-                let mut widest: Option<(usize, usize, usize, usize)> = None; // (gap, i, lo, hi)
-                for (i, &slot) in slots.iter().enumerate().take(test_points.len()) {
-                    if stuck.contains(&i) {
-                        continue;
-                    }
-                    let interval = c.verdict_interval(slot);
+    if let (true, Some(c)) = (sched.bounded(), cache) {
+        // Points whose latest tightening probe left their interval
+        // unchanged (a transient Timeout/Cancelled/DisjunctBudget
+        // verdict, which the cache soundly refuses to record):
+        // probing the same midpoint again would loop forever.
+        let mut stuck: BTreeSet<usize> = BTreeSet::new();
+        while !parent.should_stop() {
+            let mut widest: Option<(usize, usize, usize, usize)> = None; // (gap, i, lo, hi)
+            for (i, &slot) in slots.iter().enumerate().take(test_points.len()) {
+                if stuck.contains(&i) {
+                    continue;
+                }
+                let interval = c.verdict_interval(slot);
+                let gap = sched.gap(interval);
+                // gap == 1 is a closed interval (the frontier is
+                // localised); iterating i ascending makes the strict
+                // `>` the deterministic smallest-index tie-break.
+                if gap > 1 && widest.is_none_or(|(g, ..)| gap > g) {
                     let lo = interval.0.unwrap_or(0);
-                    let hi = interval.1.unwrap_or(max_n + 1).min(max_n + 1);
-                    let gap = hi.saturating_sub(lo);
-                    // gap == 1 is a closed interval (the frontier is
-                    // localised); iterating i ascending makes the strict
-                    // `>` the deterministic smallest-index tie-break.
-                    if gap > 1 && widest.is_none_or(|(g, ..)| gap > g) {
-                        widest = Some((gap, i, lo, hi));
-                    }
+                    widest = Some((gap, i, lo, lo + gap));
                 }
-                let Some((_, i, lo, hi)) = widest else { break };
-                if !s.try_claim(parent.metrics()) {
-                    break; // deadline/budget exhausted
+            }
+            let Some((_, i, lo, hi)) = widest else { break };
+            if !sched.try_claim(parent.metrics()) {
+                break; // deadline/budget exhausted
+            }
+            // gap ≥ 2 ⇒ lo < mid < hi ≤ max_n + 1, so mid is a legal
+            // budget and a recorded verdict strictly shrinks the gap.
+            let mid = lo + (hi - lo) / 2;
+            let before = c.verdict_interval(slots[i]);
+            let (p, _) = probe(&prove, &[i], mid, total_points, cfg, exec);
+            // A tightening probe may revisit a budget the ladder
+            // already reported; fold it into the existing rung to
+            // keep the points-per-n invariant.
+            match points.iter_mut().find(|q| q.n == mid) {
+                Some(q) => merge_rung(q, &p),
+                None => {
+                    probed.insert(mid);
+                    points.push(p);
                 }
-                // gap ≥ 2 ⇒ lo < mid < hi ≤ max_n + 1, so mid is a legal
-                // budget and a recorded verdict strictly shrinks the gap.
-                let mid = lo + (hi - lo) / 2;
-                let before = c.verdict_interval(slots[i]);
-                let (p, _) = probe(&prove, &[i], mid, total_points, cfg, exec);
-                // A tightening probe may revisit a budget the ladder
-                // already reported; fold it into the existing rung to
-                // keep the points-per-n invariant.
-                match points.iter_mut().find(|q| q.n == mid) {
-                    Some(q) => merge_rung(q, &p),
-                    None => {
-                        probed.insert(mid);
-                        points.push(p);
-                    }
-                }
-                if c.verdict_interval(slots[i]) == before {
-                    stuck.insert(i);
-                }
+            }
+            if c.verdict_interval(slots[i]) == before {
+                stuck.insert(i);
             }
         }
     }
@@ -725,6 +667,24 @@ mod tests {
             .collect()
     }
 
+    /// The reference ladder: the same protocol with every probe a fresh
+    /// [`Certifier::certify_in`] — no cache, no shared memo.
+    fn fresh_ladder(
+        ds: &Dataset,
+        xs: &[Vec<f64>],
+        cfg: &SweepConfig,
+        ctx: &ExecContext,
+    ) -> Vec<SweepPoint> {
+        let certifier = Certifier::new(ds)
+            .depth(cfg.depth)
+            .domain(cfg.domain)
+            .transformer(cfg.transformer);
+        let slots: Vec<usize> = (0..xs.len()).collect();
+        ladder(ds, xs, &slots, cfg, ctx, None, |i, n, ctx| {
+            certifier.certify_in(&xs[i], n, ctx)
+        })
+    }
+
     #[test]
     fn cached_sweep_is_bit_identical_and_cheaper() {
         let ds = blobs();
@@ -737,28 +697,24 @@ mod tests {
                 DomainKind::Hybrid { max_disjuncts: 8 },
             ] {
                 let case = format!("{domain:?}, max_live_disjuncts {max_live_disjuncts:?}");
-                let cached_cfg = SweepConfig {
+                let cfg = SweepConfig {
                     max_live_disjuncts,
                     ..cfg(domain, true)
                 };
-                let fresh_cfg = SweepConfig {
-                    cache: false,
-                    ..cached_cfg.clone()
-                };
                 let fresh_ctx = ExecContext::sequential();
-                let fresh = sweep_in(&ds, &xs, &fresh_cfg, &fresh_ctx);
+                let fresh = fresh_ladder(&ds, &xs, &cfg, &fresh_ctx);
                 let cached_ctx = ExecContext::sequential();
-                let cached = sweep_in(&ds, &xs, &cached_cfg, &cached_ctx);
+                let cached = sweep_in(&ds, &xs, &cfg, &cached_ctx);
                 assert_eq!(key(&fresh), key(&cached), "ladders diverged: {case}");
-                // Fresh mode derives everything per probe and never
+                // The reference derives everything per probe and never
                 // touches a cache.
                 let total_probes: u64 = fresh.iter().map(|p| p.attempted as u64).sum();
                 let (fm, cm) = (fresh_ctx.metrics(), cached_ctx.metrics());
                 assert_eq!(fm.certify_calls(), total_probes, "{case}");
                 assert_eq!(fm.cache_hits(), 0, "{case}");
                 assert_eq!(fm.cache_misses(), 0, "{case}");
-                // Cached mode pays one full derivation per test point;
-                // every other probe is a hit.
+                // The cached ladder pays one full derivation per test
+                // point; every other probe is a hit.
                 assert_eq!(cm.certify_calls(), xs.len() as u64, "{case}");
                 assert_eq!(cm.cache_misses(), xs.len() as u64, "{case}");
                 assert_eq!(cm.cache_hits(), total_probes - xs.len() as u64, "{case}");
@@ -785,16 +741,14 @@ mod tests {
         assert_eq!(ns, unique, "no budget is probed twice");
         let expected = expected_probe_sequence(&ds);
         assert_eq!(ns, expected, "probed-n sequence changed");
-        // Cached and fresh modes probe the same sequence.
-        let fresh = sweep(&ds, &blob_points(), &cfg_no_cache());
+        // The fresh reference ladder probes the same sequence.
+        let fresh = fresh_ladder(
+            &ds,
+            &blob_points(),
+            &cfg(DomainKind::Disjuncts, true),
+            &ExecContext::sequential(),
+        );
         assert_eq!(fresh.iter().map(|p| p.n).collect::<Vec<_>>(), expected);
-    }
-
-    fn cfg_no_cache() -> SweepConfig {
-        SweepConfig {
-            cache: false,
-            ..cfg(DomainKind::Disjuncts, true)
-        }
     }
 
     /// The §6.1 probe sequence for `blob_points` on `blobs`: doubling
@@ -833,15 +787,15 @@ mod tests {
 
     #[test]
     fn a_ladder_shares_one_best_split_memo_across_its_points() {
-        // Cache-free, doubling-only ladder at n = 1, 2: every probe is a
-        // full abstract run, so the ladder's memo probes are exactly the
-        // bestSplit# computations of memo-free certify_in runs over every
-        // probed (point, n); the points of a rung share their states.
+        // Doubling-only ladder at n = 1, 2: the cache answers no probe
+        // of one ladder outright, so every probe is a full abstract run
+        // and the ladder's memo probes are exactly the bestSplit#
+        // computations of memo-free certify_in runs over every probed
+        // (point, n); the points of a rung share their states.
         let ds = blobs();
         let xs = blob_points();
         let cfg = SweepConfig {
             depth: 2,
-            cache: false,
             max_n: Some(2),
             ..cfg(DomainKind::Disjuncts, false)
         };

@@ -8,10 +8,11 @@
 
 use antidote_core::engine::ExecContext;
 use antidote_core::learner::run_abstract_shared;
-use antidote_core::{sweep, Certifier, DomainKind, SweepConfig};
+use antidote_core::verdict::all_terminals_dominated_by;
+use antidote_core::{sweep, Certifier, DomainKind, SweepConfig, Verdict};
 use antidote_core::{Session, SessionConfig, SharedLearner};
 use antidote_data::synth::{gaussian_blobs, BlobSpec};
-use antidote_data::Dataset;
+use antidote_data::{ClassId, Dataset};
 use antidote_domains::{AbstractSet, CprobTransformer};
 use std::sync::Arc;
 
@@ -35,8 +36,12 @@ fn test_points(k: usize) -> Vec<Vec<f64>> {
         .collect()
 }
 
+/// A rung's verdict-relevant projection: `(n, attempted, verified,
+/// total_points, timeouts, budget_exhausted)`.
+type Rung = (usize, usize, usize, usize, usize, usize);
+
 /// The verdict-relevant projection of a sweep point (timings excluded).
-fn key(points: &[antidote_core::SweepPoint]) -> Vec<(usize, usize, usize, usize, usize, usize)> {
+fn key(points: &[antidote_core::SweepPoint]) -> Vec<Rung> {
     points
         .iter()
         .map(|p| {
@@ -83,9 +88,10 @@ fn sweep_ladder_is_thread_invariant() {
 #[test]
 fn cached_and_fresh_sweeps_are_bit_identical() {
     // The cross-rung certificate cache must be observationally invisible:
-    // cached and --no-cache sweeps agree on every verdict-relevant field
-    // of every rung, for every domain and thread count — while the cached
-    // mode invokes the full certifier strictly fewer times.
+    // every cached ladder agrees with the ladder replayed through plain
+    // certify_in on every verdict-relevant field of every rung, for
+    // every domain and thread count — while invoking the full certifier
+    // strictly fewer times.
     let ds = blobs(60, 7);
     let xs = test_points(32);
     for domain in [
@@ -93,26 +99,25 @@ fn cached_and_fresh_sweeps_are_bit_identical() {
         DomainKind::Disjuncts,
         DomainKind::Hybrid { max_disjuncts: 8 },
     ] {
+        let cfg = |threads: usize| SweepConfig {
+            depth: 1,
+            domain,
+            timeout: None,
+            threads,
+            ..SweepConfig::default()
+        };
+        let reference = memo_free_ladder(&ds, &xs, 1, domain, cfg(1).max_live_disjuncts);
+        let fresh_probes: usize = reference.iter().map(|r| r.1).sum();
         for threads in [1usize, 4] {
-            let cfg = |cache: bool| SweepConfig {
-                depth: 1,
-                domain,
-                timeout: None,
-                threads,
-                cache,
-                ..SweepConfig::default()
-            };
-            let fresh_ctx = ExecContext::new().threads(threads);
-            let fresh = antidote_core::sweep_in(&ds, &xs, &cfg(false), &fresh_ctx);
             let cached_ctx = ExecContext::new().threads(threads);
-            let cached = antidote_core::sweep_in(&ds, &xs, &cfg(true), &cached_ctx);
+            let cached = antidote_core::sweep_in(&ds, &xs, &cfg(threads), &cached_ctx);
             assert_eq!(
-                key(&fresh),
                 key(&cached),
+                reference,
                 "{domain:?} @ {threads} thread(s): cached ladder diverged"
             );
             assert!(
-                cached_ctx.metrics().certify_calls() < fresh_ctx.metrics().certify_calls(),
+                cached_ctx.metrics().certify_calls() < fresh_probes as u64,
                 "{domain:?} @ {threads} thread(s): cache saved no certifier calls"
             );
             assert_eq!(
@@ -121,18 +126,53 @@ fn cached_and_fresh_sweeps_are_bit_identical() {
                 "one full derivation per test point"
             );
             assert!(cached_ctx.metrics().cache_hit_rate() > 0.0);
-            assert_eq!(fresh_ctx.metrics().cache_hits(), 0);
         }
     }
 }
 
+/// The reference prover without subsumption pruning or a memo: the
+/// unpruned `DTrace#` frontier, judged by Corollary 4.12 against the
+/// concrete reference label. Runs unbounded under `ctx`.
+fn unpruned_outcome(
+    ds: &Dataset,
+    x: &[f64],
+    n: usize,
+    depth: usize,
+    domain: DomainKind,
+    ctx: &ExecContext,
+) -> (Verdict, ClassId) {
+    let label = Certifier::new(ds).depth(depth).reference_label(x);
+    let out = run_abstract_shared(
+        ds,
+        AbstractSet::full(ds, n),
+        x,
+        depth,
+        domain,
+        CprobTransformer::Optimal,
+        false,
+        None,
+        ctx,
+    );
+    assert!(
+        out.aborted.is_none(),
+        "the unpruned reference runs unbounded"
+    );
+    let robust = all_terminals_dominated_by(&out.terminals, label, CprobTransformer::Optimal);
+    let verdict = if robust {
+        Verdict::Robust
+    } else {
+        Verdict::Unknown
+    };
+    (verdict, label)
+}
+
 #[test]
 fn subsumption_pruning_is_observationally_invisible() {
-    // The full-certifier differential for the frontier subsumption pass:
-    // Box/Disjuncts/Hybrid × subsume on/off × threads {1,4} must produce
-    // bit-identical ladders — a dominated disjunct's concretizations are
-    // covered by its dominator, so dropping it may only remove redundant
-    // work, never flip a rung count.
+    // The full-ladder differential for the frontier subsumption pass:
+    // Box/Disjuncts/Hybrid × threads {1,4} ladders must be bit-identical
+    // to the ladder the unpruned prover replays — a dominated disjunct's
+    // concretizations are covered by its dominator, so dropping it may
+    // only remove redundant work, never flip a rung count.
     let ds = blobs(60, 7);
     let xs = test_points(16);
     for domain in [
@@ -140,28 +180,24 @@ fn subsumption_pruning_is_observationally_invisible() {
         DomainKind::Disjuncts,
         DomainKind::Hybrid { max_disjuncts: 8 },
     ] {
+        let plain_ctx = ExecContext::sequential();
+        let reference = replayed_ladder(&ds, &xs, |x, n| {
+            unpruned_outcome(&ds, x, n, 2, domain, &plain_ctx).0
+        });
         for threads in [1usize, 4] {
-            let cfg = |subsume: bool| SweepConfig {
+            let cfg = SweepConfig {
                 depth: 2,
                 domain,
                 timeout: None,
                 threads,
-                subsume,
                 ..SweepConfig::default()
             };
             let pruned_ctx = ExecContext::new().threads(threads);
-            let pruned = antidote_core::sweep_in(&ds, &xs, &cfg(true), &pruned_ctx);
-            let plain_ctx = ExecContext::new().threads(threads);
-            let plain = antidote_core::sweep_in(&ds, &xs, &cfg(false), &plain_ctx);
+            let pruned = antidote_core::sweep_in(&ds, &xs, &cfg, &pruned_ctx);
             assert_eq!(
                 key(&pruned),
-                key(&plain),
-                "{domain:?} @ {threads} thread(s): --no-subsume ladder diverged"
-            );
-            assert_eq!(
-                plain_ctx.metrics().disjuncts_subsumed(),
-                0,
-                "the escape hatch must fully disarm pruning"
+                reference,
+                "{domain:?} @ {threads} thread(s): pruned ladder diverged from the unpruned prover"
             );
             if domain == DomainKind::Disjuncts {
                 assert!(
@@ -180,13 +216,14 @@ fn subsumption_pruning_is_observationally_invisible() {
 
 #[test]
 fn probe_scheduler_is_observationally_invisible() {
-    // The full-certifier differential for the probe scheduler:
-    // Box/Disjuncts/Hybrid × schedule on/off × threads {1,4} must
-    // produce bit-identical ladders. Absent a deadline or probe budget
-    // the scheduler is a pure priority reordering of each rung's probe
-    // pool — the parallel fan-out returns results in input order and
-    // rung aggregates are order-invariant sums, so nothing observable
-    // may move (DESIGN.md §13).
+    // The full-ladder differential for the probe scheduler:
+    // Box/Disjuncts/Hybrid × threads {1,4} ladders must be bit-identical
+    // to the same protocol replayed in pool order through plain
+    // certify_in. Absent a deadline or probe budget the scheduler is a
+    // pure priority reordering of each rung's probe pool — the parallel
+    // fan-out returns results in input order and rung aggregates are
+    // order-invariant sums, so nothing observable may move (DESIGN.md
+    // §13).
     let ds = blobs(60, 7);
     let xs = test_points(16);
     for domain in [
@@ -194,23 +231,21 @@ fn probe_scheduler_is_observationally_invisible() {
         DomainKind::Disjuncts,
         DomainKind::Hybrid { max_disjuncts: 8 },
     ] {
+        let cfg = |threads: usize| SweepConfig {
+            depth: 2,
+            domain,
+            timeout: None,
+            threads,
+            ..SweepConfig::default()
+        };
+        let reference = memo_free_ladder(&ds, &xs, 2, domain, cfg(1).max_live_disjuncts);
         for threads in [1usize, 4] {
-            let cfg = |schedule: bool| SweepConfig {
-                depth: 2,
-                domain,
-                timeout: None,
-                threads,
-                schedule,
-                ..SweepConfig::default()
-            };
             let sched_ctx = ExecContext::new().threads(threads);
-            let scheduled = antidote_core::sweep_in(&ds, &xs, &cfg(true), &sched_ctx);
-            let plain_ctx = ExecContext::new().threads(threads);
-            let plain = antidote_core::sweep_in(&ds, &xs, &cfg(false), &plain_ctx);
+            let scheduled = antidote_core::sweep_in(&ds, &xs, &cfg(threads), &sched_ctx);
             assert_eq!(
                 key(&scheduled),
-                key(&plain),
-                "{domain:?} @ {threads} thread(s): --no-schedule ladder diverged"
+                reference,
+                "{domain:?} @ {threads} thread(s): scheduled ladder diverged"
             );
             assert!(
                 sched_ctx.metrics().probes_scheduled() > 0,
@@ -225,16 +260,6 @@ fn probe_scheduler_is_observationally_invisible() {
                 sched_ctx.metrics().deadline_degradations(),
                 0,
                 "an unbounded scheduler never degrades a point"
-            );
-            let off = plain_ctx.metrics();
-            assert_eq!(
-                (
-                    off.probes_scheduled(),
-                    off.probes_deferred(),
-                    off.deadline_degradations(),
-                ),
-                (0, 0, 0),
-                "the escape hatch must fully disarm the scheduler"
             );
         }
     }
@@ -278,43 +303,49 @@ fn probe_budget_cutoff_is_thread_invariant() {
     );
 }
 
-/// The §6.1 ladder replayed through plain `Certifier::certify_in` — no
-/// memo, no cache, no scheduler: `(n, attempted, verified)` per rung,
-/// ascending in `n`. Each rung re-certifies the pool the protocol
-/// attempts given the replay's own verdicts: every point at `n = 1`,
-/// each doubling rung's survivors, then the binary search between the
-/// last success and the first all-fail rung.
-fn memo_free_ladder(
+/// The §6.1 ladder replayed probe by probe through `prove(x, n)` — no
+/// memo, no cache, no scheduler — in [`key`] form, ascending in `n`.
+/// Each rung re-proves the pool the protocol attempts given the replay's
+/// own verdicts: every point at `n = 1`, each doubling rung's survivors,
+/// then the binary search between the last success and the first
+/// all-fail rung.
+fn replayed_ladder(
     ds: &Dataset,
     xs: &[Vec<f64>],
-    depth: usize,
-    domain: DomainKind,
-) -> Vec<(usize, usize, usize)> {
-    let certifier = Certifier::new(ds).depth(depth).domain(domain);
-    let verify = |pool: &[usize], n: usize| -> Vec<usize> {
-        pool.iter()
-            .copied()
-            .filter(|&i| {
-                certifier
-                    .certify_in(&xs[i], n, &ExecContext::sequential())
-                    .is_robust()
-            })
-            .collect()
+    prove: impl Fn(&[f64], usize) -> Verdict,
+) -> Vec<Rung> {
+    let rung = |pool: &[usize], n: usize| -> (Rung, Vec<usize>) {
+        let verdicts: Vec<(usize, Verdict)> = pool.iter().map(|&i| (i, prove(&xs[i], n))).collect();
+        let count = |pick: fn(Verdict) -> bool| verdicts.iter().filter(|(_, v)| pick(*v)).count();
+        let verified: Vec<usize> = verdicts
+            .iter()
+            .filter(|(_, v)| *v == Verdict::Robust)
+            .map(|&(i, _)| i)
+            .collect();
+        let rung = (
+            n,
+            pool.len(),
+            verified.len(),
+            xs.len(),
+            count(|v| matches!(v, Verdict::Timeout | Verdict::Cancelled)),
+            count(|v| v == Verdict::DisjunctBudget),
+        );
+        (rung, verified)
     };
     let max_n = ds.len();
     let mut rungs = Vec::new();
     let mut pool: Vec<usize> = (0..xs.len()).collect();
     let (mut n, mut last_success) = (1, None);
     while !pool.is_empty() && n <= max_n {
-        let verified = verify(&pool, n);
-        rungs.push((n, pool.len(), verified.len()));
+        let (r, verified) = rung(&pool, n);
+        rungs.push(r);
         if verified.is_empty() {
             if let Some(mut lo) = last_success {
                 let mut hi = n;
                 while hi - lo > 1 {
                     let mid = lo + (hi - lo) / 2;
-                    let v = verify(&pool, mid);
-                    rungs.push((mid, pool.len(), v.len()));
+                    let (r, v) = rung(&pool, mid);
+                    rungs.push(r);
                     if v.is_empty() {
                         hi = mid;
                     } else {
@@ -336,6 +367,22 @@ fn memo_free_ladder(
     rungs
 }
 
+/// [`replayed_ladder`] through plain `Certifier::certify_in`, each probe
+/// under its own `max_live_disjuncts` budget.
+fn memo_free_ladder(
+    ds: &Dataset,
+    xs: &[Vec<f64>],
+    depth: usize,
+    domain: DomainKind,
+    max_live_disjuncts: Option<usize>,
+) -> Vec<Rung> {
+    let certifier = Certifier::new(ds).depth(depth).domain(domain);
+    replayed_ladder(ds, xs, |x, n| {
+        let ctx = ExecContext::sequential().maybe_disjunct_budget(max_live_disjuncts);
+        certifier.certify_in(x, n, &ctx).verdict
+    })
+}
+
 #[test]
 fn memoized_best_split_is_observationally_invisible() {
     // Every removal ladder shares one bestSplit# memo across its points
@@ -352,7 +399,7 @@ fn memoized_best_split_is_observationally_invisible() {
         DomainKind::Disjuncts,
         DomainKind::Hybrid { max_disjuncts: 8 },
     ] {
-        let reference = memo_free_ladder(&ds, &xs, 3, domain);
+        let reference = memo_free_ladder(&ds, &xs, 3, domain, None);
         let mut counts = Vec::new();
         for threads in [1usize, 4] {
             let cfg = SweepConfig {
@@ -376,18 +423,12 @@ fn memoized_best_split_is_observationally_invisible() {
             let session_ctx = ExecContext::new().threads(threads);
             let (in_session, _) = session.sweep(&xs, None, &session_ctx);
             for (name, ladder) in [("one-shot", &one_shot), ("session", &in_session)] {
-                let rungs: Vec<(usize, usize, usize)> = ladder
-                    .iter()
-                    .map(|p| (p.n, p.attempted, p.verified))
-                    .collect();
                 assert_eq!(
-                    rungs, reference,
+                    key(ladder),
+                    reference,
                     "{domain:?} @ {threads} thread(s): the {name} ladder diverged from \
                      memo-free certify_in"
                 );
-                assert!(ladder
-                    .iter()
-                    .all(|p| p.timeouts == 0 && p.budget_exhausted == 0));
             }
             let counters = |ctx: &ExecContext| {
                 let m = ctx.metrics();
@@ -472,9 +513,10 @@ fn certify_verdicts_invariant_under_memo_toggle() {
 
 #[test]
 fn certify_verdicts_invariant_under_subsume_toggle() {
-    // Direct certifier differential (no sweep in the loop): identical
-    // verdicts and labels for every domain × budget × input, with and
-    // without pruning, at 1 and 4 threads.
+    // Direct certifier differential (no sweep in the loop): the pruning
+    // certifier at 1 and 4 threads, and the unpruned prover at 4, give
+    // the sequential unpruned prover's verdict and label for every
+    // domain × budget × input.
     let ds = blobs(50, 3);
     for domain in [
         DomainKind::Box,
@@ -483,23 +525,22 @@ fn certify_verdicts_invariant_under_subsume_toggle() {
     ] {
         for n in [0usize, 4, 16, 64] {
             for x in [[0.5], [5.1], [9.5]] {
-                let outcome = |subsume: bool, threads: usize| {
-                    Certifier::new(&ds)
+                let case = format!("{domain:?} x={x:?} n={n}");
+                let base = unpruned_outcome(&ds, &x, n, 2, domain, &ExecContext::sequential());
+                for threads in [1, 4] {
+                    let o = Certifier::new(&ds)
                         .depth(2)
                         .domain(domain)
                         .threads(threads)
-                        .subsume(subsume)
-                        .certify(&x, n)
-                };
-                let base = outcome(false, 1);
-                for (subsume, threads) in [(true, 1), (true, 4), (false, 4)] {
-                    let o = outcome(subsume, threads);
+                        .certify(&x, n);
                     assert_eq!(
-                        o.verdict, base.verdict,
-                        "{domain:?} x={x:?} n={n} subsume={subsume} threads={threads}"
+                        (o.verdict, o.label),
+                        base,
+                        "{case} pruned threads={threads}"
                     );
-                    assert_eq!(o.label, base.label);
                 }
+                let plain = unpruned_outcome(&ds, &x, n, 2, domain, &ExecContext::new().threads(4));
+                assert_eq!(plain, base, "{case} unpruned threads=4");
             }
         }
     }
@@ -509,25 +550,25 @@ fn certify_verdicts_invariant_under_subsume_toggle() {
 fn cached_sweep_is_bit_identical_under_a_binding_disjunct_budget() {
     // With a small disjunct budget some probes deterministically abort
     // with `DisjunctBudget`. The cached sweep must report the exact same
-    // per-rung budget_exhausted/verified counts as --no-cache: every
-    // probe lies inside its point's open verdict gap, so each one still
-    // runs its abstract interpretation under the memoized label.
+    // per-rung budget_exhausted/verified counts as plain certify_in under
+    // the same budget: every probe lies inside its point's open verdict
+    // gap, so each one still runs its abstract interpretation under the
+    // memoized label.
     let ds = blobs(60, 7);
     let xs = test_points(16);
-    let cfg = |cache: bool| SweepConfig {
+    let cfg = SweepConfig {
         depth: 3,
         domain: DomainKind::Disjuncts,
         timeout: None,
         max_live_disjuncts: Some(24),
         threads: 1,
-        cache,
         ..SweepConfig::default()
     };
-    let fresh = antidote_core::sweep_in(&ds, &xs, &cfg(false), &ExecContext::sequential());
-    let cached = antidote_core::sweep_in(&ds, &xs, &cfg(true), &ExecContext::sequential());
-    assert_eq!(key(&fresh), key(&cached), "budget-limited ladder diverged");
+    let reference = memo_free_ladder(&ds, &xs, 3, DomainKind::Disjuncts, Some(24));
+    let cached = antidote_core::sweep_in(&ds, &xs, &cfg, &ExecContext::sequential());
+    assert_eq!(key(&cached), reference, "budget-limited ladder diverged");
     assert!(
-        fresh.iter().any(|p| p.budget_exhausted > 0),
+        reference.iter().any(|r| r.5 > 0),
         "sanity: the budget must actually bind somewhere"
     );
 }
