@@ -8,7 +8,9 @@
 //! [`RunMetrics`](antidote_core::RunMetrics) per cell
 //! ([`ExecContext::fresh_metrics`]), so every cell reports attributable
 //! counters while cancellation still chains from the run's parent
-//! context. Cells run without per-instance timeouts; their ladders,
+//! context. The domain axis cannot change a flip ladder, so each
+//! scenario's flip ladder runs once and its three flip cells record that
+//! one run. Cells run without per-instance timeouts; their ladders,
 //! verdicts, and counters are therefore thread-invariant (pinned by
 //! `tests/matrix_determinism.rs`), and only wall-clock differs between
 //! `--threads 1` and `--threads N`.
@@ -82,7 +84,8 @@ pub struct MatrixCell {
     /// Cell-scoped engine counters (see [`ExecContext::fresh_metrics`]).
     pub metrics: MetricsSnapshot,
     /// Cell wall-clock (thread- and load-dependent; excluded from the
-    /// determinism contract).
+    /// determinism contract). A scenario's three flip cells record one
+    /// run, so they report its wall-clock.
     pub wall: Duration,
 }
 
@@ -187,6 +190,9 @@ struct CellSpec {
     max_n: usize,
     train: Arc<Dataset>,
     xs: Arc<Vec<Vec<f64>>>,
+    /// Index of the spec whose ladder this cell records: its own, except
+    /// on a flip cell past the scenario's first domain.
+    source: usize,
 }
 
 /// Runs the scenario × threat × domain grid and returns the report.
@@ -221,10 +227,14 @@ pub fn run_matrix_in(
         let (train, xs) = s.workload(cfg.seed);
         let (train, xs) = (Arc::new(train), Arc::new(xs));
         for threat in ThreatModel::ALL {
-            for domain in DOMAINS {
-                let (depth, max_n) = match threat {
-                    ThreatModel::Remove => (s.depth, s.max_n),
-                    ThreatModel::LabelFlip => (s.flip_depth, s.flip_max_n),
+            for (k, domain) in DOMAINS.into_iter().enumerate() {
+                let (depth, max_n, source) = match threat {
+                    ThreatModel::Remove => (s.depth, s.max_n, specs.len()),
+                    // The flip learner is inherently disjunctive, so the
+                    // domain axis cannot change a flip ladder: the
+                    // scenario's first flip cell runs it, and the other
+                    // two record that run.
+                    ThreatModel::LabelFlip => (s.flip_depth, s.flip_max_n, specs.len() - k),
                 };
                 specs.push(CellSpec {
                     scenario: s.name.clone(),
@@ -235,6 +245,7 @@ pub fn run_matrix_in(
                     max_n,
                     train: Arc::clone(&train),
                     xs: Arc::clone(&xs),
+                    source,
                 });
             }
         }
@@ -242,10 +253,13 @@ pub fn run_matrix_in(
 
     let inner_threads = parent.child_threads_for(specs.len());
     let t0 = Instant::now();
-    let cells: Vec<MatrixCell> = parent.par_map(&specs, |_, spec| {
+    let ran: Vec<Option<MatrixCell>> = parent.par_map(&specs, |i, spec| {
+        if spec.source != i {
+            return None;
+        }
         // A per-cell child context with isolated metrics: counters are
         // attributable to the cell, cancellation still chains from the
-        // parent, and the snapshot is rolled back up after the cell.
+        // parent, and the snapshot is rolled back up after the grid.
         let ctx = parent.child().threads(inner_threads).fresh_metrics();
         let cell_t0 = Instant::now();
         let ladder = match spec.threat {
@@ -268,10 +282,7 @@ pub fn run_matrix_in(
                 flip_sweep(&spec.train, &spec.xs, spec.depth, spec.max_n, &ctx)
             }
         };
-        let wall = cell_t0.elapsed();
-        let metrics = ctx.metrics().snapshot();
-        parent.metrics().absorb(&metrics);
-        MatrixCell {
+        Some(MatrixCell {
             scenario: spec.scenario.clone(),
             description: spec.description.clone(),
             threat: spec.threat,
@@ -281,10 +292,22 @@ pub fn run_matrix_in(
             train_rows: spec.train.len(),
             test_points: spec.xs.len(),
             ladder,
-            metrics,
-            wall,
-        }
+            metrics: ctx.metrics().snapshot(),
+            wall: cell_t0.elapsed(),
+        })
     });
+    // A flip cell past its scenario's first domain records that cell's
+    // run under its own domain key. Every cell's snapshot, the copies
+    // included, is absorbed into the parent.
+    let cells: Vec<MatrixCell> = specs
+        .iter()
+        .map(|spec| {
+            let mut cell = ran[spec.source].clone().expect("a cell's source cell ran");
+            cell.domain = spec.domain;
+            parent.metrics().absorb(&cell.metrics);
+            cell
+        })
+        .collect();
     // Totals are folded from the cells themselves, not read off the
     // parent's metrics: a caller-provided parent may carry counters from
     // earlier work (or an earlier matrix run), and the report must stay

@@ -1476,7 +1476,7 @@ mod tests {
     fn max_session_bytes_counts_each_sessions_split_memo() {
         // Tenant "a"'s warm state, modelled outside the service: the same
         // certify calls on the same snapshot fill an equal certificate
-        // cache and bestSplit# memo.
+        // cache, bestSplit# memo and concrete trace memo.
         let ds = Benchmark::Iris.load(Scale::Small, 0).0;
         let xs = [[5.0, 3.4, 1.5, 0.2], [6.7, 3.0, 5.2, 2.3]];
         let learner = antidote_core::SharedLearner::new(&ds, SessionConfig::default().transformer);
@@ -1490,11 +1490,12 @@ mod tests {
                 .certify_cached(x, 2, slot, &cache, &ExecContext::sequential())
                 .unwrap();
         }
-        let memo = learner.memo().approx_bytes();
-        assert!(memo > 0);
+        let memo = learner.approx_bytes();
+        assert!(learner.memo().approx_bytes() > 0);
+        assert!(learner.trace_memo().approx_bytes() > 0);
         // Both tenants' datasets and "a"'s cache; "b" loads cold under
         // another domain, so it does not join "a"'s warm unit. The
-        // watermark sits between that total and the total with the memo.
+        // watermark sits between that total and the total with the memos.
         let without_memo = 2 * ds.approx_bytes() + cache.approx_bytes();
         let mut svc = Service::new(1).max_session_bytes(without_memo + memo / 2);
         let load = |h: &str, domain: &str| {

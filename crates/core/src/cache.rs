@@ -7,8 +7,9 @@
 //! two kinds of state across rungs:
 //!
 //! 1. **The reference label** — `DTrace(T, x)` is derived once per point
-//!    with [`dtrace_label`] and reused at every later rung, so a later
-//!    probe runs only the budget-dependent abstract interpretation.
+//!    by the certifier (`Certifier::reference_label`) and reused at every
+//!    later rung, so a later probe runs only the budget-dependent
+//!    abstract interpretation.
 //! 2. **Verdict intervals** — DrewsAD20's robustness property is monotone
 //!    in `n` (robust at `n` implies robust at every `n' ≤ n`). The cache
 //!    records `[max_robust, min_unknown]` and an exact memo of complete
@@ -31,10 +32,12 @@
 //! budget the cached ladder still runs every abstract interpretation and
 //! stays bit-identical; under a wall-clock timeout the same timing caveat
 //! as the engine's thread-invariance contract applies (a cached probe
-//! skips the concrete trace, so it can finish where a fresh one times
-//! out). Direct users of `Certifier::certify_cached` get short-circuits
-//! unconditionally: the answers are always *sound*, they just bypass
-//! resource accounting.
+//! skips the concrete trace, and within a ladder or session a cache miss
+//! mostly skips it too, since its trace reads the tree nodes earlier
+//! points memoized in the shared learner state; either can finish where
+//! a fresh probe times out). Direct users of `Certifier::certify_cached`
+//! get short-circuits unconditionally: the answers are always *sound*,
+//! they just bypass resource accounting.
 //!
 //! **Epoch stamping (DESIGN.md §11).** Every cache is stamped with the
 //! [`Dataset::epoch`] it answers for, and `certify_cached` returns a hard
@@ -50,8 +53,7 @@
 
 use crate::certify::{Outcome, Verdict};
 use crate::engine::{Counter, RunMetrics};
-use antidote_data::{ClassId, Dataset, DeltaSummary, Subset};
-use antidote_tree::dtrace::dtrace_label;
+use antidote_data::{ClassId, Dataset, DeltaSummary};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Mutex;
@@ -223,13 +225,21 @@ impl CertCache {
             .expect("cache entry lock poisoned")
     }
 
-    /// The reference label `DTrace(T, x)` for `point`, deriving it with
-    /// [`dtrace_label`] on first use at this epoch.
+    /// The reference label `DTrace(T, x)` for `point`, calling `derive`
+    /// for it on first use at this epoch and returning the stored label
+    /// after that. `Certifier::certify_cached` passes its own
+    /// `reference_label`, so one module decides how a label is derived.
     ///
     /// In debug builds, panics when `point` was previously used with a
     /// different `(x, depth)` — cached verdicts are only sound for the
     /// input they were derived from.
-    pub fn label(&self, point: usize, ds: &Dataset, x: &[f64], depth: usize) -> ClassId {
+    pub fn label(
+        &self,
+        point: usize,
+        x: &[f64],
+        depth: usize,
+        derive: impl FnOnce() -> ClassId,
+    ) -> ClassId {
         let mut e = self.entry(point);
         debug_assert!(
             e.key
@@ -242,7 +252,7 @@ impl CertCache {
             return label;
         }
         e.key = Some((x.to_vec(), depth));
-        let label = dtrace_label(ds, &Subset::full(ds), x, depth);
+        let label = derive();
         e.label = Some(label);
         label
     }
@@ -458,19 +468,28 @@ mod tests {
         }
     }
 
+    /// `point`'s depth-1 label, derived the way `certify_cached` derives
+    /// it: by the certifier.
+    fn derive_label(cache: &CertCache, point: usize, ds: &Dataset, x: &[f64]) -> ClassId {
+        cache.label(point, x, 1, || {
+            crate::Certifier::new(ds).depth(1).reference_label(x)
+        })
+    }
+
     #[test]
     fn trace_is_memoized_and_matches_dtrace() {
         let ds = synth::figure2();
-        let full = Subset::full(&ds);
+        let full = antidote_data::Subset::full(&ds);
         let cache = CertCache::new(2);
         assert_eq!(cache.cached_label(0), None);
-        let label = cache.label(0, &ds, &[5.0], 1);
+        let label = derive_label(&cache, 0, &ds, &[5.0]);
         assert_eq!(label, antidote_tree::dtrace(&ds, &full, &[5.0], 1).label);
         assert_eq!(cache.cached_label(0), Some(label), "memoized on first use");
-        assert_eq!(cache.label(0, &ds, &[5.0], 1), label);
+        let again = cache.label(0, &[5.0], 1, || unreachable!("derived once per epoch"));
+        assert_eq!(again, label);
         assert_eq!(cache.cached_label(1), None, "entries are independent");
         // Point 1 derives its own label (x = 18 is black, x = 5 white).
-        let other = cache.label(1, &ds, &[18.0], 1);
+        let other = derive_label(&cache, 1, &ds, &[18.0]);
         assert_eq!(other, antidote_tree::dtrace(&ds, &full, &[18.0], 1).label);
         assert_ne!(other, label);
         assert_eq!(cache.cached_label(0), Some(label));
@@ -484,9 +503,9 @@ mod tests {
     fn mis_keyed_point_panics_in_debug_builds() {
         let ds = synth::figure2();
         let cache = CertCache::new(1);
-        let _ = cache.label(0, &ds, &[5.0], 1);
+        let _ = derive_label(&cache, 0, &ds, &[5.0]);
         // Same key, different input: unsound reuse, caught in debug.
-        let _ = cache.label(0, &ds, &[18.0], 1);
+        let _ = derive_label(&cache, 0, &ds, &[18.0]);
     }
 
     #[test]
@@ -537,7 +556,7 @@ mod tests {
         let ds = synth::figure2();
         let cache = CertCache::for_dataset(&ds, 3);
         // Point 0: label + full verdict interval.
-        let label = cache.label(0, &ds, &[5.0], 1);
+        let label = derive_label(&cache, 0, &ds, &[5.0]);
         cache.record(0, 4, &outcome(Verdict::Robust, label));
         cache.record(0, 9, &outcome(Verdict::Unknown, label));
         // Point 1: a bound with no label source cannot carry.
@@ -576,7 +595,7 @@ mod tests {
             DatasetDelta::new().flip_label(0, 0).clone(), // row 0 is black
         ] {
             let cache = CertCache::for_dataset(&ds, 2);
-            let label = cache.label(0, &ds, &[5.0], 1);
+            let label = derive_label(&cache, 0, &ds, &[5.0]);
             cache.record(0, 5, &outcome(Verdict::Robust, label));
             let (next, summary) = ds.apply_summarized(&delta).unwrap();
             assert!(!summary.pure_removal());
@@ -593,7 +612,7 @@ mod tests {
     fn transfer_drops_bounds_smaller_than_the_removal() {
         let ds = synth::figure2();
         let cache = CertCache::for_dataset(&ds, 1);
-        let label = cache.label(0, &ds, &[5.0], 1);
+        let label = derive_label(&cache, 0, &ds, &[5.0]);
         cache.record(0, 1, &outcome(Verdict::Robust, label));
         let (next, summary) = ds
             .apply_summarized(DatasetDelta::new().remove(0).remove(1))
@@ -609,7 +628,7 @@ mod tests {
     fn chained_transfers_keep_shrinking_the_bound() {
         let ds = synth::figure2();
         let cache = CertCache::for_dataset(&ds, 1);
-        let label = cache.label(0, &ds, &[5.0], 1);
+        let label = derive_label(&cache, 0, &ds, &[5.0]);
         cache.record(0, 3, &outcome(Verdict::Robust, label));
         let metrics = RunMetrics::default();
         let (e1, s1) = ds.apply_summarized(DatasetDelta::new().remove(0)).unwrap();
@@ -631,8 +650,8 @@ mod tests {
         // transfers — same carried labels, same bounds, at every budget.
         let ds = synth::figure2();
         let cache = CertCache::for_dataset(&ds, 2);
-        let l0 = cache.label(0, &ds, &[5.0], 1);
-        let l1 = cache.label(1, &ds, &[0.5], 1);
+        let l0 = derive_label(&cache, 0, &ds, &[5.0]);
+        let l1 = derive_label(&cache, 1, &ds, &[0.5]);
         cache.record(0, 4, &outcome(Verdict::Robust, l0));
         cache.record(1, 2, &outcome(Verdict::Robust, l1)); // dies mid-chain
         let (e1, s1) = ds.apply_summarized(DatasetDelta::new().remove(0)).unwrap();
@@ -681,7 +700,7 @@ mod tests {
         // its first epoch was pure.
         let ds = synth::figure2();
         let cache = CertCache::for_dataset(&ds, 1);
-        let label = cache.label(0, &ds, &[5.0], 1);
+        let label = derive_label(&cache, 0, &ds, &[5.0]);
         cache.record(0, 5, &outcome(Verdict::Robust, label));
         let (e1, s1) = ds.apply_summarized(DatasetDelta::new().remove(0)).unwrap();
         let (e2, s2) = e1
@@ -716,7 +735,7 @@ mod tests {
     fn ensure_slots_grows_without_touching_existing_entries() {
         let ds = synth::figure2();
         let mut cache = CertCache::for_dataset(&ds, 1);
-        let label = cache.label(0, &ds, &[5.0], 1);
+        let label = derive_label(&cache, 0, &ds, &[5.0]);
         cache.record(0, 2, &outcome(Verdict::Robust, label));
         cache.ensure_slots(3);
         assert_eq!(cache.len(), 3);

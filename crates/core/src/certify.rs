@@ -140,14 +140,16 @@ impl<'a> Certifier<'a> {
 
     /// Borrows a ladder's or session's learner state: the abstract run
     /// probes the given [`SharedLearner`]'s `bestSplit#` memo instead of
-    /// computing every `bestSplit#`, so split analyses computed for one
-    /// point or request answer every later one on the same
+    /// computing every `bestSplit#`, and
+    /// [`reference_label`](Certifier::reference_label) traces through its
+    /// concrete trace memo, so split analyses and tree nodes computed for
+    /// one point or request answer every later one on the same
     /// `(dataset, config)`. Frontier hash-consing stays per run either
-    /// way. Verdicts are bit-identical with and without it.
+    /// way. Verdicts and labels are bit-identical with and without it.
     ///
     /// The shared state's epoch must match this certifier's dataset —
-    /// `certify` panics otherwise (same hard stamp the memo itself
-    /// enforces).
+    /// `certify` panics otherwise (same hard stamp the memos themselves
+    /// enforce).
     pub fn shared_state(mut self, shared: &'a SharedLearner) -> Self {
         self.shared = Some(shared);
         self
@@ -170,9 +172,15 @@ impl<'a> Certifier<'a> {
     }
 
     /// The concrete reference label `DTrace(T, x)` (Definition 3.1's
-    /// `L(T)(x)`).
+    /// `L(T)(x)`). With [`shared_state`](Certifier::shared_state) set, the
+    /// trace runs through the shared concrete trace memo, which searches
+    /// each tree node's split once per ladder or session epoch; without
+    /// it, every call runs plain `dtrace`. Both derive the same label.
     pub fn reference_label(&self, x: &[f64]) -> ClassId {
-        dtrace_label(self.ds, &Subset::full(self.ds), x, self.depth)
+        match self.shared {
+            Some(shared) => shared.trace_memo().dtrace(self.ds, x, self.depth).label,
+            None => dtrace_label(self.ds, &Subset::full(self.ds), x, self.depth),
+        }
     }
 
     /// The execution context `certify` would run under, with the
@@ -287,7 +295,7 @@ impl<'a> Certifier<'a> {
             None => {
                 ctx.metrics().record(Counter::CacheMisses, 1);
                 ctx.metrics().record(Counter::CertifyCalls, 1);
-                cache.label(point, self.ds, x, self.depth)
+                cache.label(point, x, self.depth, || self.reference_label(x))
             }
         };
         let out = self.certify_inner(x, n, ctx, Some(label));

@@ -207,10 +207,11 @@ counters! {
     /// path; divided by `requests_served` it is the `metrics` op's
     /// `cross_request_hit_rate`.
     CrossRequestCacheHits cross_request_cache_hits: Sum, metrics_op;
-    /// Full certifier invocations: a from-scratch derivation of the
-    /// concrete reference label plus a fresh abstract run. Cache hits,
-    /// whether they run the abstract interpreter or not, are not counted
-    /// here.
+    /// Full certifier invocations: a derivation of the concrete reference
+    /// label (through the ladder's or session's trace memo when one is
+    /// lent, so it may read memoized tree nodes) plus a fresh abstract
+    /// run. Cache hits, whether they run the abstract interpreter or not,
+    /// are not counted here.
     CertifyCalls certify_calls: Sum, metrics_op;
     /// Cache hits: probes answered with cached state, either by an
     /// abstract run under the memoized reference label or fully (no

@@ -99,7 +99,7 @@ pub use engine::{ExecContext, MetricsSnapshot, RunMetrics};
 pub use ensemble::{certify_forest, certify_forest_in, EnsembleConfig, EnsembleOutcome};
 pub use flip::certify_label_flips;
 pub use learner::DomainKind;
-pub use memo::{SharedLearner, SplitMemo};
+pub use memo::{SharedLearner, SplitMemo, TraceMemo};
 pub use report::{explain, Explanation};
 pub use sched::{ProbeScheduler, RungPlan};
 pub use score::{best_split_abs, AbsSplitResult};

@@ -1,5 +1,5 @@
-//! Ladder- and session-shared memoization of `bestSplit#` (DESIGN.md
-//! §9.2).
+//! Ladder- and session-shared memoization of `bestSplit#` and of the
+//! concrete `bestSplit` (DESIGN.md §9.2).
 //!
 //! The abstract learner's dominant cost is the per-feature
 //! scored-candidates sweep behind [`best_split_abs`], re-run for every
@@ -44,11 +44,24 @@
 //! (see [`SplitMemo::best_split`]) routes small-base probes around the
 //! table — those run the sweep directly and count as misses, exactly as
 //! a cold table would have charged them.
+//!
+//! # The concrete trace memo
+//!
+//! Every certify call also needs the concrete reference label
+//! `DTrace(T, x)`, and running `DTrace` for every `x` walks one tree
+//! (§3.3): a depth-`d` ladder or session epoch needs at most `2^d − 1`
+//! concrete `bestSplit` searches, however many points it labels.
+//! [`TraceMemo`] keeps each search's result per fragment, so each tree
+//! node is learned once per [`SharedLearner`]. It has no admission guard
+//! and no counter: every key is a node some trace reached, and the table
+//! never holds more than the tree's inner nodes.
 
 use crate::engine::{Counter, RunMetrics};
 use crate::score::{best_split_abs, AbsSplitResult};
 use antidote_data::{Dataset, Subset};
 use antidote_domains::{AbsPredicate, AbstractSet, CprobTransformer};
+use antidote_tree::dtrace::{dtrace_with, TraceResult};
+use antidote_tree::split::{best_split, SplitChoice};
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
@@ -207,29 +220,117 @@ impl SplitMemo {
     }
 }
 
+/// The concrete `bestSplit` memo of a [`SharedLearner`]: one
+/// `bestSplit(T)` result per training-set fragment `T`, stamped with the
+/// dataset epoch it was built against (module docs).
+///
+/// `bestSplit` is a deterministic function of the fragment on one
+/// training set (ties break by score, feature and threshold), so a
+/// memoized trace is bit-identical to plain
+/// [`dtrace`](antidote_tree::dtrace::dtrace): same steps, same final
+/// fragment, same label. Two workers tracing through one unsearched node
+/// both run the search, and the second insert keeps the stored value;
+/// the two are equal, so which one wins does not matter.
+#[derive(Debug)]
+pub struct TraceMemo {
+    epoch: u64,
+    table: Mutex<HashMap<Subset, Option<SplitChoice>>>,
+}
+
+impl TraceMemo {
+    /// An empty memo stamped with `ds`'s current epoch.
+    pub(crate) fn new(ds: &Dataset) -> Self {
+        TraceMemo {
+            epoch: ds.epoch(),
+            table: Mutex::default(),
+        }
+    }
+
+    /// `DTrace(T, x)` from the full training set with at most `depth`
+    /// splits, each tree node's `bestSplit` searched on its first visit
+    /// and read from the table after that.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `ds` is not at the epoch this memo was stamped with —
+    /// a hard assert, active in release builds too, since memoized splits
+    /// describe one training set — and under the same conditions as
+    /// [`dtrace`](antidote_tree::dtrace::dtrace).
+    pub fn dtrace(&self, ds: &Dataset, x: &[f64], depth: usize) -> TraceResult {
+        assert_eq!(
+            self.epoch,
+            ds.epoch(),
+            "TraceMemo stamped for dataset epoch {} used against epoch {}",
+            self.epoch,
+            ds.epoch(),
+        );
+        dtrace_with(ds, &Subset::full(ds), x, depth, |t| {
+            if let Some(&hit) = self.table.lock().expect("memo lock poisoned").get(t) {
+                return hit;
+            }
+            let choice = best_split(ds, t);
+            *self
+                .table
+                .lock()
+                .expect("memo lock poisoned")
+                .entry(t.clone())
+                .or_insert(choice)
+        })
+    }
+
+    /// Number of tree nodes whose split has been searched.
+    pub fn len(&self) -> usize {
+        self.table.lock().expect("memo lock poisoned").len()
+    }
+
+    /// Whether no node has been searched yet.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Approximate heap footprint in bytes: each key's subset payload
+    /// plus its stored result. Walked under the table's lock.
+    pub fn approx_bytes(&self) -> usize {
+        self.table
+            .lock()
+            .expect("memo lock poisoned")
+            .keys()
+            .map(|t| t.approx_bytes() + std::mem::size_of::<Option<SplitChoice>>())
+            .sum()
+    }
+}
+
 /// Learner state shared **across** certify calls: one `bestSplit#`
-/// memo, stamped for a single dataset epoch.
+/// memo and one concrete trace memo, both stamped for a single dataset
+/// epoch.
 ///
 /// Every §6.1 removal ladder builds one `SharedLearner` for its whole
 /// run (`sweep_in`, `sweep_cached` and so each drift epoch, the matrix,
 /// the CLI), and a [`crate::session::Session`] owns one per (dataset
 /// epoch, config) for every request it serves. Either way it is lent to
 /// each certify call via `Certifier::shared_state`, so every point and
-/// rung of a ladder, and every request of a session, shares the memo.
-/// A single certify call without one computes every `bestSplit#`
-/// directly. Frontier hash-consing is always per run: each learner run
-/// interns through its own [`SubsetInterner`](antidote_data::SubsetInterner)
-/// and drops it on return, so nothing but the memo outlives a run.
+/// rung of a ladder, and every request of a session, shares both memos:
+/// the abstract run probes the [`SplitMemo`], and the reference label is
+/// traced through the [`TraceMemo`], so the ladder or session epoch
+/// learns each concrete tree node once. A single certify call without
+/// one computes every `bestSplit#` directly and derives its label with
+/// plain `dtrace`. Frontier hash-consing is always per run: each learner
+/// run interns through its own
+/// [`SubsetInterner`](antidote_data::SubsetInterner) and drops it on
+/// return, so nothing but the memos outlives a run.
 ///
 /// Sharing is sound and deterministic:
 ///
 /// * `bestSplit#` is a pure function of `(base, n, transformer)` on one
 ///   training set — the test input `x` never enters it — so entries
 ///   written by one point's or request's run are bit-identical to what
-///   any other would compute ([`SplitMemo`] docs).
-/// * The epoch stamp is enforced by [`SplitMemo::best_split`]'s hard
-///   assert; sessions rebuild the shared state at every epoch advance,
-///   and `sweep_cached` builds one per call, so per drift epoch.
+///   any other would compute ([`SplitMemo`] docs). The concrete
+///   `bestSplit` is a pure function of the fragment, so memoized traces
+///   equal plain `dtrace` ([`TraceMemo`] docs).
+/// * The epoch stamp is enforced by [`SplitMemo::best_split`]'s and
+///   [`TraceMemo::dtrace`]'s hard asserts; sessions rebuild the shared
+///   state at every epoch advance, and `sweep_cached` builds one per
+///   call, so per drift epoch.
 /// * Aggregate counters stay admission-order-invariant under
 ///   concurrency: the memo reconciles at insert time (hits = probes −
 ///   distinct keys), an order-free quantity. Per-*request* attribution
@@ -239,6 +340,7 @@ impl SplitMemo {
 #[derive(Debug)]
 pub struct SharedLearner {
     memo: SplitMemo,
+    trace: TraceMemo,
 }
 
 impl SharedLearner {
@@ -246,6 +348,7 @@ impl SharedLearner {
     pub fn new(ds: &Dataset, transformer: CprobTransformer) -> Self {
         SharedLearner {
             memo: SplitMemo::new_shared(ds, transformer),
+            trace: TraceMemo::new(ds),
         }
     }
 
@@ -257,6 +360,17 @@ impl SharedLearner {
     /// The shared `bestSplit#` memo.
     pub fn memo(&self) -> &SplitMemo {
         &self.memo
+    }
+
+    /// The shared concrete trace memo.
+    pub fn trace_memo(&self) -> &TraceMemo {
+        &self.trace
+    }
+
+    /// Approximate heap footprint of both memos, in bytes: the measure a
+    /// session's byte-budget eviction adds for its learner state.
+    pub fn approx_bytes(&self) -> usize {
+        self.memo.approx_bytes() + self.trace.approx_bytes()
     }
 }
 
@@ -365,5 +479,17 @@ mod tests {
             .unwrap();
         let a = AbstractSet::full(&mutated, 1);
         let _ = memo.best_split(&mutated, &a, &RunMetrics::default());
+    }
+
+    #[test]
+    #[should_panic(expected = "TraceMemo stamped for dataset epoch 0 used against epoch 1")]
+    fn trace_memo_rejects_a_mutated_dataset() {
+        let ds = synth::figure2();
+        let learner = SharedLearner::new(&ds, CprobTransformer::Optimal);
+        assert_eq!(learner.trace_memo().dtrace(&ds, &[5.0], 1).label, 0);
+        let mutated = ds
+            .apply(antidote_data::DatasetDelta::new().remove(0))
+            .unwrap();
+        let _ = learner.trace_memo().dtrace(&mutated, &[5.0], 1);
     }
 }

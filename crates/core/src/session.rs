@@ -4,12 +4,12 @@
 //! A one-shot pipeline run builds its caches, answers one question, and
 //! drops everything. The service inverts that ownership: a [`Session`]
 //! owns the per-`(dataset, config)` state that is worth keeping warm —
-//! the cross-rung [`CertCache`] and the persistent `bestSplit#` memo
-//! ([`SharedLearner`]) — and every request *borrows* that state for the
-//! duration of one certification. Repeat questions are then answered
-//! from monotone verdict intervals without any abstract run, and even
-//! novel questions reuse the memoized reference labels and split
-//! analyses of their predecessors.
+//! the cross-rung [`CertCache`] and the persistent `bestSplit#` and
+//! concrete trace memos ([`SharedLearner`]) — and every request *borrows*
+//! that state for the duration of one certification. Repeat questions
+//! are then answered from monotone verdict intervals without any
+//! abstract run, and even novel questions reuse the memoized reference
+//! labels, tree nodes and split analyses of their predecessors.
 //!
 //! The [`RequestEngine`] sits in front: it admits a batch of
 //! certify/sweep requests (possibly across several sessions),
@@ -346,13 +346,14 @@ impl Session {
 
     /// Approximate bytes of warm state reachable from this session's
     /// current unit — the measure the service's byte-budget eviction
-    /// watermark sums: the dataset, the certificate cache and the
-    /// `bestSplit#` memo, whose entries accumulate over every request
-    /// of the epoch. Walks the cache and the memo under their locks.
+    /// watermark sums: the dataset, the certificate cache and the shared
+    /// learner state (the `bestSplit#` memo and the concrete trace memo),
+    /// whose entries accumulate over every request of the epoch. Walks
+    /// the cache and the memos under their locks.
     pub fn approx_bytes(&self) -> usize {
         let unit = self.unit();
         let st = unit.state.read().expect("session lock poisoned");
-        st.ds.approx_bytes() + st.cache.approx_bytes() + st.shared.memo().approx_bytes()
+        st.ds.approx_bytes() + st.cache.approx_bytes() + st.shared.approx_bytes()
     }
 
     /// Number of distinct points this session has certified (its cache
@@ -479,9 +480,9 @@ impl Session {
     /// the mutation chain described by `summaries` (one per epoch
     /// crossed, as returned by `DatasetRegistry::apply_delta_many`) in a
     /// single batched [`CertCache::transfer_batched`]. The shared
-    /// learner state is rebuilt — memoized split analyses describe the
-    /// old epoch's subsets and cannot transfer — while point→slot
-    /// assignments survive.
+    /// learner state is rebuilt — memoized splits and split analyses
+    /// describe the old epoch's subsets and cannot transfer — while
+    /// point→slot assignments survive.
     ///
     /// # Panics
     ///

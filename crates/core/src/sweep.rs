@@ -12,10 +12,11 @@
 //! differs.
 //!
 //! Every removal ladder threads a [`CertCache`] through its rungs and
-//! shares one `bestSplit#` memo across its points, and every ladder lets
-//! a [`ProbeScheduler`] plan its rungs. None of them moves a ladder: the
-//! probed budgets and per-rung counts equal those of per-probe
-//! [`Certifier::certify_in`] (pinned in `tests/determinism.rs`).
+//! shares one `bestSplit#` memo and one concrete trace memo across its
+//! points, and every ladder lets a [`ProbeScheduler`] plan its rungs.
+//! None of them moves a ladder: the probed budgets and per-rung counts
+//! equal those of per-probe [`Certifier::certify_in`] (pinned in
+//! `tests/determinism.rs`).
 
 use crate::cache::CertCache;
 use crate::certify::{Certifier, Outcome, Verdict};
@@ -211,8 +212,10 @@ pub fn sweep_cached(
 /// one-shot ladder's own, or the session's persistent one. `bestSplit#`
 /// reads only `⟨T, n⟩`, never the test point, so every point of a rung
 /// asks the same root question and most layer-1 states recur from point
-/// to point; the shared memo computes each once per ladder. Neither the
-/// cache nor the memo changes the ladder itself: the probed budgets and
+/// to point; the shared memo computes each once per ladder. Every
+/// point's reference label walks the same concrete tree, so the trace
+/// memo searches each tree node once per ladder too. Neither the
+/// cache nor the memos change the ladder itself: the probed budgets and
 /// per-rung verdict counts are those of memo-free, cache-free
 /// certification (pinned in `tests/determinism.rs` and the session
 /// differential tests).

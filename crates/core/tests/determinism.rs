@@ -9,11 +9,16 @@
 use antidote_core::engine::ExecContext;
 use antidote_core::learner::run_abstract_shared;
 use antidote_core::verdict::all_terminals_dominated_by;
-use antidote_core::{sweep, Certifier, DomainKind, SweepConfig, Verdict};
+use antidote_core::{sweep, CertCache, Certifier, DomainKind, SweepConfig, Verdict};
 use antidote_core::{Session, SessionConfig, SharedLearner};
+use antidote_data::dataset::Feature;
 use antidote_data::synth::{gaussian_blobs, BlobSpec};
-use antidote_data::{ClassId, Dataset};
+use antidote_data::{ClassId, Dataset, DatasetDelta, FeatureKind, Schema, Subset};
 use antidote_domains::{AbstractSet, CprobTransformer};
+use antidote_tree::dtrace::dtrace;
+use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use std::sync::Arc;
 
 /// Two separated 1-D Gaussian classes.
@@ -508,6 +513,97 @@ fn certify_verdicts_invariant_under_memo_toggle() {
                 "sanity: the shared memo must answer recurring states"
             );
         }
+    }
+}
+
+/// A random dataset for the trace-memo differential: boolean, real or
+/// mixed features on a small value grid (tied thresholds, duplicate rows
+/// and unsplittable fragments are the interesting cases), after a random
+/// removal delta half the time, so that its epoch is 1 and some rows are
+/// dead. Returns it with a batch of probe inputs: every live row, plus
+/// off-grid points.
+fn random_trace_instance(seed: u64) -> (Dataset, Vec<Vec<f64>>) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let schema_kind = rng.random_range(0..3);
+    let n_features = rng.random_range(if schema_kind == 2 { 2 } else { 1 }..=4usize);
+    let kinds: Vec<FeatureKind> = (0..n_features)
+        .map(|f| match schema_kind {
+            0 => FeatureKind::Bool,
+            1 => FeatureKind::Real,
+            _ if f % 2 == 0 => FeatureKind::Bool,
+            _ => FeatureKind::Real,
+        })
+        .collect();
+    let k = rng.random_range(2..=3usize);
+    let schema = Schema::new(
+        kinds
+            .iter()
+            .enumerate()
+            .map(|(i, &kind)| Feature {
+                name: format!("x{i}"),
+                kind,
+            })
+            .collect(),
+        (0..k).map(|c| format!("c{c}")).collect(),
+    )
+    .unwrap();
+    let value = |rng: &mut StdRng, kind: FeatureKind| match kind {
+        FeatureKind::Bool => rng.random_range(0..2) as f64,
+        FeatureKind::Real => rng.random_range(0..6) as f64,
+    };
+    let rows: Vec<(Vec<f64>, ClassId)> = (0..rng.random_range(2..=48usize))
+        .map(|_| {
+            let x = kinds.iter().map(|&kind| value(&mut rng, kind)).collect();
+            (x, rng.random_range(0..k) as ClassId)
+        })
+        .collect();
+    let mut ds = Dataset::from_rows(schema, &rows).unwrap();
+    if rng.random_range(0..2) == 0 {
+        let mut delta = DatasetDelta::new();
+        for r in 0..ds.len() as u32 - 1 {
+            if rng.random_range(0..3) == 0 {
+                delta.remove(r);
+            }
+        }
+        ds = ds.apply(&delta).unwrap();
+    }
+    let mut points: Vec<Vec<f64>> = ds.rows().map(|r| ds.row_values(r)).collect();
+    for _ in 0..4 {
+        points.push(
+            kinds
+                .iter()
+                .map(|&kind| value(&mut rng, kind) + rng.random_range(0..2) as f64 * 0.5)
+                .collect(),
+        );
+    }
+    (ds, points)
+}
+
+proptest! {
+    /// The concrete trace memo is invisible: one `SharedLearner` labels a
+    /// whole batch of points — through `certify_cached`, the path every
+    /// ladder and session takes — and traces them in full, and each
+    /// label and `TraceResult` equals plain `dtrace`'s. The table holds
+    /// only inner nodes of the depth-`d` tree, at most `2^d − 1` keys.
+    #[test]
+    fn memoized_reference_traces_equal_plain_dtrace(
+        seed in 0u64..1_000_000,
+        depth in 0usize..5,
+    ) {
+        let (ds, points) = random_trace_instance(seed);
+        let full = Subset::full(&ds);
+        let shared = SharedLearner::new(&ds, CprobTransformer::Optimal);
+        let certifier = Certifier::new(&ds).depth(depth).shared_state(&shared);
+        let cache = CertCache::for_dataset(&ds, points.len());
+        let ctx = ExecContext::sequential();
+        for (slot, x) in points.iter().enumerate() {
+            let plain = dtrace(&ds, &full, x, depth);
+            let out = certifier.certify_cached(x, 0, slot, &cache, &ctx).unwrap();
+            prop_assert_eq!(out.label, plain.label, "label of {:?} at depth {}", x, depth);
+            prop_assert_eq!(shared.trace_memo().dtrace(&ds, x, depth), plain);
+        }
+        let keys = shared.trace_memo().len();
+        prop_assert!(keys < 1 << depth, "{} keys at depth {}", keys, depth);
     }
 }
 

@@ -6,9 +6,16 @@
 //! instead of recursing into both sides. Running it for every `x` recovers
 //! the full tree (§3.3); its purpose here is to be the concrete semantics
 //! that `DTrace#` in `antidote-core` abstractly interprets.
+//!
+//! The loop exists once, in [`dtrace_with`], which takes the split search
+//! as a closure. [`dtrace`] passes the plain [`best_split`]. Because every
+//! input's trace walks the same tree, a caller tracing many inputs on one
+//! training set can pass a memoized search instead and learn each tree
+//! node once: `antidote-core`'s ladders and sessions do, through the
+//! concrete `bestSplit` memo of their shared learner state.
 
 use crate::predicate::Predicate;
-use crate::split::{best_split, cprob};
+use crate::split::{best_split, cprob, SplitChoice};
 use antidote_data::{ClassId, Dataset, Subset, ThresholdCmp};
 
 /// One step of a learned trace: the chosen predicate and whether the input
@@ -49,6 +56,24 @@ pub struct TraceResult {
 /// Panics if `initial` is empty (the concrete semantics is undefined there)
 /// or if `x` has fewer features than the dataset.
 pub fn dtrace(ds: &Dataset, initial: &Subset, x: &[f64], depth: usize) -> TraceResult {
+    dtrace_with(ds, initial, x, depth, |t| best_split(ds, t))
+}
+
+/// [`dtrace`] with the split search supplied by the caller: `split(T)`
+/// stands in for `bestSplit(T)` at every step and must return exactly
+/// what [`best_split`]`(ds, T)` returns, so that the trace is `DTrace`'s.
+/// `split` is only asked about impure fragments the trace reaches.
+///
+/// # Panics
+///
+/// Panics under the same conditions as [`dtrace`].
+pub fn dtrace_with(
+    ds: &Dataset,
+    initial: &Subset,
+    x: &[f64],
+    depth: usize,
+    mut split: impl FnMut(&Subset) -> Option<SplitChoice>,
+) -> TraceResult {
     assert!(
         !initial.is_empty(),
         "DTrace is undefined on an empty training set"
@@ -65,7 +90,7 @@ pub fn dtrace(ds: &Dataset, initial: &Subset, x: &[f64], depth: usize) -> TraceR
         if t.is_pure() {
             break; // ent(T) = 0
         }
-        let Some(choice) = best_split(ds, &t) else {
+        let Some(choice) = split(&t) else {
             break; // φ = ⋄
         };
         let satisfied = choice.predicate.eval(x);
