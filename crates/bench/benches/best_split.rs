@@ -1,7 +1,7 @@
-//! `bestSplit#` hot-loop microbenchmark: dense versus sparse candidate
-//! sweep, and one depth-3 certification, with a machine-readable
-//! `BENCH_split.json` snapshot so future learner changes have a
-//! dedicated hot-loop artifact next to the sweep-level
+//! `bestSplit#` hot-loop microbenchmark: the split walk on dense and
+//! sparse bases of real and boolean data, and one depth-3 certification,
+//! with a machine-readable `BENCH_split.json` snapshot so future learner
+//! changes have a dedicated hot-loop artifact next to the sweep-level
 //! `BENCH_sweep.json`.
 //!
 //! Run with:
@@ -12,11 +12,14 @@
 //!
 //! Two layers are measured:
 //!
-//! * **Sweep kernel** — `best_split_abs` on a dense base (the whole
-//!   training set: walks the dataset's precomputed per-feature value
-//!   order) and on a sparse fragment (below the `dense_enough`
-//!   threshold: gathers and sorts its own rows). These are the two code
-//!   paths every learner step bottoms out in.
+//! * **Split walk** — `best_split_abs` on the three forms of the one
+//!   walk every learner step bottoms out in (`antidote_tree::split`). On
+//!   the real-valued blobs: a dense base (the whole training set, which
+//!   walks the dataset's precomputed per-feature value order) and a
+//!   sparse fragment (under 1/8 of the rows, which gathers and sorts its
+//!   own rows). On the MNIST-1-7-binary training set (2,000 rows × 784
+//!   boolean pixels): a dense and a sparse base whose class counts come
+//!   from masked popcounts (`bool_dense_us`, `bool_sparse_us`).
 //! * **Certification** — one depth-3 disjunctive certify, whose
 //!   counters pin how many `bestSplit#` calls (`split_memo_misses`) and
 //!   frontier disjuncts the learner spends on it.
@@ -24,6 +27,7 @@
 use antidote_bench::perf::counter_lines;
 use antidote_core::engine::ExecContext;
 use antidote_core::{best_split_abs, Certifier, DomainKind};
+use antidote_data::benchmark::{Benchmark, Scale};
 use antidote_data::synth::{gaussian_blobs, BlobSpec};
 use antidote_data::{Dataset, Subset};
 use antidote_domains::{AbstractSet, CprobTransformer};
@@ -106,6 +110,24 @@ fn main() {
         opts.iters
     );
 
+    // Boolean features: the whole MNIST-like training set, and every
+    // tenth row of it.
+    let (pixels, _) = Benchmark::Mnist17Binary.load(Scale::Small, 0);
+    pixels.warm_indexes();
+    let bool_dense = AbstractSet::full(&pixels, 8);
+    let bool_dense_us = time_sweep(&pixels, &bool_dense, opts.iters);
+    let bool_sparse = AbstractSet::new(
+        Subset::from_indices(&pixels, pixels.rows().step_by(10).collect()),
+        4,
+    );
+    let bool_sparse_us = time_sweep(&pixels, &bool_sparse, opts.iters);
+    println!(
+        "best_split_abs on {}x{} booleans: dense {bool_dense_us:.1}us, sparse \
+         {bool_sparse_us:.1}us",
+        pixels.len(),
+        pixels.n_features()
+    );
+
     // One depth-3 disjunctive certify, best of five reps.
     let depth = 3;
     let n = 16;
@@ -140,6 +162,11 @@ fn main() {
   "sparse_rows": {},
   "dense_us": {dense_us:.3},
   "sparse_us": {sparse_us:.3},
+  "bool_rows": {},
+  "bool_features": {},
+  "bool_sparse_rows": {},
+  "bool_dense_us": {bool_dense_us:.3},
+  "bool_sparse_us": {bool_sparse_us:.3},
   "certify_depth": {depth},
   "certify_n": {n},
   "certify_ms": {certify_ms:.3},
@@ -150,6 +177,9 @@ fn main() {
         opts.iters,
         dense.len(),
         sparse.len(),
+        pixels.len(),
+        pixels.n_features(),
+        bool_sparse.len(),
         counter_lines(counters.counters(), "  "),
     );
     let path = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_split.json");

@@ -32,7 +32,7 @@ use crate::verdict::dominant_class;
 use antidote_data::{ClassId, Dataset, Subset, SubsetInterner, ThresholdCmp};
 use antidote_domains::flipset::{score_interval_flip, FlipSet};
 use antidote_tree::dtrace::dtrace_label;
-use antidote_tree::split::sweep_feature;
+use antidote_tree::split;
 use antidote_tree::Predicate;
 use std::time::Instant;
 
@@ -76,19 +76,12 @@ impl Footprint for FlipTerminal {
 /// Returns `(kept predicates, diamond)`; `diamond` is true exactly when
 /// the carrier admits no non-trivial split (identical to the concrete ⋄).
 pub fn best_split_flip(ds: &Dataset, f: &FlipSet) -> (Vec<Predicate>, bool) {
-    let total = f.subset().class_counts().to_vec();
     let n = f.n();
     let mut cands: Vec<(Predicate, f64, f64)> = Vec::new(); // (pred, lb, ub)
-    let mut right = vec![0u32; total.len()];
-    for feature in 0..ds.n_features() {
-        sweep_feature(ds, f.subset(), feature, |threshold, left, _left_len| {
-            for (r, (&t, &l)) in right.iter_mut().zip(total.iter().zip(left)) {
-                *r = t - l;
-            }
-            let iv = score_interval_flip(left, &right, n);
-            cands.push((Predicate { feature, threshold }, iv.lb(), iv.ub()));
-        });
-    }
+    split::sweep(ds, f.subset(), |cut| {
+        let iv = score_interval_flip(cut.left, cut.right, n);
+        cands.push((cut.predicate(), iv.lb(), iv.ub()));
+    });
     if cands.is_empty() {
         return (Vec::new(), true);
     }

@@ -17,17 +17,22 @@
 //!
 //! ## Candidate generation
 //!
-//! Boolean features contribute their concrete bit test. Real features
-//! contribute one *symbolic* predicate `x_i ≤ [a, b)` per adjacent pair of
-//! observed values in `T` (Appendix B.2) — a linear-size set that covers
-//! the `≈ n·|T|` thresholds a concretization-aware enumeration would need.
-//! Because the gap `(a, b)` contains no value of the *current* base set,
-//! `⟨T,n⟩↓#ρ` at scoring time coincides with the prefix restriction, so one
-//! sorted sweep per feature scores every candidate in O(k) each.
+//! The candidates are the cuts of the base set that the split walk
+//! ([`antidote_tree::split::sweep`]) visits; the concrete `bestSplit` and
+//! the label-flip learner run the same walk. Boolean features contribute
+//! their concrete bit test, whose class counts the walk takes from masked
+//! popcounts. Real features contribute one *symbolic* predicate
+//! `x_i ≤ [a, b)` per adjacent pair of observed values in `T`
+//! (Appendix B.2) — a linear-size set that covers the `≈ n·|T|`
+//! thresholds a concretization-aware enumeration would need. Because the
+//! gap `(a, b)` contains no value of the *current* base set, `⟨T,n⟩↓#ρ`
+//! at scoring time coincides with the prefix restriction, so one sorted
+//! walk per feature scores every candidate in O(k) each.
 //!
 //! ## One sweep, two consumers
 //!
-//! The sweep hands each candidate to a `CandidateSink`.
+//! The sweep scores each cut and hands the candidate to a
+//! `CandidateSink`.
 //! [`scored_candidates`] collects all of them (the two-pass reference:
 //! collect, then [`select_from_candidates`]). [`best_split_abs`] streams
 //! them instead: it tracks the running `lubΦ∀` and buffers only
@@ -52,7 +57,7 @@
 use antidote_data::{Dataset, FeatureKind};
 use antidote_domains::trainset::side_score_from_counts;
 use antidote_domains::{AbsPredicate, AbstractSet, CprobTransformer, Interval};
-use antidote_tree::split::dense_enough;
+use antidote_tree::split;
 use antidote_tree::Predicate;
 
 /// Slack used when comparing score-interval bounds: including a borderline
@@ -83,28 +88,6 @@ pub struct ScoredCandidate {
     /// Whether the candidate is in Φ∀ (non-trivial for every
     /// concretization): both sides keep more than `n` elements.
     pub forall: bool,
-}
-
-/// Reusable per-thread scratch for the candidate sweep: the class-count
-/// accumulators and the sparse-path row gather buffer. The sweep
-/// runs once per feature per live disjunct — the hottest loop of the
-/// abstract learner — so these buffers are hoisted out of the call
-/// entirely instead of being reallocated per disjunct.
-struct SweepScratch {
-    left: Vec<u32>,
-    right: Vec<u32>,
-    sparse_rows: Vec<u32>,
-}
-
-thread_local! {
-    static SWEEP_SCRATCH: std::cell::RefCell<SweepScratch> =
-        const {
-            std::cell::RefCell::new(SweepScratch {
-                left: Vec::new(),
-                right: Vec::new(),
-                sparse_rows: Vec::new(),
-            })
-        };
 }
 
 /// Where the candidate sweep sends its candidates, in generation order.
@@ -166,104 +149,46 @@ pub fn scored_candidates(
     out
 }
 
-/// Runs the candidate sweep of `a` into `sink` on this thread's scratch.
+/// Scores the split walk's cuts of `a`'s base set into `sink`.
 fn sweep(
     ds: &Dataset,
     a: &AbstractSet,
     transformer: CprobTransformer,
     sink: &mut impl CandidateSink,
 ) {
-    SWEEP_SCRATCH.with(|scratch| sweep_with(ds, a, transformer, sink, &mut scratch.borrow_mut()))
-}
-
-fn sweep_with(
-    ds: &Dataset,
-    a: &AbstractSet,
-    transformer: CprobTransformer,
-    sink: &mut impl CandidateSink,
-    scratch: &mut SweepScratch,
-) {
     let n = a.n();
-    let base = a.base();
-    let total_counts = base.class_counts();
-    let total_len = a.len();
-    let k = total_counts.len();
     let prefilter = transformer == CprobTransformer::Optimal;
-    let SweepScratch {
-        left,
-        right,
-        sparse_rows,
-    } = scratch;
-    left.clear();
-    left.resize(k, 0);
-    right.clear();
-    right.resize(k, 0);
-    let dense = dense_enough(base.len(), ds.len());
-    for (feature, feat) in ds.schema().features().iter().enumerate() {
-        // Dense base sets walk the dataset's precomputed value order
-        // restricted by the O(1) bit test — no per-disjunct gather + sort
-        // (this sweep runs once per feature per live disjunct and was the
-        // hottest loop of the abstract learner); sparse fragments gather
-        // and stably sort their own rows instead of scanning the whole
-        // order. Both equal a stable sort of the base's rows, so
-        // candidates are generated in the exact historical sequence.
-        left.iter_mut().for_each(|c| *c = 0);
-        let mut left_len = 0usize;
-        let mut prev = f64::NAN;
-        let mut step = |row: u32| {
-            let v = ds.value(row, feature);
-            // `left_len` rows strictly precede the threshold candidate.
-            if left_len > 0 && v > prev {
-                let right_len = total_len - left_len;
-                for (r, (&t, &l)) in right.iter_mut().zip(total_counts.iter().zip(left.iter())) {
-                    *r = t - l;
-                }
-                let skip = prefilter
-                    && optimal_side_lb(left, left_len, n) + optimal_side_lb(right, right_len, n)
-                        > sink.cutoff();
-                if !skip {
-                    let score = score_interval_from_sides(
-                        left.as_slice(),
-                        left_len,
-                        right.as_slice(),
-                        right_len,
-                        n,
-                        transformer,
-                    );
-                    let pred = match feat.kind {
-                        FeatureKind::Bool => AbsPredicate::Concrete(Predicate::boolean(feature)),
-                        FeatureKind::Real => AbsPredicate::Symbolic {
-                            feature,
-                            lo: prev,
-                            hi: v,
-                        },
-                    };
-                    sink.push(ScoredCandidate {
-                        pred,
-                        score,
-                        forall: left_len > n && right_len > n,
-                    });
-                }
-            }
-            left[ds.label(row) as usize] += 1;
-            prev = v;
-            left_len += 1;
-        };
-        if dense {
-            for &row in ds.feature_order(feature) {
-                if base.contains(row) {
-                    step(row);
-                }
-            }
-        } else {
-            sparse_rows.clear();
-            sparse_rows.extend(base.iter());
-            sparse_rows.sort_by(|&a, &b| ds.value(a, feature).total_cmp(&ds.value(b, feature)));
-            for &row in sparse_rows.iter() {
-                step(row);
-            }
+    let features = ds.schema().features();
+    split::sweep(ds, a.base(), |cut| {
+        if prefilter
+            && optimal_side_lb(cut.left, cut.left_len, n)
+                + optimal_side_lb(cut.right, cut.right_len, n)
+                > sink.cutoff()
+        {
+            return;
         }
-    }
+        let score = score_interval_from_sides(
+            cut.left,
+            cut.left_len,
+            cut.right,
+            cut.right_len,
+            n,
+            transformer,
+        );
+        let pred = match features[cut.feature].kind {
+            FeatureKind::Bool => AbsPredicate::Concrete(Predicate::boolean(cut.feature)),
+            FeatureKind::Real => AbsPredicate::Symbolic {
+                feature: cut.feature,
+                lo: cut.lo,
+                hi: cut.hi,
+            },
+        };
+        sink.push(ScoredCandidate {
+            pred,
+            score,
+            forall: cut.left_len > n && cut.right_len > n,
+        });
+    });
 }
 
 /// The exact lower end of one side's Optimal `score#` term
@@ -382,7 +307,7 @@ pub fn select_from_candidates(cands: &[ScoredCandidate]) -> AbsSplitResult {
 mod tests {
     use super::*;
     use antidote_data::dataset::Feature;
-    use antidote_data::{synth, ClassId, Schema, Subset};
+    use antidote_data::{synth, ClassId, DatasetDelta, Schema, Subset};
     use antidote_tree::split::{best_split, score_split};
     use proptest::prelude::*;
     use rand::rngs::StdRng;
@@ -474,25 +399,6 @@ mod tests {
         assert!(!r.diamond);
         let kept: Vec<usize> = r.preds.iter().map(|p| p.feature()).collect();
         assert_eq!(kept, vec![1, 2, 3]);
-    }
-
-    #[test]
-    fn sweep_scores_match_restriction_scores() {
-        // The prefix-sweep score# must equal the restriction-based score#
-        // for every candidate (they are the same definition).
-        let ds = synth::figure2();
-        let a = AbstractSet::full(&ds, 2);
-        for c in scored_candidates(&ds, &a, CprobTransformer::Optimal) {
-            let via_restrict = score_interval(&ds, &a, &c.pred, CprobTransformer::Optimal);
-            assert!(
-                (c.score.lb() - via_restrict.lb()).abs() < 1e-9
-                    && (c.score.ub() - via_restrict.ub()).abs() < 1e-9,
-                "{}: sweep {} vs restrict {}",
-                c.pred,
-                c.score,
-                via_restrict
-            );
-        }
     }
 
     #[test]
@@ -662,6 +568,54 @@ mod tests {
         ) {
             let (ds, a) = random_split_instance(seed, rows);
             assert_streaming_matches_reference(&ds, &a);
+        }
+
+        /// The walk's score# must equal the restriction-based score# for
+        /// every candidate (they are the same definition), and a boolean
+        /// feature must yield exactly one candidate iff the base holds
+        /// both of its values: on mixed schemas, dense and sparse bases,
+        /// and, after a removal delta, on bit-patched threshold masks.
+        #[test]
+        fn sweep_scores_match_restriction_scores(
+            seed in 0u64..1_000_000,
+            rows in 2usize..150,
+        ) {
+            let (ds, a) = random_split_instance(seed, rows);
+            ds.warm_indexes();
+            let mut rng = StdRng::seed_from_u64(seed ^ 0xDE17A);
+            let mut delta = DatasetDelta::new();
+            for r in 1..rows as u32 {
+                if rng.random_range(0..4) == 0 {
+                    delta.remove(r);
+                }
+            }
+            let after = ds.apply(&delta).expect("row 0 stays");
+            let kept = a.base().iter().filter(|&r| after.is_live(r)).collect();
+            let a_after = AbstractSet::new(Subset::from_indices(&after, kept), a.n());
+            for (ds, a) in [(&ds, &a), (&after, &a_after)] {
+                for t in [CprobTransformer::Optimal, CprobTransformer::Natural] {
+                    let cands = scored_candidates(ds, a, t);
+                    for c in &cands {
+                        let via_restrict = score_interval(ds, a, &c.pred, t);
+                        prop_assert!(
+                            (c.score.lb() - via_restrict.lb()).abs() < 1e-9
+                                && (c.score.ub() - via_restrict.ub()).abs() < 1e-9,
+                            "{t:?} {}: sweep {} vs restrict {}",
+                            c.pred,
+                            c.score,
+                            via_restrict
+                        );
+                    }
+                    for (f, feat) in ds.schema().features().iter().enumerate() {
+                        if feat.kind == FeatureKind::Bool {
+                            let ones = a.base().iter().filter(|&r| ds.value(r, f) == 1.0).count();
+                            let both = ones > 0 && ones < a.len();
+                            let n_cands = cands.iter().filter(|c| c.pred.feature() == f).count();
+                            prop_assert_eq!(n_cands, usize::from(both), "feature {}", f);
+                        }
+                    }
+                }
+            }
         }
 
         /// Lemma 4.10 / B.5: bestSplit(T') ∈ γ(bestSplit#(⟨T,n⟩)).

@@ -216,13 +216,14 @@ pub struct Dataset {
     /// by [`Dataset::apply`]; [`crate::Subset`]'s word-packed algebra
     /// recomputes per-class counts by AND-popcount against these masks.
     class_masks: Vec<Vec<u64>>,
-    /// Per feature: every slot id, sorted ascending by that feature's
-    /// value (stable — ties stay in ascending slot order). Split-candidate
-    /// sweeps walk this order filtered by a subset's O(1) bit test instead
-    /// of gathering and sorting the subset's rows per call, which was the
-    /// hottest loop of both the concrete and the abstract learner. Dead
+    /// Per real feature: every slot id, sorted ascending by that
+    /// feature's value (stable — ties stay in ascending slot order). The
+    /// split walk visits this order filtered by a subset's O(1) bit test
+    /// instead of gathering and sorting the subset's rows per call. Dead
     /// slots stay in the order (every traversal filters by a live-only
-    /// subset); appends splice new slots in by stable sorted merge.
+    /// subset); appends splice new slots in by stable sorted merge. Empty
+    /// for a boolean feature: the walk counts those from the threshold
+    /// masks instead, and nothing else walks their order.
     feature_order: Arc<Vec<Vec<RowId>>>,
     /// Per feature: the lazily-built threshold index backing word-parallel
     /// `x ≤ τ` restrictions. Wrapped in `Arc<OnceLock<…>>` so commands
@@ -319,17 +320,23 @@ fn build_class_masks(labels: &[ClassId], n_classes: usize) -> Vec<Vec<u64>> {
     masks
 }
 
+/// Every slot of `col`, sorted ascending by value. Stable: equal values
+/// keep ascending row order, matching what a stable sort of any subset's
+/// rows would produce.
+fn value_order(col: &Column) -> Vec<RowId> {
+    let mut order: Vec<RowId> = (0..col.len() as RowId).collect();
+    order.sort_by(|&a, &b| col.value(a).total_cmp(&col.value(b)));
+    order
+}
+
 /// Builds the per-feature value-sorted row orders for
-/// [`Dataset::feature_order`].
+/// [`Dataset::feature_order`]; a boolean column gets an empty one.
 fn build_feature_order(columns: &[Column]) -> Vec<Vec<RowId>> {
     columns
         .iter()
-        .map(|col| {
-            let mut order: Vec<RowId> = (0..col.len() as RowId).collect();
-            // Stable: equal values keep ascending row order, matching what
-            // a stable sort of any subset's rows would produce.
-            order.sort_by(|&a, &b| col.value(a).total_cmp(&col.value(b)));
-            order
+        .map(|col| match col {
+            Column::Bool(_) => Vec::new(),
+            Column::Real(_) => value_order(col),
         })
         .collect()
 }
@@ -519,9 +526,11 @@ impl Dataset {
     }
 
     /// All row ids sorted ascending by `feature`'s value (stable: ties in
-    /// ascending row order). Computed once at construction; threshold
-    /// sweeps restrict it to a subset via [`crate::Subset::contains`]
-    /// instead of re-sorting the subset's rows on every call.
+    /// ascending row order). Computed once at construction; the split
+    /// walk restricts it to a subset via [`crate::Subset::contains`]
+    /// instead of re-sorting the subset's rows on every call. Empty for a
+    /// boolean feature, whose split counts come from
+    /// [`Dataset::le_mask`] and [`Dataset::class_mask`].
     ///
     /// # Panics
     ///
@@ -543,11 +552,13 @@ impl Dataset {
     pub fn le_mask(&self, feature: usize, tau: f64, strict: bool) -> Option<&[u64]> {
         let idx = self.threshold_index[feature]
             .get_or_init(|| {
-                build_threshold_index(
-                    &self.columns[feature],
-                    &self.feature_order[feature],
-                    &self.live,
-                )
+                let col = &self.columns[feature];
+                match col {
+                    Column::Bool(_) => build_threshold_index(col, &value_order(col), &self.live),
+                    Column::Real(_) => {
+                        build_threshold_index(col, &self.feature_order[feature], &self.live)
+                    }
+                }
             })
             .as_ref()?;
         let j = idx
@@ -637,7 +648,8 @@ impl Dataset {
     /// * removals and flips share the column storage (`Arc` bump);
     /// * removals share the label vector; appends/flips copy it;
     /// * removals and flips share the per-feature slot orders; appends
-    ///   splice the new slots in by stable sorted merge;
+    ///   splice the new slots into each real feature's by stable sorted
+    ///   merge;
     /// * pure flips share the built threshold-index cells (thresholds are
     ///   label-independent); removals/appends give the new epoch fresh
     ///   cells holding bit-patched copies of any already-built index.
@@ -806,6 +818,9 @@ impl Dataset {
                 (0..self.n_features())
                     .map(|f| {
                         let col = &columns[f];
+                        if let Column::Bool(_) = col {
+                            return Vec::new();
+                        }
                         let mut added: Vec<RowId> =
                             (old_slots as RowId..new_slots as RowId).collect();
                         // Stable on the ascending slot ids, matching what
@@ -1315,6 +1330,32 @@ mod tests {
         assert_eq!(ds.value(0, 0), 0.0);
         assert_eq!(ds.value(1, 0), 1.0);
         assert_eq!(ds.columns()[0].kind(), FeatureKind::Bool);
+    }
+
+    #[test]
+    fn boolean_columns_keep_zero_masks_not_orders() {
+        let ds = Dataset::from_rows(
+            Schema::boolean(1, 2),
+            &[
+                (vec![1.0], 0),
+                (vec![0.0], 1),
+                (vec![1.0], 1),
+                (vec![0.0], 0),
+            ],
+        )
+        .unwrap();
+        let mut delta = DatasetDelta::new();
+        delta.remove(1).append(&[0.0], 1);
+        // Applied before first use (a lazy build at the new epoch), then
+        // after it (a bit-patched copy): both index the live zeros.
+        let lazy = ds.apply(&delta).unwrap();
+        assert!(ds.feature_order(0).is_empty());
+        assert_eq!(ds.le_mask(0, 0.5, false), Some(&[0b01010u64][..]));
+        let patched = ds.apply(&delta).unwrap();
+        for next in [&lazy, &patched] {
+            assert!(next.feature_order(0).is_empty());
+            assert_eq!(next.le_mask(0, 0.5, false), Some(&[0b11000u64][..]));
+        }
     }
 
     #[test]

@@ -74,6 +74,52 @@ pub fn and_popcount_vector(a: &[u64], b: &[u64]) -> u32 {
     acc.iter().sum::<u32>() + and_popcount_scalar(&a[split..], &b[split..])
 }
 
+/// `Σ popcount(a[i] & b[i] & c[i])` over three equal-length slices — a
+/// boolean feature's left-side class count in the split walk
+/// (`base ∧ le_mask ∧ class_mask`).
+///
+/// # Panics
+///
+/// Panics (in debug builds) if the slices differ in length.
+#[inline]
+pub fn and3_popcount(a: &[u64], b: &[u64], c: &[u64]) -> u32 {
+    debug_assert!(a.len() == b.len() && b.len() == c.len());
+    #[cfg(feature = "simd")]
+    {
+        and3_popcount_vector(a, b, c)
+    }
+    #[cfg(not(feature = "simd"))]
+    {
+        and3_popcount_scalar(a, b, c)
+    }
+}
+
+/// Scalar form of [`and3_popcount`].
+pub fn and3_popcount_scalar(a: &[u64], b: &[u64], c: &[u64]) -> u32 {
+    a.iter()
+        .zip(b)
+        .zip(c)
+        .map(|((&x, &y), &z)| (x & y & z).count_ones())
+        .sum()
+}
+
+/// Vector form of [`and3_popcount`].
+#[cfg(feature = "simd")]
+pub fn and3_popcount_vector(a: &[u64], b: &[u64], c: &[u64]) -> u32 {
+    let split = a.len() - a.len() % LANES;
+    let mut acc = [0u32; LANES];
+    for ((ca, cb), cc) in a[..split]
+        .chunks_exact(LANES)
+        .zip(b[..split].chunks_exact(LANES))
+        .zip(c[..split].chunks_exact(LANES))
+    {
+        for l in 0..LANES {
+            acc[l] += (ca[l] & cb[l] & cc[l]).count_ones();
+        }
+    }
+    acc.iter().sum::<u32>() + and3_popcount_scalar(&a[split..], &b[split..], &c[split..])
+}
+
 /// `Σ popcount(a[i] & !b[i])`, with `b` words beyond `b.len()` taken as
 /// zero — `|a \ b|` for canonical (trailing-zero-trimmed) word vectors of
 /// different lengths.
@@ -459,6 +505,13 @@ mod tests {
             let x = &a[..alen];
             assert_eq!(popcount(x), x.iter().map(|w| w.count_ones()).sum::<u32>());
             assert_eq!(and_popcount(x, x), popcount(x));
+            let y: Vec<u64> = x.iter().map(|w| w.rotate_left(7)).collect();
+            assert_eq!(
+                and3_popcount(x, &y, &a[a.len() - alen..]),
+                (0..alen)
+                    .map(|i| (x[i] & y[i] & a[a.len() - alen + i]).count_ones())
+                    .sum::<u32>()
+            );
             assert_eq!(
                 first_set(x),
                 x.iter()

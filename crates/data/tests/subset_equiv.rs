@@ -325,6 +325,13 @@ proptest! {
         simd::and_in_place_vector(&mut acc_v, pb);
         simd::and_in_place_scalar(&mut acc_s, pb);
         prop_assert_eq!(acc_v, acc_s, "and_in_place");
+        // The three-way kernel's third operand: the complement of `a ∧ b`
+        // in reverse word order, so it differs from both other operands.
+        let pc: Vec<u64> = inter.iter().rev().map(|w| !w).collect();
+        prop_assert_eq!(
+            simd::and3_popcount_vector(pa, pb, &pc),
+            simd::and3_popcount_scalar(pa, pb, &pc)
+        );
     }
 
     /// The word-parallel threshold restriction agrees with the model (and

@@ -10,7 +10,8 @@
 //!   [`antidote_data::FeatureKind::Bool`] columns, adjacent-midpoint
 //!   thresholds for real columns, §5.1);
 //! * [`split`] — Gini impurity `ent`, class probabilities `cprob`, split
-//!   `score`, and the greedy `bestSplit` search (Fig. 5);
+//!   `score`, the greedy `bestSplit` search (Fig. 5), and the split walk
+//!   that it, the abstract `bestSplit#` and the flip learner share;
 //! * [`dtrace`](mod@dtrace) — the trace-based learner `DTrace` (Fig. 4), which builds
 //!   only the root-to-leaf trace a given input traverses;
 //! * [`learner`] — a full CART-style learner and [`learner::DecisionTree`]

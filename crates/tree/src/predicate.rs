@@ -84,9 +84,11 @@ impl fmt::Display for Predicate {
 /// Only *non-trivial* predicates are returned — each splits `subset` into
 /// two non-empty parts, so this is the paper's `Φ'` for the current set.
 ///
-/// The hot paths ([`crate::split::best_split`] and the abstract
-/// `bestSplit#`) do not materialise this list — they sweep each column —
-/// but tests and the enumeration baseline use it as the ground truth.
+/// The hot paths ([`crate::split::best_split`], the abstract `bestSplit#`
+/// and the flip learner) do not materialise this list — they run the
+/// split walk ([`crate::split::sweep`]) — but tests and the enumeration
+/// baseline use it as the ground truth, which shares no code with the
+/// walk.
 pub fn candidate_predicates(ds: &Dataset, subset: &Subset) -> Vec<Predicate> {
     let mut out = Vec::new();
     for (f, feat) in ds.schema().features().iter().enumerate() {

@@ -1,7 +1,9 @@
-//! Gini impurity and the greedy `bestSplit` search (paper Fig. 5, §3.3).
+//! Gini impurity, the greedy `bestSplit` search (paper Fig. 5, §3.3), and
+//! the split walk ([`sweep`]) that every learner's split search runs on.
 
 use crate::predicate::{midpoint, Predicate};
-use antidote_data::{Dataset, RowId, Subset};
+use antidote_data::{simd, ClassId, Dataset, FeatureKind, RowId, Subset};
+use std::cell::RefCell;
 
 /// Classification probability vector `cprob(T)` (Fig. 5): the fraction of
 /// rows in each class.
@@ -49,8 +51,8 @@ pub fn weighted_gini(counts: &[u32]) -> f64 {
 
 /// The split objective
 /// `score(T, φ) = |T↓φ|·ent(T↓φ) + |T↓¬φ|·ent(T↓¬φ)` for an explicit
-/// predicate. The sweep in [`best_split`] computes the same quantity
-/// incrementally; this form exists for tests and the enumeration baseline.
+/// predicate. [`best_split`] computes the same quantity from the walk's
+/// counts; this form exists for tests and the enumeration baseline.
 pub fn score_split(ds: &Dataset, subset: &Subset, predicate: &Predicate) -> f64 {
     let (yes, no) = subset.partition(ds, |r| predicate.eval_row(ds, r));
     weighted_gini(yes.class_counts()) + weighted_gini(no.class_counts())
@@ -65,67 +67,166 @@ pub struct SplitChoice {
     pub score: f64,
 }
 
-/// Visits every candidate threshold of one feature in ascending order.
-///
-/// The subset's rows are visited in ascending feature-value order (ties in
-/// ascending row order); between each pair of adjacent *distinct* values
-/// the callback receives `(threshold, left_class_counts, left_len)` where
-/// "left" is the `≤` side. Candidates are non-trivial by construction
-/// (both sides non-empty), so this enumerates the feature's contribution
-/// to the paper's `Φ'`.
-///
-/// For dense subsets this walks the dataset's precomputed
-/// [`Dataset::feature_order`] filtered by the subset's O(1) bit test —
-/// no per-call gather + sort, the historically hottest loop of both
-/// learners. Sparse fragments (where scanning the whole dataset's order
-/// would dominate) instead gather and stably sort their own rows. The
-/// stable precomputed order restricted to a subset equals a stable sort
-/// of that subset, so both paths produce the identical visit sequence.
-///
-/// The concrete search here and the flip learner are built on this
-/// sweep. The abstract `bestSplit#` in `antidote-core` walks the same
-/// value order with its own copy of the loop (`score::sweep_with`),
-/// sharing only [`dense_enough`]; merging the two walks is an open
-/// ROADMAP item.
-pub fn sweep_feature<F>(ds: &Dataset, subset: &Subset, feature: usize, mut visit: F)
-where
-    F: FnMut(f64, &[u32], usize),
-{
-    let mut left_counts = vec![0u32; subset.n_classes()];
-    let mut seen = 0usize;
-    let mut prev = f64::NAN;
-    let mut step = |r: RowId, visit: &mut F| {
-        let v = ds.value(r, feature);
-        // `seen` rows strictly precede the threshold candidate.
-        if seen > 0 && v > prev {
-            visit(midpoint(prev, v), &left_counts, seen);
-        }
-        left_counts[ds.label(r) as usize] += 1;
-        prev = v;
-        seen += 1;
-    };
-    if dense_enough(subset.len(), ds.len()) {
-        for &r in ds.feature_order(feature) {
-            if subset.contains(r) {
-                step(r, &mut visit);
-            }
-        }
-    } else {
-        let mut rows: Vec<RowId> = subset.iter().collect();
-        // Stable on the ascending row ids, matching the precomputed order.
-        rows.sort_by(|&a, &b| ds.value(a, feature).total_cmp(&ds.value(b, feature)));
-        for &r in &rows {
-            step(r, &mut visit);
+/// One candidate cut of a feature, as the split walk hands it over: the
+/// subset's rows with value `≤ lo` form the left side, those with value
+/// `≥ hi` the right side, and no row of the subset lies strictly
+/// between. Both sides are non-empty.
+#[derive(Debug, Clone, Copy)]
+pub struct Cut<'a> {
+    /// The feature being cut.
+    pub feature: usize,
+    /// The largest left-side value.
+    pub lo: f64,
+    /// The smallest right-side value.
+    pub hi: f64,
+    /// Per-class row counts of the left side.
+    pub left: &'a [u32],
+    /// Rows on the left side (`Σ left`).
+    pub left_len: usize,
+    /// Per-class row counts of the right side.
+    pub right: &'a [u32],
+    /// Rows on the right side (`Σ right`).
+    pub right_len: usize,
+}
+
+impl Cut<'_> {
+    /// The concrete predicate `x_feature ≤ midpoint(lo, hi)` (§5.1); for a
+    /// boolean feature, the bit test `x ≤ 0.5`.
+    pub fn predicate(&self) -> Predicate {
+        Predicate {
+            feature: self.feature,
+            threshold: midpoint(self.lo, self.hi),
         }
     }
 }
 
-/// Cutover between the two [`sweep_feature`] row sources: walking the
-/// full precomputed order costs O(|dataset|) bit tests, the gather +
+/// Per-thread scratch for [`sweep`]: both sides' class counts and the
+/// sparse path's row gather. The walk runs once per split search (once
+/// per live disjunct in `bestSplit#`, the abstract learner's hottest
+/// loop), so these buffers live as long as the thread.
+struct SweepScratch {
+    left: Vec<u32>,
+    right: Vec<u32>,
+    rows: Vec<RowId>,
+}
+
+thread_local! {
+    static SWEEP_SCRATCH: RefCell<SweepScratch> = const {
+        RefCell::new(SweepScratch {
+            left: Vec::new(),
+            right: Vec::new(),
+            rows: Vec::new(),
+        })
+    };
+}
+
+/// The split walk: visits every candidate cut of `subset`, feature by
+/// feature in schema order and, within a feature, in ascending value
+/// order. This enumerates the paper's `Φ'` for the set. It is the one
+/// walk behind the concrete [`best_split`], the abstract `bestSplit#`
+/// (`antidote_core::score`) and the label-flip learner.
+///
+/// * A **boolean** feature has one candidate, `(0, 1)`. Its left side is
+///   the rows with value 0, counted per class without visiting a row:
+///   `popcount(subset ∧ le_mask(f, 0.5) ∧ class_mask(c))` over the
+///   subset's words. The cut is emitted iff both sides are non-empty.
+/// * A **real** feature walks the subset's rows in ascending value order
+///   (ties in ascending row order) and emits a cut between each pair of
+///   adjacent distinct values. A dense subset walks the dataset's
+///   precomputed [`Dataset::feature_order`] filtered by the subset's O(1)
+///   bit test; a sparse one gathers and stably sorts its own rows. The
+///   stable precomputed order restricted to a subset equals a stable sort
+///   of that subset, so both row sources visit the same sequence.
+///
+/// On a boolean feature the popcounts are the integers a row walk would
+/// have counted, so which form runs is decided by feature kind alone, and
+/// a boolean feature keeps no value order.
+pub fn sweep<F>(ds: &Dataset, subset: &Subset, mut visit: F)
+where
+    F: FnMut(&Cut),
+{
+    SWEEP_SCRATCH.with(|scratch| {
+        let SweepScratch { left, right, rows } = &mut *scratch.borrow_mut();
+        let total = subset.class_counts();
+        let total_len = subset.len();
+        left.clear();
+        left.resize(total.len(), 0);
+        right.clear();
+        right.resize(total.len(), 0);
+        let dense = dense_enough(total_len, ds.len());
+        let words = subset.words();
+        for (feature, feat) in ds.schema().features().iter().enumerate() {
+            let mut emit = |lo: f64, hi: f64, left: &[u32], left_len: usize| {
+                for (r, (&t, &l)) in right.iter_mut().zip(total.iter().zip(left)) {
+                    *r = t - l;
+                }
+                visit(&Cut {
+                    feature,
+                    lo,
+                    hi,
+                    left,
+                    left_len,
+                    right,
+                    right_len: total_len - left_len,
+                });
+            };
+            if feat.kind == FeatureKind::Bool {
+                let zeros = ds
+                    .le_mask(feature, 0.5, false)
+                    .expect("two values fit under the threshold index's cardinality cap");
+                // Subset words are trimmed, the masks span every slot, and
+                // an empty prefix mask is `&[]`: past the shorter of the
+                // first two, every word ANDs to zero.
+                let n = words.len().min(zeros.len());
+                for (c, l) in left.iter_mut().enumerate() {
+                    let class = &ds.class_mask(c as ClassId)[..n];
+                    *l = simd::and3_popcount(&words[..n], &zeros[..n], class);
+                }
+                let left_len = left.iter().map(|&c| c as usize).sum();
+                if 0 < left_len && left_len < total_len {
+                    emit(0.0, 1.0, left, left_len);
+                }
+                continue;
+            }
+            left.iter_mut().for_each(|c| *c = 0);
+            let mut left_len = 0usize;
+            let mut prev = f64::NAN;
+            let mut step = |r: RowId| {
+                let v = ds.value(r, feature);
+                // `left_len` rows strictly precede the candidate.
+                if left_len > 0 && v > prev {
+                    emit(prev, v, left, left_len);
+                }
+                left[ds.label(r) as usize] += 1;
+                prev = v;
+                left_len += 1;
+            };
+            if dense {
+                for &r in ds.feature_order(feature) {
+                    if subset.contains(r) {
+                        step(r);
+                    }
+                }
+            } else {
+                rows.clear();
+                rows.extend(subset.iter());
+                // Stable on the ascending row ids, matching the
+                // precomputed order.
+                rows.sort_by(|&a, &b| ds.value(a, feature).total_cmp(&ds.value(b, feature)));
+                for &r in rows.iter() {
+                    step(r);
+                }
+            }
+        }
+    });
+}
+
+/// Cutover between the two row sources of a real feature's walk: walking
+/// the full precomputed order costs O(|dataset|) bit tests, the gather +
 /// stable sort O(|S| log |S|); prefer the precomputed order once the
 /// subset holds at least 1/8 of the dataset.
 #[inline]
-pub fn dense_enough(subset_len: usize, dataset_len: usize) -> bool {
+fn dense_enough(subset_len: usize, dataset_len: usize) -> bool {
     subset_len * 8 >= dataset_len
 }
 
@@ -136,30 +237,22 @@ pub fn dense_enough(subset_len: usize, dataset_len: usize) -> bool {
 /// Ties break deterministically by (score, feature, threshold); see the
 /// crate docs for why the concrete semantics must be a function.
 pub fn best_split(ds: &Dataset, subset: &Subset) -> Option<SplitChoice> {
-    let total = subset.class_counts();
-    let total_len = subset.len();
     let mut best: Option<SplitChoice> = None;
-    let mut right = vec![0u32; subset.n_classes()];
-    for feature in 0..ds.n_features() {
-        sweep_feature(ds, subset, feature, |threshold, left, left_len| {
-            for (r, (&t, &l)) in right.iter_mut().zip(total.iter().zip(left)) {
-                *r = t - l;
-            }
-            let score = weighted_gini_with_len(left, left_len)
-                + weighted_gini_with_len(&right, total_len - left_len);
-            let cand = SplitChoice {
-                predicate: Predicate { feature, threshold },
-                score,
-            };
-            let better = match &best {
-                None => true,
-                Some(b) => score < b.score || (score == b.score && cand.predicate < b.predicate),
-            };
-            if better {
-                best = Some(cand);
-            }
-        });
-    }
+    sweep(ds, subset, |cut| {
+        let score = weighted_gini_with_len(cut.left, cut.left_len)
+            + weighted_gini_with_len(cut.right, cut.right_len);
+        let cand = SplitChoice {
+            predicate: cut.predicate(),
+            score,
+        };
+        let better = match &best {
+            None => true,
+            Some(b) => score < b.score || (score == b.score && cand.predicate < b.predicate),
+        };
+        if better {
+            best = Some(cand);
+        }
+    });
     best
 }
 
@@ -313,6 +406,18 @@ mod tests {
         assert_eq!(choice.score, 0.0);
     }
 
+    /// One feature's cuts as `(threshold, left counts, left len)`.
+    fn cuts_of(ds: &Dataset, subset: &Subset, feature: usize) -> Vec<(f64, Vec<u32>, usize)> {
+        let mut out = Vec::new();
+        sweep(ds, subset, |cut| {
+            if cut.feature == feature {
+                assert_eq!(cut.left_len + cut.right_len, subset.len());
+                out.push((cut.predicate().threshold, cut.left.to_vec(), cut.left_len));
+            }
+        });
+        out
+    }
+
     #[test]
     fn sweep_feature_sparse_and_dense_paths_agree() {
         // A 10-row fragment of a 200-row dataset takes the sparse
@@ -331,22 +436,65 @@ mod tests {
         let small = antidote_data::Dataset::from_rows(Schema::real(1, 2), &small_rows).unwrap();
         let full = Subset::full(&small);
         assert!(dense_enough(full.len(), small.len()), "dense path");
-        let mut a = Vec::new();
-        sweep_feature(&big, &sparse, 0, |t, l, n| a.push((t, l.to_vec(), n)));
-        let mut b = Vec::new();
-        sweep_feature(&small, &full, 0, |t, l, n| b.push((t, l.to_vec(), n)));
+        let a = cuts_of(&big, &sparse, 0);
         assert!(!a.is_empty());
-        assert_eq!(a, b, "the two row sources must sweep identically");
+        assert_eq!(
+            a,
+            cuts_of(&small, &full, 0),
+            "the two row sources must sweep identically"
+        );
+    }
+
+    #[test]
+    fn boolean_popcounts_match_the_row_walk() {
+        // The same 0/1 columns under a boolean schema (popcounts) and a
+        // real one (row walk) must yield the same cut, on dense and
+        // sparse subsets, across a word boundary, and after a removal.
+        let rows: Vec<(Vec<f64>, u16)> = (0..150u32)
+            .map(|i| {
+                let bit = |m: u32| f64::from(u8::from((i * m) % 7 < 3));
+                (vec![bit(3), bit(5), 1.0], (i % 3) as u16)
+            })
+            .collect();
+        let as_bool = Dataset::from_rows(Schema::boolean(3, 3), &rows).unwrap();
+        let as_real = Dataset::from_rows(Schema::real(3, 3), &rows).unwrap();
+        // Built before the delta, so the removal bit-patches the index.
+        as_bool.warm_indexes();
+        let mut delta = antidote_data::DatasetDelta::new();
+        delta.remove(5).remove(70).remove(149);
+        let pairs = [
+            (as_bool.clone(), as_real.clone()),
+            (
+                as_bool.apply(&delta).unwrap(),
+                as_real.apply(&delta).unwrap(),
+            ),
+        ];
+        let mut seen = 0;
+        for (b, r) in &pairs {
+            let live: Vec<u32> = b.rows().collect();
+            for keep_one_in in [1, 2, 9, 40] {
+                let picked: Vec<u32> = live.iter().copied().step_by(keep_one_in).collect();
+                let (sb, sr) = (
+                    Subset::from_indices(b, picked.clone()),
+                    Subset::from_indices(r, picked),
+                );
+                for f in 0..3 {
+                    let cuts = cuts_of(b, &sb, f);
+                    assert_eq!(cuts, cuts_of(r, &sr, f), "feature {f}, 1 in {keep_one_in}");
+                    // One cut at most, and none on the constant column.
+                    assert!(cuts.len() <= usize::from(f < 2));
+                    seen += cuts.len();
+                }
+            }
+        }
+        assert!(seen > 8, "only {seen} boolean cuts");
     }
 
     #[test]
     fn sweep_feature_boundaries() {
         let ds = synth::figure2();
         let full = Subset::full(&ds);
-        let mut seen = Vec::new();
-        sweep_feature(&ds, &full, 0, |t, left, len| {
-            seen.push((t, left.to_vec(), len));
-        });
+        let seen = cuts_of(&ds, &full, 0);
         assert_eq!(seen.len(), 12);
         // First boundary: left of 0.5 is the single black point 0.
         assert_eq!(seen[0], (0.5, vec![0, 1], 1));

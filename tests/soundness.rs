@@ -14,29 +14,50 @@
 
 use antidote::core::engine::ExecContext;
 use antidote::core::learner::{run_abstract_shared, DomainKind};
-use antidote::data::{ClassId, Dataset, Schema, Subset};
+use antidote::data::{ClassId, Dataset, FeatureKind, Schema, Subset};
 use antidote::domains::{AbstractSet, CprobTransformer};
 use antidote::prelude::*;
 use antidote::tree::dtrace::dtrace;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// A small random dataset: ≤ 10 rows, 1–2 features, 2–3 classes, values on
-/// a small integer grid so ties and duplicate values are common (the nasty
-/// cases for tie-breaking and trivial-split handling).
+/// A small random dataset: ≤ 10 rows, 1–2 features, 2–3 classes. About
+/// half are boolean (`Schema::boolean`, 0/1 values), whose split counts
+/// come from masked popcounts instead of a row walk; the rest take values
+/// on a small integer grid, so ties and duplicate values are common (the
+/// nasty cases for tie-breaking and trivial-split handling).
 fn random_dataset(rng: &mut StdRng) -> Dataset {
     let len = rng.random_range(2..=10usize);
     let d = rng.random_range(1..=2usize);
     let k = rng.random_range(2..=3usize);
+    let boolean = rng.random_range(0..2) == 0;
+    let grid = if boolean { 2 } else { 5 };
     let rows: Vec<(Vec<f64>, ClassId)> = (0..len)
         .map(|_| {
             (
-                (0..d).map(|_| rng.random_range(0..5) as f64).collect(),
+                (0..d).map(|_| rng.random_range(0..grid) as f64).collect(),
                 rng.random_range(0..k) as ClassId,
             )
         })
         .collect();
-    Dataset::from_rows(Schema::real(d, k), &rows).expect("valid random rows")
+    let schema = if boolean {
+        Schema::boolean(d, k)
+    } else {
+        Schema::real(d, k)
+    };
+    Dataset::from_rows(schema, &rows).expect("valid random rows")
+}
+
+/// A random input (or appended row) for `ds`: a value from {0, 1} per
+/// feature on a boolean dataset, from the integer grid `0..5` otherwise.
+fn random_point(rng: &mut StdRng, ds: &Dataset) -> Vec<f64> {
+    let grid = match ds.schema().features()[0].kind {
+        FeatureKind::Bool => 2,
+        FeatureKind::Real => 5,
+    };
+    (0..ds.n_features())
+        .map(|_| rng.random_range(0..grid) as f64)
+        .collect()
 }
 
 /// Every subset of `0..len` whose complement has size ≤ n, as index lists.
@@ -66,9 +87,7 @@ fn theorem_4_11_terminal_coverage() {
         let ds = random_dataset(&mut rng);
         let n = rng.random_range(0..ds.len());
         let depth = rng.random_range(0..=3usize);
-        let x: Vec<f64> = (0..ds.n_features())
-            .map(|_| rng.random_range(0..5) as f64)
-            .collect();
+        let x = random_point(&mut rng, &ds);
         for domain in DOMAINS {
             let out = run_abstract_shared(
                 &ds,
@@ -107,9 +126,7 @@ fn robust_verdicts_match_enumeration() {
         let ds = random_dataset(&mut rng);
         let n = rng.random_range(0..ds.len());
         let depth = rng.random_range(0..=3usize);
-        let x: Vec<f64> = (0..ds.n_features())
-            .map(|_| rng.random_range(0..5) as f64)
-            .collect();
+        let x = random_point(&mut rng, &ds);
         let truth = enumerate_robustness(&ds, &x, depth, n, 1 << 22);
         for domain in DOMAINS {
             let out = Certifier::new(&ds)
@@ -144,9 +161,7 @@ fn attacks_never_break_certificates() {
         let ds = random_dataset(&mut rng);
         let n = rng.random_range(1..ds.len());
         let depth = rng.random_range(1..=3usize);
-        let x: Vec<f64> = (0..ds.n_features())
-            .map(|_| rng.random_range(0..5) as f64)
-            .collect();
+        let x = random_point(&mut rng, &ds);
         let attack = greedy_attack(&ds, &x, depth, n);
         if attack.succeeded() {
             for domain in DOMAINS {
@@ -178,9 +193,7 @@ fn flip_verdicts_match_flip_enumeration() {
         let ds = random_dataset(&mut rng);
         let n = rng.random_range(0..=2usize.min(ds.len()));
         let depth = rng.random_range(0..=3usize);
-        let x: Vec<f64> = (0..ds.n_features())
-            .map(|_| rng.random_range(0..5) as f64)
-            .collect();
+        let x = random_point(&mut rng, &ds);
         let out = certify_label_flips(&ds, &x, depth, n, &ExecContext::sequential());
         if out.is_robust() {
             proven += 1;
@@ -225,9 +238,7 @@ fn cached_robust_verdicts_survive_the_brute_force_oracle() {
             ds
         };
         let depth = rng.random_range(0..=3usize);
-        let x: Vec<f64> = (0..ds.n_features())
-            .map(|_| rng.random_range(0..5) as f64)
-            .collect();
+        let x = random_point(&mut rng, &ds);
         let mut budgets: Vec<usize> = (0..=3.min(ds.len() - 1)).collect();
         budgets.shuffle(&mut rng);
         for domain in DOMAINS {
@@ -290,13 +301,7 @@ fn cached_sweep_rungs_match_fresh_certification() {
     for _ in 0..40 {
         let ds = random_dataset(&mut rng);
         let depth = rng.random_range(0..=2usize);
-        let xs: Vec<Vec<f64>> = (0..3)
-            .map(|_| {
-                (0..ds.n_features())
-                    .map(|_| rng.random_range(0..5) as f64)
-                    .collect()
-            })
-            .collect();
+        let xs: Vec<Vec<f64>> = (0..3).map(|_| random_point(&mut rng, &ds)).collect();
         for domain in DOMAINS {
             let cfg = SweepConfig {
                 depth,
@@ -369,13 +374,7 @@ fn binding_budgets_degrade_to_sound_unknowns() {
             ds
         };
         let depth = rng.random_range(0..=2usize);
-        let xs: Vec<Vec<f64>> = (0..4)
-            .map(|_| {
-                (0..ds.n_features())
-                    .map(|_| rng.random_range(0..5) as f64)
-                    .collect()
-            })
-            .collect();
+        let xs: Vec<Vec<f64>> = (0..4).map(|_| random_point(&mut rng, &ds)).collect();
         for domain in DOMAINS {
             let cfg = SweepConfig {
                 depth,
@@ -455,13 +454,7 @@ fn binding_deadlines_are_honored_ladder_wide() {
 
     let mut rng = StdRng::seed_from_u64(419);
     let ds = random_dataset(&mut rng);
-    let xs: Vec<Vec<f64>> = (0..16)
-        .map(|_| {
-            (0..ds.n_features())
-                .map(|_| rng.random_range(0..5) as f64)
-                .collect()
-        })
-        .collect();
+    let xs: Vec<Vec<f64>> = (0..16).map(|_| random_point(&mut rng, &ds)).collect();
     let cfg = |deadline: Duration| SweepConfig {
         depth: 3,
         domain: DomainKind::Disjuncts,
@@ -555,9 +548,7 @@ fn transferred_certificates_survive_the_brute_force_oracle() {
             ds
         };
         let depth = rng.random_range(0..=2usize);
-        let x: Vec<f64> = (0..ds0.n_features())
-            .map(|_| rng.random_range(0..5) as f64)
-            .collect();
+        let x = random_point(&mut rng, &ds0);
         // Two victims, removed one per epoch in a shuffled order.
         let mut victims: Vec<u32> = (0..ds0.len() as u32).collect();
         victims.shuffle(&mut rng);
@@ -647,15 +638,11 @@ fn mixed_deltas_invalidate_and_stay_sound() {
             ds
         };
         let depth = rng.random_range(0..=2usize);
-        let x: Vec<f64> = (0..ds0.n_features())
-            .map(|_| rng.random_range(0..5) as f64)
-            .collect();
+        let x = random_point(&mut rng, &ds0);
         // One delta mixing all three mutation kinds: remove row 0, flip
         // row 1 to a different class, append a fresh row.
         let flipped = (ds0.label(1) + 1) % ds0.n_classes() as ClassId;
-        let appended: Vec<f64> = (0..ds0.n_features())
-            .map(|_| rng.random_range(0..5) as f64)
-            .collect();
+        let appended = random_point(&mut rng, &ds0);
         let mut delta = DatasetDelta::new();
         delta
             .remove(0)
@@ -770,13 +757,7 @@ fn drift_transfer_differential_is_bit_identical() {
             ds
         };
         let depth = rng.random_range(0..=2usize);
-        let xs: Vec<Vec<f64>> = (0..2)
-            .map(|_| {
-                (0..ds.n_features())
-                    .map(|_| rng.random_range(0..5) as f64)
-                    .collect()
-            })
-            .collect();
+        let xs: Vec<Vec<f64>> = (0..2).map(|_| random_point(&mut rng, &ds)).collect();
         // Two single-removal epochs over shuffled victims.
         let mut victims: Vec<u32> = (0..ds.len() as u32).collect();
         victims.shuffle(&mut rng);
@@ -873,9 +854,7 @@ fn reference_labels_are_concrete() {
     for _ in 0..80 {
         let ds = random_dataset(&mut rng);
         let depth = rng.random_range(0..=3usize);
-        let x: Vec<f64> = (0..ds.n_features())
-            .map(|_| rng.random_range(0..5) as f64)
-            .collect();
+        let x = random_point(&mut rng, &ds);
         let concrete = dtrace(&ds, &Subset::full(&ds), &x, depth).label;
         for domain in DOMAINS {
             let out = Certifier::new(&ds)
