@@ -148,9 +148,8 @@ fn main() {
     // Wall-clock times are recorded in the artifact, never asserted: a
     // timing figure fails at random on a shared host.
     println!(
-        "certify depth={depth} n={n}: {certify_ms:.2}ms ({} bestSplit# computation(s), \
-         {} interner hit(s))",
-        counters.split_memo_misses, counters.interner_hits
+        "certify depth={depth} n={n}: {certify_ms:.2}ms ({} bestSplit# computation(s))",
+        counters.split_memo_misses
     );
 
     let json = format!(

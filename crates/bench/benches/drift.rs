@@ -170,7 +170,7 @@ fn main() {
 
         // Warm epoch-1 sweep behind the certificate transfer.
         let ctx = ExecContext::new().threads(1);
-        let cache1 = cache0.transfer(&summary, &ds1, ctx.metrics());
+        let cache1 = cache0.transfer(std::slice::from_ref(&summary), &ds1, ctx.metrics());
         let t = Instant::now();
         warm_ladder = sweep_cached(&ds1, &xs, &warm_cfg, &ctx, &cache1);
         t_warm = t_warm.min(t.elapsed());

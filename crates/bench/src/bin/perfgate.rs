@@ -28,10 +28,9 @@
 //! Counter and structural equality — never wall-clock — keeps every
 //! gate host-independent: a slow CI runner cannot fail it, but a change
 //! that silently disables the certification cache, the subsumption
-//! pass, the `bestSplit#` memo, frontier hash-consing, the word-scratch
-//! arena, or the probe scheduler cannot pass it. See DESIGN.md §8,
-//! §9.4, §12, and §13. Exit codes: 0 all gates pass, 1 violations,
-//! 2 usage or I/O error.
+//! pass, the `bestSplit#` memo, or the probe scheduler cannot pass it.
+//! See DESIGN.md §8, §9.4, §12, and §13. Exit codes: 0 all gates pass,
+//! 1 violations, 2 usage or I/O error.
 
 use antidote_bench::perf::{
     check_matrix_gate, check_refs, check_serve_gate, check_sweep_gate, gated_counters, json_u64,

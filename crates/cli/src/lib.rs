@@ -360,10 +360,9 @@ fn cmd_sweep(args: &Args) -> Result<(), CliError> {
         m.peak_disjuncts()
     );
     println!(
-        "# {} bestSplit# computation(s), {} memo hit(s), {} interner hit(s)",
+        "# {} bestSplit# computation(s), {} memo hit(s)",
         m.split_memo_misses(),
-        m.split_memo_hits(),
-        m.interner_hits()
+        m.split_memo_hits()
     );
     Ok(())
 }

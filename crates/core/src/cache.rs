@@ -305,8 +305,11 @@ impl CertCache {
             .then_some((Verdict::Robust, label))
     }
 
-    /// Carries this cache's sound certificates across one dataset
-    /// mutation, returning a fresh cache stamped for `new_ds`'s epoch.
+    /// Carries this cache's sound certificates across a chain of
+    /// consecutive dataset mutations, returning a fresh cache stamped for
+    /// `new_ds`'s epoch. `summaries[i]` describes the mutation into epoch
+    /// `self.epoch + i + 1`; a single mutation is a one-element slice
+    /// (`std::slice::from_ref(&summary)`).
     ///
     /// The transfer rule (pinned against the brute-force oracle in
     /// `tests/soundness.rs`, soundness argument in DESIGN.md §11): for a
@@ -319,91 +322,42 @@ impl CertCache {
     /// other state is carried: derived labels, `min_unknown`, and exact
     /// memos all describe the old training set.
     ///
+    /// A chain is one transfer of the folded summary
+    /// ([`DeltaSummary::fold`]), which equals per-epoch chaining (the
+    /// batched-vs-chained oracle test pins it): a bound `m` survives `k`
+    /// chained transfers iff `m ≥ Σ|Rᵢ|` — partial sums of non-negative
+    /// counts never exceed the total, so a point that clears the combined
+    /// shrink clears every intermediate one — and lands at `m − Σ|Rᵢ|`
+    /// either way. If *any* epoch in the chain appends or flips, nothing
+    /// is carried across the chain (chaining agrees: the impure epoch
+    /// invalidates everything and later pure epochs find only empty
+    /// entries). The chain shrinks **once**, so a carried point costs one
+    /// `cache_transfers` instead of `k` and the entries are copied once.
+    ///
     /// Each carried point counts one `cache_transfers`; each point whose
     /// state is dropped counts one `cache_invalidations`.
     ///
     /// # Panics
     ///
-    /// Panics when `new_ds` is not exactly one epoch ahead of the cache —
-    /// transfers are per-mutation, chained delta by delta.
-    pub fn transfer(
-        &self,
-        summary: &DeltaSummary,
-        new_ds: &Dataset,
-        metrics: &RunMetrics,
-    ) -> CertCache {
-        assert_eq!(
-            new_ds.epoch(),
-            self.epoch + 1,
-            "CertCache::transfer crosses exactly one mutation: cache at epoch {}, dataset at {}",
-            self.epoch,
-            new_ds.epoch(),
-        );
-        self.transfer_impl(
-            summary.pure_removal(),
-            summary.removed.len(),
-            new_ds,
-            metrics,
-        )
-    }
-
-    /// [`CertCache::transfer`] across a *chain* of consecutive epochs in
-    /// one pass: `summaries[i]` describes the mutation into epoch
-    /// `self.epoch + i + 1`, and the result is stamped for the final
-    /// epoch.
-    ///
-    /// For an all-pure-removal chain this is equivalent to chaining
-    /// per-epoch transfers (the batched-vs-chained oracle test pins it):
-    /// a bound `m` survives `k` chained transfers iff `m ≥ Σ|Rᵢ|` —
-    /// partial sums of non-negative counts never exceed the total, so a
-    /// point that clears the combined shrink clears every intermediate
-    /// one — and lands at `m − Σ|Rᵢ|` either way. If *any* epoch in the
-    /// chain appends or flips, nothing can be carried across it, hence
-    /// nothing across the chain (exactly what chaining produces: the
-    /// impure epoch invalidates everything and later pure epochs find
-    /// only empty entries). The batched pass folds the summaries
-    /// ([`DeltaSummary::fold`]) and shrinks **once**, so a carried point
-    /// costs one `cache_transfers` instead of `k` and the entries are
-    /// copied once instead of `k` times.
-    ///
-    /// # Panics
-    ///
     /// Panics when `summaries` is empty or `new_ds` is not exactly
     /// `summaries.len()` epochs ahead of the cache.
-    pub fn transfer_batched(
+    pub fn transfer(
         &self,
         summaries: &[DeltaSummary],
         new_ds: &Dataset,
         metrics: &RunMetrics,
     ) -> CertCache {
-        assert!(
-            !summaries.is_empty(),
-            "CertCache::transfer_batched needs at least one epoch"
-        );
         assert_eq!(
             new_ds.epoch(),
             self.epoch + summaries.len() as u64,
-            "CertCache::transfer_batched crosses exactly one epoch per summary: \
+            "CertCache::transfer crosses exactly one epoch per summary: \
              cache at epoch {}, {} summaries, dataset at {}",
             self.epoch,
             summaries.len(),
             new_ds.epoch(),
         );
         let folded = DeltaSummary::fold(summaries);
-        self.transfer_impl(folded.pure_removal(), folded.removed.len(), new_ds, metrics)
-    }
-
-    /// Shared body of [`CertCache::transfer`] and
-    /// [`CertCache::transfer_batched`]: carry every `Robust(m)` bound with
-    /// `m ≥ shrink` (label preserved) when the whole span is pure
-    /// removal, drop everything else.
-    fn transfer_impl(
-        &self,
-        pure_removal: bool,
-        shrink: usize,
-        new_ds: &Dataset,
-        metrics: &RunMetrics,
-    ) -> CertCache {
+        let (pure_removal, shrink) = (folded.pure_removal(), folded.removed.len());
         let fresh = CertCache::with_epoch(new_ds.epoch(), self.points.len());
         for (point, slot) in self.points.iter().enumerate() {
             let e = slot.lock().expect("cache entry lock poisoned");
@@ -566,7 +520,7 @@ mod tests {
             .apply_summarized(DatasetDelta::new().remove(1).remove(2))
             .unwrap();
         let metrics = RunMetrics::default();
-        let moved = cache.transfer(&summary, &next, &metrics);
+        let moved = cache.transfer(&[summary], &next, &metrics);
         assert_eq!(moved.epoch(), 1);
         assert_eq!(metrics.cache_transfers(), 1);
         assert_eq!(metrics.cache_invalidations(), 1);
@@ -600,7 +554,7 @@ mod tests {
             let (next, summary) = ds.apply_summarized(&delta).unwrap();
             assert!(!summary.pure_removal());
             let metrics = RunMetrics::default();
-            let moved = cache.transfer(&summary, &next, &metrics);
+            let moved = cache.transfer(&[summary], &next, &metrics);
             assert_eq!(metrics.cache_transfers(), 0);
             assert_eq!(metrics.cache_invalidations(), 1);
             assert_eq!(moved.transferred_lookup(0, 0), None);
@@ -618,7 +572,7 @@ mod tests {
             .apply_summarized(DatasetDelta::new().remove(0).remove(1))
             .unwrap();
         let metrics = RunMetrics::default();
-        let moved = cache.transfer(&summary, &next, &metrics);
+        let moved = cache.transfer(&[summary], &next, &metrics);
         assert_eq!(metrics.cache_transfers(), 0);
         assert_eq!(metrics.cache_invalidations(), 1);
         assert_eq!(moved.transferred_lookup(0, 0), None, "1 < |R| = 2");
@@ -632,11 +586,11 @@ mod tests {
         cache.record(0, 3, &outcome(Verdict::Robust, label));
         let metrics = RunMetrics::default();
         let (e1, s1) = ds.apply_summarized(DatasetDelta::new().remove(0)).unwrap();
-        let c1 = cache.transfer(&s1, &e1, &metrics);
+        let c1 = cache.transfer(&[s1], &e1, &metrics);
         // A transferred bound (label from `transferred_label`, none derived)
         // itself transfers across the next pure removal.
         let (e2, s2) = e1.apply_summarized(DatasetDelta::new().remove(1)).unwrap();
-        let c2 = c1.transfer(&s2, &e2, &metrics);
+        let c2 = c1.transfer(&[s2], &e2, &metrics);
         assert_eq!(c2.epoch(), 2);
         assert_eq!(metrics.cache_transfers(), 2);
         assert_eq!(c2.transferred_lookup(0, 1), Some((Verdict::Robust, label)));
@@ -660,10 +614,10 @@ mod tests {
             .unwrap();
         let chained_m = RunMetrics::default();
         let chained = cache
-            .transfer(&s1, &e1, &chained_m)
-            .transfer(&s2, &e2, &chained_m);
+            .transfer(std::slice::from_ref(&s1), &e1, &chained_m)
+            .transfer(std::slice::from_ref(&s2), &e2, &chained_m);
         let batched_m = RunMetrics::default();
-        let batched = cache.transfer_batched(&[s1.clone(), s2.clone()], &e2, &batched_m);
+        let batched = cache.transfer(&[s1, s2], &e2, &batched_m);
         assert_eq!(batched.epoch(), 2);
         assert_eq!(batched.epoch(), chained.epoch());
         for point in 0..2 {
@@ -708,10 +662,10 @@ mod tests {
             .unwrap();
         let chained_m = RunMetrics::default();
         let chained = cache
-            .transfer(&s1, &e1, &chained_m)
-            .transfer(&s2, &e2, &chained_m);
+            .transfer(std::slice::from_ref(&s1), &e1, &chained_m)
+            .transfer(std::slice::from_ref(&s2), &e2, &chained_m);
         let batched_m = RunMetrics::default();
-        let batched = cache.transfer_batched(&[s1, s2], &e2, &batched_m);
+        let batched = cache.transfer(&[s1, s2], &e2, &batched_m);
         for n in 0..6 {
             assert_eq!(batched.transferred_lookup(0, n), None);
             assert_eq!(chained.transferred_lookup(0, n), None);
@@ -728,7 +682,7 @@ mod tests {
         let (e1, s1) = ds.apply_summarized(DatasetDelta::new().remove(0)).unwrap();
         let e2 = e1.apply(&DatasetDelta::new()).unwrap();
         // One summary, two epochs crossed: rejected.
-        let _ = cache.transfer_batched(&[s1], &e2, &RunMetrics::default());
+        let _ = cache.transfer(&[s1], &e2, &RunMetrics::default());
     }
 
     #[test]
@@ -743,16 +697,6 @@ mod tests {
         assert_eq!(cache.lookup(2, 1), None, "new slots start empty");
         cache.ensure_slots(2);
         assert_eq!(cache.len(), 3, "never shrinks");
-    }
-
-    #[test]
-    #[should_panic(expected = "exactly one mutation")]
-    fn transfer_must_cross_exactly_one_epoch() {
-        let ds = synth::figure2();
-        let cache = CertCache::for_dataset(&ds, 1);
-        let (e1, s1) = ds.apply_summarized(DatasetDelta::new().remove(0)).unwrap();
-        let e2 = e1.apply(&DatasetDelta::new()).unwrap();
-        let _ = cache.transfer(&s1, &e2, &RunMetrics::default());
     }
 
     #[test]

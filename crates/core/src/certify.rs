@@ -144,8 +144,8 @@ impl<'a> Certifier<'a> {
     /// [`reference_label`](Certifier::reference_label) traces through its
     /// concrete trace memo, so split analyses and tree nodes computed for
     /// one point or request answer every later one on the same
-    /// `(dataset, config)`. Frontier hash-consing stays per run either
-    /// way. Verdicts and labels are bit-identical with and without it.
+    /// `(dataset, config)`. Verdicts and labels are bit-identical with
+    /// and without it.
     ///
     /// The shared state's epoch must match this certifier's dataset —
     /// `certify` panics otherwise (same hard stamp the memos themselves
@@ -628,7 +628,7 @@ mod tests {
             delta.remove(r);
         }
         let (mutated, summary) = ds.apply_summarized(&delta).unwrap();
-        let moved = cache.transfer(&summary, &mutated, ctx.metrics());
+        let moved = cache.transfer(&[summary], &mutated, ctx.metrics());
         assert_eq!(ctx.metrics().cache_transfers(), 1);
         let c2 = Certifier::new(&mutated)
             .depth(1)

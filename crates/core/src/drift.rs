@@ -119,7 +119,7 @@ pub fn drift_sweep_in(
     for delta in deltas {
         let (next, summary) = ds.apply_summarized(delta)?;
         let ctx = parent.child().fresh_metrics();
-        cache = cache.transfer(&summary, &next, ctx.metrics());
+        cache = cache.transfer(std::slice::from_ref(&summary), &next, ctx.metrics());
         ds = next;
         reports.push(run_epoch(&ds, &cache, Some(summary), &ctx));
     }

@@ -256,24 +256,22 @@ counters! {
     /// Service sessions dropped by the LRU policy (`--max-sessions` /
     /// byte watermark) or an explicit `evict` op.
     SessionsEvicted sessions_evicted: Sum, metrics_op;
-    /// Interner hits: frontier base sets whose payload was already
-    /// hash-consed earlier in the same run, so the disjunct was rewired
-    /// to the canonical allocation (DESIGN.md §9.1).
+    /// Always 0: no learner interns its frontier any more (DESIGN.md
+    /// §9.1). Kept only because the benchmark harness
+    /// (`perfbench/src/ladder.rs`) reads this snapshot field.
     InternerHits interner_hits: Sum;
     /// Frontier disjuncts processed.
     DisjunctsProcessed disjuncts_processed: Sum;
     /// Frontier disjuncts dropped because another disjunct dominates them
     /// under the `⟨T,n⟩` partial order.
     DisjunctsSubsumed disjuncts_subsumed: Sum;
-    /// Arena run boundaries: one per abstract-learner run, wherever it
-    /// executes.
-    ArenaResets arena_resets: Sum;
     /// Peak simultaneous disjuncts.
     PeakDisjuncts peak_disjuncts: Max;
     /// Peak memory proxy in bytes (DESIGN.md §4).
     PeakBytes peak_bytes: Max;
-    /// Peak bytes held by the learner's per-thread scratch arenas since
-    /// each arena was built (DESIGN.md §10.2).
+    /// Always 0: the learner has no scratch arena any more (DESIGN.md
+    /// §10). Kept only because the benchmark harness
+    /// (`perfbench/src/ladder.rs`) reads this snapshot field.
     ArenaBytes arena_bytes: Max, per_thread;
 }
 
@@ -1098,18 +1096,15 @@ mod tests {
         ctx.metrics().record(Counter::InternerHits, 5);
         ctx.metrics().record(Counter::ArenaBytes, 4096);
         ctx.metrics().record(Counter::ArenaBytes, 1024); // lower: no effect
-        ctx.metrics().record(Counter::ArenaResets, 3);
         assert_eq!(ctx.metrics().split_memo_hits(), 2);
         assert_eq!(ctx.metrics().split_memo_misses(), 1);
         assert_eq!(ctx.metrics().interner_hits(), 5);
         assert_eq!(ctx.metrics().arena_bytes(), 4096);
-        assert_eq!(ctx.metrics().arena_resets(), 3);
         let snap = ctx.metrics().snapshot();
         assert_eq!(snap.split_memo_hits, 2);
         assert_eq!(snap.split_memo_misses, 1);
         assert_eq!(snap.interner_hits, 5);
         assert_eq!(snap.arena_bytes, 4096);
-        assert_eq!(snap.arena_resets, 3);
         // Absorb adds the counters and maxes the watermarks.
         let parent = ExecContext::new();
         parent.metrics().absorb(&snap);
@@ -1118,7 +1113,6 @@ mod tests {
         assert_eq!(parent.metrics().split_memo_misses(), 2);
         assert_eq!(parent.metrics().interner_hits(), 10);
         assert_eq!(parent.metrics().arena_bytes(), 4096, "watermark maxes");
-        assert_eq!(parent.metrics().arena_resets(), 6, "counter adds");
     }
 
     #[test]

@@ -16,11 +16,11 @@
 //! Box variant).
 //!
 //! Only the per-state step ([`best_split_flip`] and `filter#` on
-//! [`FlipSet`]s) and the per-layer pass (dedup and interning, no
-//! subsumption or merge) are the flip learner's own. The depth loop is
-//! the removal learner's (`learner::run_frontier`: parallel fan-out,
-//! abort handling, watermarks, disjunct budget), the verdict mapping is
-//! the removal certifier's, and the §6.1 ladder over many points is
+//! [`FlipSet`]s) and the per-layer pass (dedup alone, no subsumption or
+//! merge) are the flip learner's own. The depth loop is the removal
+//! learner's (`learner::run_frontier`: parallel fan-out, abort handling,
+//! watermarks, disjunct budget), the verdict mapping is the removal
+//! certifier's, and the §6.1 ladder over many points is
 //! [`sweep::flip_sweep`](crate::sweep::flip_sweep). Every `bestSplit#`
 //! is computed and charged as one `split_memo_misses`, as on a one-shot
 //! removal run.
@@ -29,7 +29,7 @@ use crate::certify::{run_outcome, Outcome};
 use crate::engine::{Counter, ExecContext};
 use crate::learner::{dedup_states, run_frontier, Footprint, Step};
 use crate::verdict::dominant_class;
-use antidote_data::{ClassId, Dataset, Subset, SubsetInterner, ThresholdCmp};
+use antidote_data::{ClassId, Dataset, Subset, ThresholdCmp};
 use antidote_domains::flipset::{score_interval_flip, FlipSet};
 use antidote_tree::dtrace::dtrace_label;
 use antidote_tree::split;
@@ -149,11 +149,9 @@ fn step_flipset(
 /// flips in the training set.
 ///
 /// The abstract flip learner runs to depth `depth` on the shared
-/// frontier loop under `ctx`, with a per-run carrier interner; each
-/// layer is deduplicated and interned (the shared
-/// [`learner::dedup_states`](crate::learner) pass and
-/// [`SubsetInterner::intern_all`], keyed on the carrier, hits counted on
-/// the run metrics).
+/// frontier loop under `ctx`; each layer is deduplicated by the shared
+/// [`learner::dedup_states`](crate::learner) pass, keyed on the budget
+/// and the carrier.
 ///
 /// # Panics
 ///
@@ -167,19 +165,12 @@ pub fn certify_label_flips(
 ) -> Outcome {
     let start = Instant::now();
     let label = dtrace_label(ds, &Subset::full(ds), x, depth);
-    let mut interner = SubsetInterner::new();
     let out = run_frontier(
         FlipSet::full(ds, n),
         depth,
         ctx,
         |f| step_flipset(ds, f, x, ctx),
-        |next| {
-            dedup_states(next, |s| (s.n(), s.subset().clone()));
-            let hits = interner.intern_all(next, FlipSet::subset, |s, c| FlipSet::new(c, s.n()));
-            if hits > 0 {
-                ctx.metrics().record(Counter::InternerHits, hits);
-            }
-        },
+        |next| dedup_states(next, |s| (s.n(), s.subset().clone())),
     );
     run_outcome(out, label, start, |terminals| {
         terminals.iter().all(|t| match t {

@@ -34,9 +34,8 @@
 //! learner of [`crate::flip`], which supplies its own per-state step and
 //! per-layer pass.
 
-use antidote_data::{simd, ClassId, Dataset, Subset, SubsetInterner, WordArena};
+use antidote_data::{ClassId, Dataset, Subset};
 use antidote_domains::{AbstractSet, CprobTransformer, Truth};
-use std::cell::RefCell;
 use std::collections::HashSet;
 use std::sync::Arc;
 
@@ -214,16 +213,6 @@ fn step_disjunct(
 /// `bestSplit#` calls on small sets.
 const MIN_PARALLEL_FRONTIER: usize = 4;
 
-thread_local! {
-    /// Per-thread scratch arena for the learner's word buffers
-    /// (`prune_subsumed`'s row-containment bitsets and accumulator).
-    /// Frontier lifetime: reset at the start of every
-    /// [`run_abstract_shared`] call on this thread; see
-    /// `antidote_data::arena` for the lifecycle and the interner `Arc`
-    /// escape hatch (DESIGN.md §10.2).
-    static SCRATCH: RefCell<WordArena> = RefCell::new(WordArena::new());
-}
-
 /// Runs `DTrace#(⟨T, n⟩, x)` to depth `depth` under `ctx`, without
 /// session state.
 ///
@@ -284,18 +273,13 @@ pub fn run_abstract(
 /// §12): the run probes its [`SplitMemo`], so split analyses computed
 /// for one point or request answer every later one on the same
 /// `(dataset epoch, transformer)`. With `None` the run computes every
-/// `bestSplit#` directly. Either way the run hash-conses its frontier
-/// bases through its own per-run [`SubsetInterner`]. Verdicts are
-/// unaffected: `bestSplit#` is a pure function of
-/// `(base, n, transformer)`, so memoized and memo-free runs produce
-/// bit-identical `RunOutput`s (pinned in `tests/determinism.rs` and the
-/// session differential). Every `bestSplit#` computation lands on
+/// `bestSplit#` directly. Verdicts are unaffected: `bestSplit#` is a
+/// pure function of `(base, n, transformer)`, so memoized and memo-free
+/// runs produce bit-identical `RunOutput`s (pinned in
+/// `tests/determinism.rs` and the session differential). Every
+/// `bestSplit#` computation lands on
 /// [`RunMetrics::split_memo_misses`](crate::engine::RunMetrics::split_memo_misses)
-/// and every memo answer on `split_memo_hits`; structure sharing lands
-/// on [`RunMetrics::interner_hits`](crate::engine::RunMetrics::interner_hits).
-///
-/// The run also resets this thread's scratch [`WordArena`] and reports
-/// `arena_resets` / `arena_bytes` on the metrics.
+/// and every memo answer on `split_memo_hits`.
 ///
 /// # Panics
 ///
@@ -321,48 +305,7 @@ pub fn run_abstract_shared(
             ds.epoch()
         );
     }
-    SCRATCH.with(|arena| {
-        let mut arena = arena.borrow_mut();
-        arena.reset();
-        ctx.metrics().record(Counter::ArenaResets, 1);
-        let out = run_abstract_in(
-            ds,
-            initial,
-            x,
-            depth,
-            domain,
-            transformer,
-            subsume,
-            shared,
-            ctx,
-            &mut arena,
-        );
-        ctx.metrics()
-            .record(Counter::ArenaBytes, arena.peak_bytes() as u64);
-        out
-    })
-}
-
-/// [`run_abstract_shared`] against an explicit scratch arena: the removal
-/// learner's step and layer pass on the shared [`run_frontier`] loop.
-#[allow(clippy::too_many_arguments)]
-fn run_abstract_in(
-    ds: &Dataset,
-    initial: AbstractSet,
-    x: &[f64],
-    depth: usize,
-    domain: DomainKind,
-    transformer: CprobTransformer,
-    subsume: bool,
-    shared: Option<&SharedLearner>,
-    ctx: &ExecContext,
-    arena: &mut WordArena,
-) -> RunOutput {
     let memo = shared.map(SharedLearner::memo);
-    // Hash-cons through a table that lives exactly as long as this run,
-    // so its footprint is bounded by the states the run visits; only the
-    // memo outlives the run.
-    let mut interner = SubsetInterner::new();
     run_frontier(
         initial,
         depth,
@@ -374,13 +317,8 @@ fn run_abstract_in(
             // features); the disjunctive join is set union, so
             // deduplication is exact.
             dedup_disjuncts(next);
-            // Hash-cons the surviving bases: payloads seen in an earlier
-            // iteration (or under a different budget) are rewired to
-            // their canonical allocation, making later equality checks
-            // and memo probes pointer-fast.
-            intern_frontier(next, &mut interner, ctx);
             if subsume && domain != DomainKind::Box {
-                let pruned = prune_subsumed(next, arena);
+                let pruned = prune_subsumed(next);
                 if pruned > 0 {
                     ctx.metrics()
                         .record(Counter::DisjunctsSubsumed, pruned as u64);
@@ -406,10 +344,8 @@ fn run_abstract_in(
 /// of them into the sequential abort (Cancelled or Timeout). `layer`
 /// then runs on the stepped successors in the sequential fold (so its
 /// counters are thread-invariant) before the watermarks and the
-/// disjunct budget are checked. It also runs on the one-state root,
-/// where only its interning can act: dedup, pruning and merging need
-/// two states. States that survive all `depth` iterations become
-/// terminals.
+/// disjunct budget are checked. States that survive all `depth`
+/// iterations become terminals.
 pub(crate) fn run_frontier<S, T>(
     initial: S,
     depth: usize,
@@ -422,7 +358,6 @@ where
     T: Footprint + From<S> + Send,
 {
     let mut active: Vec<S> = vec![initial];
-    layer(&mut active);
     let mut out = RunOutput {
         terminals: Vec::new(),
         aborted: None,
@@ -488,10 +423,9 @@ where
 
 /// Removes exact duplicate learner states (same `(budget, subset)` key,
 /// projected by `key`). Shared by both abstract learners; the
-/// hash-consed `Subset` key makes each probe O(1): cloning is a refcount
-/// bump and hashing writes the precomputed content hash — no word-vector
-/// copies or re-walks (the pre-interning backend copied every state's
-/// words into the seen-set here).
+/// hash-consed `Subset` key makes each probe cheap: cloning is a refcount
+/// bump, hashing writes the precomputed content hash, and only states
+/// whose hashes agree compare their words.
 pub(crate) fn dedup_states<D>(items: &mut Vec<D>, key: impl Fn(&D) -> (usize, Subset)) {
     if items.len() < 2 {
         return;
@@ -503,24 +437,6 @@ pub(crate) fn dedup_states<D>(items: &mut Vec<D>, key: impl Fn(&D) -> (usize, Su
 /// Removes exact duplicate disjuncts (same base set and budget).
 fn dedup_disjuncts(disjuncts: &mut Vec<AbstractSet>) {
     dedup_states(disjuncts, |d| (d.n(), d.base().clone()));
-}
-
-/// Rewires every disjunct whose base payload is already interned to the
-/// canonical allocation, interning first-seen payloads. Interner hits
-/// (re-encountered payloads) land on the run metrics; rewiring preserves
-/// value equality exactly (`AbstractSet::new` re-clamps against an equal
-/// base, a no-op), so this pass is observationally invisible.
-fn intern_frontier(
-    disjuncts: &mut [AbstractSet],
-    interner: &mut SubsetInterner,
-    ctx: &ExecContext,
-) {
-    let hits = interner.intern_all(disjuncts, AbstractSet::base, |d, s| {
-        AbstractSet::new(s, d.n())
-    });
-    if hits > 0 {
-        ctx.metrics().record(Counter::InternerHits, hits);
-    }
 }
 
 /// Drops every disjunct *subsumed* by another: `a ⊑ b` (footnote 4's
@@ -539,7 +455,7 @@ fn intern_frontier(
 /// containment costs at least one unit of `b`'s budget
 /// (`n_a ≤ n_b − |T_b \ T_a|`). So a frontier with one budget — every
 /// frontier of a run from `⟨T, n⟩` until some branch is clamped to
-/// fewer than `n` rows — returns at once without touching the arena, a disjunct
+/// fewer than `n` rows — returns at once, before allocating; a disjunct
 /// at the top budget is never dominated (it is kept unqueried), and one
 /// at the bottom budget never dominates (it is never indexed). Both
 /// skips remove only pairs the order already rules out, so the kept set
@@ -571,7 +487,7 @@ fn intern_frontier(
 /// inline), so ladders, verdicts, and prune counts stay bit-identical
 /// (pinned by the unpruned-reference differentials in
 /// `tests/determinism.rs` and the all-pairs differential below).
-fn prune_subsumed(disjuncts: &mut Vec<AbstractSet>, arena: &mut WordArena) -> usize {
+fn prune_subsumed(disjuncts: &mut Vec<AbstractSet>) -> usize {
     let budgets = disjuncts.iter().map(AbstractSet::n);
     let (Some(bottom), Some(top)) = (budgets.clone().min(), budgets.max()) else {
         return 0;
@@ -607,15 +523,12 @@ fn prune_subsumed(disjuncts: &mut Vec<AbstractSet>, arena: &mut WordArena) -> us
         .map(|&i| disjuncts[i as usize].base().words().len() * 64)
         .max()
         .unwrap_or(0);
-    // The scratch (tens of kilobytes at peak frontiers) comes from the
-    // per-thread arena: zeroed recycled buffers, no allocator round-trip
-    // per frontier iteration.
-    let mut row_bits = arena.alloc(n_rows * stride);
+    let mut row_bits = vec![0u64; n_rows * stride];
     // How many indexed elements contain each row; seeding the AND from
     // the rarest member row refutes containment for most elements
     // without touching any other bitset.
-    let mut row_freq = arena.alloc(n_rows);
-    let mut acc = arena.alloc(stride);
+    let mut row_freq = vec![0u64; n_rows];
+    let mut acc = vec![0u64; stride];
     let mut live_words: Vec<u32> = Vec::with_capacity(stride);
     let mut keep = vec![true; before];
     for (pos, &i) in ranked.iter().enumerate() {
@@ -644,21 +557,10 @@ fn prune_subsumed(disjuncts: &mut Vec<AbstractSet>, arena: &mut WordArena) -> us
                     break;
                 }
                 let bits = &row_bits[row as usize * stride..][..stride];
-                if live_words.len() == stride {
-                    // Every word still live: AND the whole slices through
-                    // the chunked word kernels and rebuild the live list.
-                    // Same result as the sparse retain below (the list is
-                    // ascending either way), vector-wide instead of
-                    // word-at-a-time.
-                    simd::and_in_place(&mut acc, bits);
-                    live_words.clear();
-                    live_words.extend((0..stride as u32).filter(|&w| acc[w as usize] != 0));
-                } else {
-                    live_words.retain(|&w| {
-                        acc[w as usize] &= bits[w as usize];
-                        acc[w as usize] != 0
-                    });
-                }
+                live_words.retain(|&w| {
+                    acc[w as usize] &= bits[w as usize];
+                    acc[w as usize] != 0
+                });
             }
             // Containment survived every row: some processed element
             // contains T_d, and processing order makes it a dominator.
@@ -676,9 +578,6 @@ fn prune_subsumed(disjuncts: &mut Vec<AbstractSet>, arena: &mut WordArena) -> us
             }
         }
     }
-    arena.recycle(row_bits);
-    arena.recycle(row_freq);
-    arena.recycle(acc);
     let mut it = keep.iter();
     disjuncts.retain(|_| *it.next().expect("keep mask covers every disjunct"));
     before - disjuncts.len()
@@ -888,15 +787,14 @@ mod tests {
         let unrelated = AbstractSet::new(Subset::from_indices(&ds, vec![5, 6]), 1);
         assert!(dominated.le(&dominator));
         assert!(!unrelated.le(&dominator));
-        let mut arena = WordArena::new();
         let mut v = vec![dominated.clone(), unrelated.clone(), dominator.clone()];
-        assert_eq!(prune_subsumed(&mut v, &mut arena), 1);
+        assert_eq!(prune_subsumed(&mut v), 1);
         // Survivors keep their relative frontier order.
         assert_eq!(v, vec![unrelated.clone(), dominator.clone()]);
         // Chains collapse to the maximal element in one pass.
         let top = AbstractSet::new(Subset::from_indices(&ds, vec![0, 1, 2, 3]), 3);
         let mut chain = vec![dominated, dominator, top.clone(), unrelated.clone()];
-        assert_eq!(prune_subsumed(&mut chain, &mut arena), 2);
+        assert_eq!(prune_subsumed(&mut chain), 2);
         assert_eq!(chain, vec![top, unrelated]);
     }
 
@@ -911,10 +809,15 @@ mod tests {
             .collect()
     }
 
-    /// A random frontier of one of four shapes over `ds`'s rows: one
-    /// budget, mixed budgets, clamped fragments (`|T|` below the
-    /// requested budget), or interleaved ⊑-chains.
-    fn random_frontier(ds: &Dataset, rng: &mut StdRng, shape: usize) -> Vec<AbstractSet> {
+    /// A random frontier of about `size` disjuncts, in one of four shapes
+    /// over `ds`'s rows: one budget, mixed budgets, clamped fragments
+    /// (`|T|` below the requested budget), or interleaved ⊑-chains.
+    fn random_frontier(
+        ds: &Dataset,
+        rng: &mut StdRng,
+        shape: usize,
+        size: usize,
+    ) -> Vec<AbstractSet> {
         // Draws from a narrow row window so containment is common.
         let rows = ds.len() as u32;
         let subset = |rng: &mut StdRng, max_len: usize| {
@@ -925,7 +828,6 @@ mod tests {
                 .collect();
             Subset::from_indices(ds, idx)
         };
-        let size = rng.random_range(2..40usize);
         match shape {
             0 => {
                 let n = rng.random_range(0..4usize);
@@ -964,28 +866,38 @@ mod tests {
         let ds = synth::iris_like(0);
         let mut rng = StdRng::seed_from_u64(0x5EB5);
         let mut pruned_total = 0;
-        for case in 0..800 {
+        let mut multi_word = 0;
+        // The last 200 frontiers index more than 64 disjuncts, so the
+        // containment bitsets span 2–4 words per row.
+        for case in 0..1000 {
             let shape = case % 4;
-            let mut frontier = random_frontier(&ds, &mut rng, shape);
+            let size = if case < 800 {
+                rng.random_range(2..40usize)
+            } else {
+                rng.random_range(65..=200usize)
+            };
+            let mut frontier = random_frontier(&ds, &mut rng, shape, size);
             dedup_disjuncts(&mut frontier);
             let expected = prune_reference(&frontier);
             let one_budget = frontier.iter().all(|d| d.n() == frontier[0].n());
-            let mut arena = WordArena::new();
+            let top = frontier.iter().map(AbstractSet::n).max().unwrap_or(0);
+            if frontier.iter().filter(|d| d.n() < top).count() > 64 {
+                multi_word += 1;
+            }
             let before = frontier.len();
-            let pruned = prune_subsumed(&mut frontier, &mut arena);
+            let pruned = prune_subsumed(&mut frontier);
             assert_eq!(frontier, expected, "case {case}, shape {shape}");
             assert_eq!(pruned, before - expected.len());
             if one_budget {
                 assert_eq!(pruned, 0);
-                assert_eq!(
-                    arena.peak_bytes(),
-                    0,
-                    "a one-budget frontier allocates nothing"
-                );
             }
             pruned_total += pruned;
         }
         assert!(pruned_total > 0, "the frontiers must exercise pruning");
+        assert!(
+            multi_word > 0,
+            "some frontiers must need a multi-word stride"
+        );
     }
 
     #[test]
@@ -1063,9 +975,6 @@ mod tests {
             plain.split_memo_misses(),
             memo.split_memo_hits() + memo.split_memo_misses()
         );
-        // Both runs hash-cons through their own per-run interner.
-        assert!(memo.interner_hits() > 0);
-        assert_eq!(memo.interner_hits(), plain.interner_hits());
     }
 
     #[test]

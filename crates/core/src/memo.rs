@@ -31,7 +31,8 @@
 //! `crates/core/tests/determinism.rs`).
 //!
 //! Keys are hash-consed [`Subset`]s (clone = refcount bump, `Hash` =
-//! precomputed content hash), so a probe costs O(1) plus one short lock.
+//! precomputed content hash), so a probe costs one hash lookup, a word
+//! compare on a hit, and one short lock.
 //!
 //! # Deterministic hit/miss accounting
 //!
@@ -314,10 +315,7 @@ impl TraceMemo {
 /// traced through the [`TraceMemo`], so the ladder or session epoch
 /// learns each concrete tree node once. A single certify call without
 /// one computes every `bestSplit#` directly and derives its label with
-/// plain `dtrace`. Frontier hash-consing is always per run: each learner
-/// run interns through its own
-/// [`SubsetInterner`](antidote_data::SubsetInterner) and drops it on
-/// return, so nothing but the memos outlives a run.
+/// plain `dtrace`. Nothing but the memos outlives a learner run.
 ///
 /// Sharing is sound and deterministic:
 ///

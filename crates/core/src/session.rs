@@ -143,7 +143,7 @@ struct SessionState {
     ds: Arc<Dataset>,
     cache: CertCache,
     /// Point (bit-pattern key) → stable cache slot. Slots only grow;
-    /// [`CertCache::transfer_batched`] preserves slot count, so keys
+    /// [`CertCache::transfer`] preserves slot count, so keys
     /// stay valid across epochs.
     slots: BTreeMap<Vec<u64>, usize>,
     shared: Arc<SharedLearner>,
@@ -479,7 +479,7 @@ impl Session {
     /// Advances the session to `new_ds`, carrying certificates across
     /// the mutation chain described by `summaries` (one per epoch
     /// crossed, as returned by `DatasetRegistry::apply_delta_many`) in a
-    /// single batched [`CertCache::transfer_batched`]. The shared
+    /// single batched [`CertCache::transfer`]. The shared
     /// learner state is rebuilt — memoized splits and split analyses
     /// describe the old epoch's subsets and cannot transfer — while
     /// point→slot assignments survive.
@@ -488,7 +488,7 @@ impl Session {
     ///
     /// Panics when `summaries` is empty or does not span exactly the
     /// epochs between the session's snapshot and `new_ds` (the
-    /// [`CertCache::transfer_batched`] stamp).
+    /// [`CertCache::transfer`] stamp).
     ///
     /// A shared unit is never mutated in place: the successor state is
     /// built into a fresh unit, registered under the new epoch's key
@@ -500,7 +500,7 @@ impl Session {
         let next = {
             let st = warm.state.read().expect("session lock poisoned");
             SessionState {
-                cache: st.cache.transfer_batched(summaries, &new_ds, metrics),
+                cache: st.cache.transfer(summaries, &new_ds, metrics),
                 slots: st.slots.clone(),
                 shared: Arc::new(SharedLearner::new(&new_ds, self.cfg.transformer)),
                 ds: Arc::clone(&new_ds),

@@ -437,14 +437,10 @@ fn memoized_best_split_is_observationally_invisible() {
             }
             let counters = |ctx: &ExecContext| {
                 let m = ctx.metrics();
-                [
-                    m.split_memo_hits(),
-                    m.split_memo_misses(),
-                    m.interner_hits(),
-                ]
+                [m.split_memo_hits(), m.split_memo_misses()]
             };
             // Both ladders make the same certify calls, so they probe
-            // the memo with the same keys and intern the same frontiers.
+            // the memo with the same keys.
             assert_eq!(
                 counters(&one_shot_ctx),
                 counters(&session_ctx),
@@ -458,12 +454,11 @@ fn memoized_best_split_is_observationally_invisible() {
             }
             counts.push(counters(&one_shot_ctx));
         }
-        // Hit/miss and interner accounting is thread-invariant
-        // (deterministic insert-time reconciliation), which the perf
-        // gate relies on.
+        // Hit/miss accounting is thread-invariant (deterministic
+        // insert-time reconciliation), which the perf gate relies on.
         assert_eq!(
             counts[0], counts[1],
-            "{domain:?}: memo/interner counters diverged across thread counts"
+            "{domain:?}: memo counters diverged across thread counts"
         );
     }
 }

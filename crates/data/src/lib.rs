@@ -22,8 +22,6 @@
 //! * [`simd`] — the chunked (4×`u64`) word kernels the subset algebra
 //!   dispatches through under the default-on `simd` cargo feature, with a
 //!   bit-identical scalar form for builds without it;
-//! * [`arena`] — a frontier-lifetime recycling arena ([`WordArena`]) for
-//!   the learner's word-buffer scratch;
 //! * [`registry`] — the service-mode [`DatasetRegistry`]: handles →
 //!   epoch-stamped `Arc<Dataset>`s with indexes warmed at load time and
 //!   atomic delta application.
@@ -40,7 +38,6 @@
 //! assert_eq!(all.class_counts(), &[7, 6]);
 //! ```
 
-pub mod arena;
 pub mod benchmark;
 pub mod csv;
 pub mod dataset;
@@ -52,7 +49,6 @@ pub mod stats;
 pub mod subset;
 pub mod synth;
 
-pub use arena::WordArena;
 pub use benchmark::{Benchmark, Scale};
 pub use dataset::{
     Column, Dataset, DatasetBuilder, DatasetDelta, DeltaSummary, FeatureKind, Schema,
@@ -61,7 +57,7 @@ pub use error::DataError;
 pub use registry::DatasetRegistry;
 pub use split::train_test_split;
 pub use stats::DatasetStats;
-pub use subset::{Subset, SubsetInterner, ThresholdCmp};
+pub use subset::{Subset, ThresholdCmp};
 
 /// Row index into a [`Dataset`]. `u32` keeps index vectors compact; datasets
 /// above `u32::MAX` rows are rejected at construction time.

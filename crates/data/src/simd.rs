@@ -1,8 +1,8 @@
 //! Chunked word kernels for the packed [`Subset`](crate::Subset) backend.
 //!
 //! Every set operation the abstract domains bottom out in — AND, ANDNOT,
-//! OR, popcount, subset test, first-set — is a pass over `u64` words.
-//! This module provides those passes in two interchangeable forms:
+//! OR, popcount, subset test, first non-zero word — is a pass over `u64`
+//! words. This module provides those passes in two interchangeable forms:
 //!
 //! * a **vector form** (compiled under the default `simd` cargo feature):
 //!   the loop is restructured into explicit [`LANES`]-wide chunks with
@@ -20,10 +20,10 @@
 //! reduction is a sum of `u32` popcounts, which is associative and
 //! commutative on the naturals. The two forms therefore return
 //! *bit-identical* results on every input — not merely close ones — so
-//! routing `Subset` algebra, `AbstractSet::le`, `filter_cmp`'s mask
-//! application, and `prune_subsumed`'s live-word AND through the
-//! dispatchers cannot change any ladder or verdict (pinned by the
-//! vector-vs-scalar differential in `crates/data/tests/subset_equiv.rs`).
+//! routing `Subset` algebra, `AbstractSet::le` and `filter_cmp`'s mask
+//! application through the dispatchers cannot change any ladder or
+//! verdict (pinned by the vector-vs-scalar differential in
+//! `crates/data/tests/subset_equiv.rs`).
 //!
 //! # Dispatch
 //!
@@ -374,39 +374,6 @@ pub fn masked_and(words: &[u64], mask: &[u64], invert: bool, out: &mut Vec<u64>)
     }
 }
 
-/// `acc[i] &= bits[i]` in place over equal-length slices —
-/// `prune_subsumed`'s containment-accumulator AND.
-#[inline]
-pub fn and_in_place(acc: &mut [u64], bits: &[u64]) {
-    debug_assert_eq!(acc.len(), bits.len());
-    #[cfg(feature = "simd")]
-    and_in_place_vector(acc, bits);
-    #[cfg(not(feature = "simd"))]
-    and_in_place_scalar(acc, bits);
-}
-
-/// Scalar form of [`and_in_place`].
-pub fn and_in_place_scalar(acc: &mut [u64], bits: &[u64]) {
-    for (a, &b) in acc.iter_mut().zip(bits) {
-        *a &= b;
-    }
-}
-
-/// Vector form of [`and_in_place`].
-#[cfg(feature = "simd")]
-pub fn and_in_place_vector(acc: &mut [u64], bits: &[u64]) {
-    let split = acc.len() - acc.len() % LANES;
-    for (ca, cb) in acc[..split]
-        .chunks_exact_mut(LANES)
-        .zip(bits[..split].chunks_exact(LANES))
-    {
-        for l in 0..LANES {
-            ca[l] &= cb[l];
-        }
-    }
-    and_in_place_scalar(&mut acc[split..], &bits[split..]);
-}
-
 /// Index of the first non-zero word at or after `from`, if any — the
 /// skip-ahead behind the counted-ones cursor ([`Subset::iter`]'s dead
 /// word skipping).
@@ -449,13 +416,6 @@ pub fn first_nonzero_word_vector(words: &[u64], from: usize) -> Option<usize> {
         .iter()
         .position(|&w| w != 0)
         .map(|i| from + split + i)
-}
-
-/// Global bit index of the first set bit, if any.
-#[inline]
-pub fn first_set(words: &[u64]) -> Option<usize> {
-    let wi = first_nonzero_word(words, 0)?;
-    Some(wi * 64 + words[wi].trailing_zeros() as usize)
 }
 
 #[cfg(test)]
@@ -512,21 +472,17 @@ mod tests {
                     .map(|i| (x[i] & y[i] & a[a.len() - alen + i]).count_ones())
                     .sum::<u32>()
             );
-            assert_eq!(
-                first_set(x),
-                x.iter()
-                    .enumerate()
-                    .find_map(|(i, &w)| { (w != 0).then(|| i * 64 + w.trailing_zeros() as usize) })
-            );
         }
     }
 
     #[test]
     fn and_in_place_and_first_nonzero() {
-        let mut acc = vec![!0u64; 9];
+        let acc = vec![!0u64; 9];
         let bits: Vec<u64> = (0..9).map(|i| 1u64 << (i * 7)).collect();
-        and_in_place(&mut acc, &bits);
-        assert_eq!(acc, bits);
+        let mut out = Vec::new();
+        and_words(&acc, &bits, &mut out);
+        assert_eq!(out, bits);
+        // Dead-word skipping, across a lane boundary and past the end.
         let mut sparse = vec![0u64; 10];
         assert_eq!(first_nonzero_word(&sparse, 0), None);
         sparse[6] = 8;
@@ -534,6 +490,7 @@ mod tests {
         assert_eq!(first_nonzero_word(&sparse, 6), Some(6));
         assert_eq!(first_nonzero_word(&sparse, 7), None);
         assert_eq!(first_nonzero_word(&sparse, 99), None);
-        assert_eq!(first_set(&sparse), Some(6 * 64 + 3));
+        let wi = first_nonzero_word(&sparse, 0).unwrap();
+        assert_eq!(wi * 64 + sparse[wi].trailing_zeros() as usize, 6 * 64 + 3);
     }
 }

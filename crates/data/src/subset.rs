@@ -23,17 +23,16 @@
 //! a **precomputed 64-bit content hash**, so:
 //!
 //! * `clone` is a reference-count bump — the disjunct frontier and the
-//!   `bestSplit#` memo keys share one allocation per distinct row set;
+//!   `bestSplit#` memo keys share a payload instead of copying its words;
 //! * `Hash` writes the precomputed hash (O(1));
-//! * `Eq` short-circuits on pointer identity, then on hash inequality,
-//!   and only falls back to a word compare on a (conjectural) collision —
-//!   frontier deduplication and subsumption pruning stop re-walking and
+//! * `Eq` short-circuits on pointer identity (clones of one payload),
+//!   rejects on hash inequality, and compares words only when the hashes
+//!   agree — frontier deduplication and memo probes stop re-walking and
 //!   re-copying word vectors.
 //!
-//! A [`SubsetInterner`] canonicalises payloads within one certification
-//! run: re-encountered row sets are rewired to the first allocation, which
-//! turns the `Eq` pointer fast path into the common case and lets callers
-//! count structure sharing (`interner_hits` in the engine metrics).
+//! Payloads are not interned: equal sets built along different paths keep
+//! separate allocations, and every consumer keys on content (DESIGN.md
+//! §9.1).
 //!
 //! Iteration order is unchanged from the historical sorted-`Vec`
 //! representation: [`Subset::iter`] yields row ids in strictly increasing
@@ -46,7 +45,6 @@
 //! which operations produced the two sides.
 
 use crate::{simd, ClassId, Dataset, RowId};
-use std::collections::HashSet;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
@@ -132,7 +130,7 @@ pub struct Subset {
 
 impl PartialEq for Subset {
     fn eq(&self, other: &Self) -> bool {
-        // Pointer identity (interned payloads), then the precomputed hash
+        // Pointer identity (clones of one payload), then the precomputed hash
         // as a cheap reject; the word compare only runs on a collision or
         // a true match between distinct allocations.
         Arc::ptr_eq(&self.repr, &other.repr)
@@ -302,7 +300,7 @@ impl Subset {
     }
 
     /// Whether `self` and `other` share one hash-consed payload
-    /// allocation (the post-interning fast path; implies equality).
+    /// allocation (one is a clone of the other; implies equality).
     #[inline]
     pub fn shares_repr(&self, other: &Subset) -> bool {
         Arc::ptr_eq(&self.repr, &other.repr)
@@ -460,7 +458,7 @@ impl Subset {
     }
 
     /// Whether `self ⊆ other` — O(words) with early exit (O(1) when the
-    /// two sides share an interned payload).
+    /// two sides share one payload).
     pub fn is_subset_of(&self, other: &Subset) -> bool {
         self.shares_repr(other) || simd::is_subset(&self.repr.words, &other.repr.words)
     }
@@ -489,102 +487,11 @@ impl Subset {
 
     /// Approximate in-memory footprint in bytes (packed words + counts),
     /// used by the harness's memory-proxy accounting (DESIGN.md §4.1).
-    /// Reported per view — interned views sharing one payload each report
-    /// the full payload size, keeping the proxy identical to the
-    /// pre-hash-consing accounting.
+    /// Reported per view — clones sharing one payload each report the
+    /// full payload size.
     pub fn approx_bytes(&self) -> usize {
         self.repr.words.len() * std::mem::size_of::<u64>()
             + self.repr.class_counts.len() * std::mem::size_of::<u32>()
-    }
-}
-
-/// Hash-conses subset payloads within one certification run.
-///
-/// `intern` maps any [`Subset`] to a *canonical* view of the same row
-/// set: the first view presented for each distinct payload. Later views
-/// are rewired to the canonical allocation (a refcount bump), so
-/// equality checks between interned subsets take the pointer fast path
-/// and duplicated payloads are dropped as soon as their last transient
-/// view goes away.
-///
-/// The table holds one canonical `Subset` per distinct payload and is
-/// scoped to a single certification run (the removal learner builds one
-/// per `run_abstract_shared` call, with or without a ladder's or
-/// session's shared state, the label-flip learner one per
-/// `certify_label_flips` call), so its footprint is bounded by the
-/// number of distinct frontier states the run visits.
-///
-/// ```
-/// use antidote_data::{synth, Subset, SubsetInterner};
-///
-/// let ds = synth::figure2();
-/// let a = Subset::from_indices(&ds, vec![0, 1, 2]);
-/// let b = Subset::from_indices(&ds, vec![2, 1, 0]); // equal, distinct alloc
-/// let mut interner = SubsetInterner::new();
-/// let (ca, hit_a) = interner.intern(&a);
-/// let (cb, hit_b) = interner.intern(&b);
-/// assert!(!hit_a && hit_b, "first view misses, the re-encounter hits");
-/// assert!(ca.shares_repr(&cb), "both views share one payload");
-/// assert_eq!(cb, b);
-/// ```
-#[derive(Debug, Default)]
-pub struct SubsetInterner {
-    table: HashSet<Subset>,
-}
-
-impl SubsetInterner {
-    /// An empty interner.
-    pub fn new() -> Self {
-        SubsetInterner::default()
-    }
-
-    /// Number of distinct payloads interned so far.
-    pub fn len(&self) -> usize {
-        self.table.len()
-    }
-
-    /// Whether nothing has been interned yet.
-    pub fn is_empty(&self) -> bool {
-        self.table.is_empty()
-    }
-
-    /// Returns the canonical view of `s`'s payload and whether the
-    /// payload had been interned before (`true` = hit). On a miss, `s`
-    /// itself becomes the canonical view.
-    pub fn intern(&mut self, s: &Subset) -> (Subset, bool) {
-        match self.table.get(s) {
-            Some(canonical) => (canonical.clone(), true),
-            None => {
-                self.table.insert(s.clone());
-                (s.clone(), false)
-            }
-        }
-    }
-
-    /// Interns the subset of every element of `items` (projected by
-    /// `get`), rewiring elements whose payload was seen before onto the
-    /// canonical allocation via `rebuild`. Returns the number of hits
-    /// (re-encountered payloads). Rewiring is value-preserving —
-    /// `rebuild` receives a subset equal to the one `get` returned — so
-    /// the pass is observationally invisible; both abstract learners
-    /// share it for their frontier hygiene.
-    pub fn intern_all<D>(
-        &mut self,
-        items: &mut [D],
-        get: impl Fn(&D) -> &Subset,
-        rebuild: impl Fn(&D, Subset) -> D,
-    ) -> u64 {
-        let mut hits = 0u64;
-        for item in items.iter_mut() {
-            let (canonical, hit) = self.intern(get(item));
-            if hit {
-                hits += 1;
-                if !canonical.shares_repr(get(item)) {
-                    *item = rebuild(item, canonical);
-                }
-            }
-        }
-        hits
     }
 }
 
@@ -725,7 +632,7 @@ mod tests {
         assert_eq!(a.content_hash(), c.content_hash());
         assert_eq!(a, c);
         // Equal sets built independently: equal value and hash, distinct
-        // allocations until interned.
+        // allocations.
         let b = Subset::from_indices(&ds, vec![4, 2, 0]);
         assert_eq!(a, b);
         assert_eq!(a.content_hash(), b.content_hash());
@@ -741,29 +648,6 @@ mod tests {
             st.finish()
         };
         assert_eq!(h(&a), h(&b));
-    }
-
-    #[test]
-    fn interner_canonicalises_payloads() {
-        let ds = tiny();
-        let mut interner = SubsetInterner::new();
-        assert!(interner.is_empty());
-        let a = Subset::from_indices(&ds, vec![1, 3]);
-        let (ca, hit) = interner.intern(&a);
-        assert!(!hit, "first view is a miss");
-        assert!(ca.shares_repr(&a), "the first view becomes canonical");
-        // An equal payload from a different construction path is rewired.
-        let b = Subset::full(&ds).filter(&ds, |r| r == 1 || r == 3);
-        assert!(!b.shares_repr(&a));
-        let (cb, hit) = interner.intern(&b);
-        assert!(hit);
-        assert!(cb.shares_repr(&a));
-        assert_eq!(cb, b);
-        // A distinct payload gets its own canonical entry.
-        let (cc, hit) = interner.intern(&Subset::empty(2));
-        assert!(!hit);
-        assert_eq!(cc, Subset::empty(2));
-        assert_eq!(interner.len(), 2);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! over a sorted unique index vector; every property drives both
 //! implementations with the same random inputs and demands equal results.
 
-use antidote_data::{ClassId, Dataset, RowId, Schema, Subset, SubsetInterner, ThresholdCmp};
+use antidote_data::{ClassId, Dataset, RowId, Schema, Subset, ThresholdCmp};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -204,10 +204,9 @@ proptest! {
         prop_assert_eq!(seen, m.indices);
     }
 
-    /// Hash-consing differential: interned subsets behave exactly like
-    /// reference (un-interned) ones. Equality/hash agree with the model
-    /// across construction paths, clones share payloads, and rewiring a
-    /// view through the interner changes no observable behavior.
+    /// Hash-consing differential: equality/hash agree with the model
+    /// across construction paths, clones share payloads, and the
+    /// shared-payload fast paths agree with the word-walking general case.
     #[test]
     fn interned_subsets_match_reference_behavior(seed in 0u64..1_000_000) {
         let (ds, a, b) = random_instance(seed);
@@ -219,32 +218,19 @@ proptest! {
         // Value equality and hash equality follow the model.
         prop_assert_eq!(&sa, &sa2, "construction path must not matter");
         prop_assert_eq!(sa.content_hash(), sa2.content_hash());
-        prop_assert!(!sa.shares_repr(&sa2), "distinct allocations pre-interning");
-        if Model::new(a.clone()) != Model::new(b.clone()) {
+        prop_assert!(!sa.shares_repr(&sa2), "distinct construction paths, distinct allocations");
+        if Model::new(a) != Model::new(b) {
             prop_assert!(sa != sb);
         }
         // Clones share the hash-consed payload.
         let cloned = sa.clone();
         prop_assert!(cloned.shares_repr(&sa));
-        // Interning rewires equal payloads onto one allocation and
-        // reports hits exactly for re-encountered payloads…
-        let mut interner = SubsetInterner::new();
-        let (c1, hit1) = interner.intern(&sa);
-        let (c2, hit2) = interner.intern(&sa2);
-        prop_assert!(!hit1 && hit2);
-        prop_assert!(c1.shares_repr(&sa) && c2.shares_repr(&sa));
-        let (c3, hit3) = interner.intern(&sb);
-        prop_assert_eq!(hit3, sb == sa, "distinct payloads are fresh entries");
-        // …and the canonical views are observationally identical to the
-        // un-interned originals.
-        let m = Model::new(a);
-        assert_equiv(&ds, &c2, &m, "interned view");
-        prop_assert_eq!(c2.content_hash(), sa.content_hash());
-        prop_assert_eq!(c3 == c2, sb == sa);
-        // O(1) containment/difference fast paths on shared payloads agree
-        // with the word-walking general case.
-        prop_assert!(c1.is_subset_of(&c2));
-        prop_assert_eq!(c1.difference_len(&c2), 0);
+        // O(1) containment/difference fast paths on a shared payload agree
+        // with the word-walking general case on an equal, unshared one.
+        prop_assert!(cloned.is_subset_of(&sa));
+        prop_assert_eq!(cloned.difference_len(&sa), 0);
+        prop_assert!(sa2.is_subset_of(&sa));
+        prop_assert_eq!(sa2.difference_len(&sa), 0);
     }
 
     /// SIMD kernel differential: every chunked vector kernel must agree
@@ -320,11 +306,6 @@ proptest! {
         simd::or_words_vector(pa, pb, &mut out_v);
         simd::or_words_scalar(pa, pb, &mut out_s);
         prop_assert_eq!(&out_v, &out_s, "or_words");
-        let mut acc_v = pa.to_vec();
-        let mut acc_s = pa.to_vec();
-        simd::and_in_place_vector(&mut acc_v, pb);
-        simd::and_in_place_scalar(&mut acc_s, pb);
-        prop_assert_eq!(acc_v, acc_s, "and_in_place");
         // The three-way kernel's third operand: the complement of `a ∧ b`
         // in reverse word order, so it differs from both other operands.
         let pc: Vec<u64> = inter.iter().rev().map(|w| !w).collect();

@@ -94,11 +94,7 @@ mod tests {
         assert_eq!(key(&seq), key(&par), "flip ladder diverged across threads");
         let work = |ctx: &ExecContext| {
             let m = ctx.metrics();
-            (
-                m.disjuncts_processed(),
-                m.split_memo_misses(),
-                m.interner_hits(),
-            )
+            (m.disjuncts_processed(), m.split_memo_misses())
         };
         assert_eq!(work(&seq_ctx), work(&par_ctx), "flip work diverged");
     }

@@ -566,7 +566,7 @@ fn transferred_certificates_survive_the_brute_force_oracle() {
                 let mut delta = DatasetDelta::new();
                 delta.remove(victim);
                 let (next, summary) = ds.apply_summarized(&delta).unwrap();
-                cache = cache.transfer(&summary, &next, ctx.metrics());
+                cache = cache.transfer(&[summary], &next, ctx.metrics());
                 ds = next;
             }
             let mut budgets: Vec<usize> = (0..=3.min(ds.len() - 1)).collect();
@@ -660,7 +660,7 @@ fn mixed_deltas_invalidate_and_stay_sound() {
             for n in 0..=2.min(ds0.len() - 1) {
                 certifier0.certify_cached(&x, n, 0, &cache0, &ctx).unwrap();
             }
-            let cache1 = cache0.transfer(&summary, &ds1, ctx.metrics());
+            let cache1 = cache0.transfer(std::slice::from_ref(&summary), &ds1, ctx.metrics());
             for n in 0..ds1.len() {
                 assert!(
                     cache1.transferred_lookup(0, n).is_none(),
@@ -721,7 +721,7 @@ fn naive_append_transfer_would_be_unsound() {
         delta.append(&[v], 1);
     }
     let (ds1, summary) = ds0.apply_summarized(&delta).unwrap();
-    let cache1 = cache0.transfer(&summary, &ds1, ctx.metrics());
+    let cache1 = cache0.transfer(std::slice::from_ref(&summary), &ds1, ctx.metrics());
     assert!(
         cache1.transferred_lookup(0, 1).is_none(),
         "appends must not carry Robust bounds"
